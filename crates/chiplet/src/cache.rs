@@ -1,178 +1,42 @@
-//! A keyed memo over SiP evaluations, provenance-transparent like the
-//! core [`ScenarioCache`](nanocost_core::ScenarioCache).
+//! A memo over SiP evaluations: one core
+//! [`Memo`](nanocost_core::memo::Memo), like each table of the core
+//! [`ScenarioCache`](nanocost_core::ScenarioCache).
 //!
-//! Crossover sweeps revisit the same `(λ, s_d, N_tr, V, n)` lattice
-//! points from both the figure bin and the query server, so the
-//! chiplet model gets the same treatment as eqs. 4/5/7: quantized-key
-//! LRU memoization where a traced hit replays the stored Eq.-C*
+//! Crossover sweeps revisit the same `(λ, s_d, N_tr, V, n)` points from
+//! both the figure bin and the query server, so the chiplet model gets
+//! the same treatment as eqs. 4/5/7: an LRU memo keyed on the exact
+//! scenario inputs, where a traced hit replays the stored Eq.-C*
 //! provenance verbatim. Hit and miss are indistinguishable to the
 //! fingerprint pipeline — the cached==uncached invariant the serve and
 //! bench tests pin.
-//!
-//! Key quanta are shared with the core cache
-//! ([`LAMBDA_QUANTUM_UM`](nanocost_core::LAMBDA_QUANTUM_UM) and
-//! friends) so the two caches agree on what "the same scenario" means.
 
-use std::collections::HashMap;
-use std::hash::Hash;
-use std::sync::{Arc, Mutex};
-
-use nanocost_core::{
-    CacheStats, DEFAULT_CAPACITY, LAMBDA_QUANTUM_UM, SD_QUANTUM, TRANSISTOR_QUANTUM,
-};
-use nanocost_trace::record::RecordKind;
-use nanocost_trace::value::Field;
-use nanocost_trace::{counter, provenance, with_capture};
+use nanocost_core::memo::{Locked, Memo};
+use nanocost_core::{CacheStats, DEFAULT_CAPACITY};
+use nanocost_trace::counter;
 use nanocost_units::UnitError;
 
+use crate::assembly::AssemblyKind;
 use crate::scenario::{ChipletModels, ChipletReport, ChipletScenario};
 
-/// Quantizes one raw input coordinate onto its key lattice, saturating
-/// at the `i64` range (mirrors the core cache's lattice).
-fn quantize(x: f64, quantum: f64) -> i64 {
-    let q = (x / quantum).round();
-    if q >= i64::MAX as f64 {
-        i64::MAX
-    } else if q <= i64::MIN as f64 {
-        i64::MIN
+/// Exact identity of one SiP query: the bits of `λ`, `s_d`, `N_tr`,
+/// the unit volume, then the split and its assembly.
+type SipKey = ([u64; 4], u32, u32, AssemblyKind);
+
+/// Bumps the `chiplet.cache.{hit,miss}` trace counters.
+fn count(hit: bool) {
+    if hit {
+        counter!("chiplet.cache.hit", 1);
     } else {
-        q as i64
+        counter!("chiplet.cache.miss", 1);
     }
 }
 
-/// Quantized identity of one SiP query point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct SipKey {
-    lambda: i64,
-    sd: i64,
-    transistors: i64,
-    units: u64,
-    chiplets: u32,
-    distinct_designs: u32,
-    assembly: &'static str,
-}
-
-impl SipKey {
-    fn new(s: &ChipletScenario) -> Self {
-        SipKey {
-            lambda: quantize(s.lambda.microns(), LAMBDA_QUANTUM_UM),
-            sd: quantize(s.sd.squares(), SD_QUANTUM),
-            transistors: quantize(s.transistors.count(), TRANSISTOR_QUANTUM),
-            units: s.units.count(),
-            chiplets: s.chiplets,
-            distinct_designs: s.distinct_designs,
-            assembly: s.assembly.name(),
-        }
-    }
-}
-
-/// One stored provenance record, replayed verbatim on a hit.
-#[derive(Debug, Clone)]
-struct ReplayRecord {
-    equation: nanocost_trace::provenance::Equation,
-    function: &'static str,
-    inputs: Vec<Field>,
-    outputs: Vec<Field>,
-}
-
-fn replay_of(records: &[nanocost_trace::record::Record]) -> Vec<ReplayRecord> {
-    records
-        .iter()
-        .filter_map(|r| match &r.kind {
-            RecordKind::Provenance { equation, function, inputs, outputs, .. } => {
-                Some(ReplayRecord {
-                    equation: *equation,
-                    function,
-                    inputs: inputs.clone(),
-                    outputs: outputs.clone(),
-                })
-            }
-            _ => None,
-        })
-        .collect()
-}
-
-fn replay(replay: &[ReplayRecord]) {
-    if !nanocost_trace::is_enabled() {
-        return;
-    }
-    for r in replay {
-        provenance::emit(r.equation, r.function, r.inputs.clone(), r.outputs.clone());
-    }
-}
-
-struct LruEntry {
-    stamp: u64,
-    value: ChipletReport,
-    // `None` marks an entry stored while tracing was disabled; a traced
-    // computation that captured nothing stores `Some(empty)` — the two
-    // must stay distinct or replay-less entries would never recompute.
-    replay: Option<Arc<Vec<ReplayRecord>>>,
-}
-
-/// Stamp-scan LRU, as in the core cache: eviction scans for the
-/// minimum stamp, which beats a linked-list design at these capacities
-/// without unsafe code.
-struct Lru {
-    map: HashMap<SipKey, LruEntry>,
-    capacity: usize,
-    clock: u64,
-}
-
-impl Lru {
-    fn new(capacity: usize) -> Self {
-        Lru { map: HashMap::new(), capacity: capacity.max(1), clock: 0 }
-    }
-
-    fn get(&mut self, key: &SipKey) -> Option<(ChipletReport, Option<Arc<Vec<ReplayRecord>>>)> {
-        self.clock += 1;
-        let clock = self.clock;
-        self.map.get_mut(key).map(|e| {
-            e.stamp = clock;
-            (e.value, e.replay.clone())
-        })
-    }
-
-    fn insert(&mut self, key: SipKey, value: ChipletReport, replay: Option<Arc<Vec<ReplayRecord>>>) {
-        self.clock += 1;
-        if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
-            if let Some(oldest) =
-                self.map.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| *k)
-            {
-                self.map.remove(&oldest);
-            }
-        }
-        self.map.insert(key, LruEntry { stamp: self.clock, value, replay });
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-}
-
-struct Inner {
-    reports: Lru,
-    hits: u64,
-    misses: u64,
-}
-
-/// A thread-safe memo of SiP evaluations keyed on quantized scenario
+/// A thread-safe memo of SiP evaluations keyed on exact scenario
 /// inputs, with verbatim Eq.-C* provenance replay on hits.
+#[derive(Debug)]
 pub struct ChipletCache {
     models: ChipletModels,
-    inner: Mutex<Inner>,
-}
-
-impl std::fmt::Debug for ChipletCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stats = self.stats();
-        f.debug_struct("ChipletCache")
-            .field("hits", &stats.hits)
-            .field("misses", &stats.misses)
-            .field("entries", &stats.entries)
-            .field("capacity", &stats.capacity)
-            .finish_non_exhaustive()
-    }
+    reports: Locked<Memo<SipKey, ChipletReport>>,
 }
 
 impl ChipletCache {
@@ -180,10 +44,7 @@ impl ChipletCache {
     /// capacity (clamped to at least one entry).
     #[must_use]
     pub fn new(models: ChipletModels, capacity: usize) -> Self {
-        ChipletCache {
-            models,
-            inner: Mutex::new(Inner { reports: Lru::new(capacity), hits: 0, misses: 0 }),
-        }
+        ChipletCache { models, reports: Locked::new(Memo::new(capacity, count)) }
     }
 
     /// The cache over [`ChipletModels::defaults`] at the core cache's
@@ -203,34 +64,8 @@ impl ChipletCache {
         &self.models
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // A poisoned lock only means another thread panicked mid-insert;
-        // the map itself is still structurally sound, so keep serving.
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn count(&self, hit: bool) {
-        let mut inner = self.lock();
-        if hit {
-            inner.hits += 1;
-            drop(inner);
-            counter!("chiplet.cache.hit", 1);
-        } else {
-            inner.misses += 1;
-            drop(inner);
-            counter!("chiplet.cache.miss", 1);
-        }
-    }
-
     /// SiP evaluation through the cache; identical in value and
-    /// provenance to calling [`ChipletModels::evaluate`]. A miss while
-    /// tracing is enabled computes under
-    /// [`with_capture`](nanocost_trace::with_capture) and stores the
-    /// Eq.-C* stream for verbatim replay; a replay-less entry hit
-    /// while tracing is enabled is recomputed (counted as a miss) so
-    /// the provenance invariant holds unconditionally. Errors are
+    /// provenance to calling [`ChipletModels::evaluate`]. Errors are
     /// never cached.
     ///
     /// # Errors
@@ -242,6 +77,10 @@ impl ChipletCache {
 
     /// As [`ChipletCache::evaluate`], also reporting whether the point
     /// was served from the cache.
+    ///
+    /// # Errors
+    ///
+    /// As [`ChipletModels::evaluate`].
     pub fn evaluate_traced(
         &self,
         scenario: &ChipletScenario,
@@ -249,49 +88,32 @@ impl ChipletCache {
         // Validate before keying so degenerate scenarios (chiplets = 0,
         // inconsistent distinct_designs) never touch the table.
         scenario.validate()?;
-        let key = SipKey::new(scenario);
-        let enabled = nanocost_trace::is_enabled();
-        let found = self.lock().reports.get(&key);
-        if let Some((value, stored)) = found {
-            if !enabled || stored.is_some() {
-                self.count(true);
-                if let Some(records) = &stored {
-                    replay(records);
-                }
-                return Ok((value, true));
-            }
-            // Stored while tracing was off; recapture below.
-        }
-        self.count(false);
-        let (stored, result) = if enabled {
-            let (records, result) = with_capture(|| self.models.evaluate(scenario));
-            (Some(Arc::new(replay_of(&records))), result)
-        } else {
-            (None, self.models.evaluate(scenario))
-        };
-        let value = result?;
-        self.lock().reports.insert(key, value, stored);
-        Ok((value, false))
+        let key = (
+            [
+                scenario.lambda.microns().to_bits(),
+                scenario.sd.squares().to_bits(),
+                scenario.transistors.count().to_bits(),
+                scenario.units.count(),
+            ],
+            scenario.chiplets,
+            scenario.distinct_designs,
+            scenario.assembly,
+        );
+        self.reports.get_or_compute(|m| m, key, || self.models.evaluate(scenario))
     }
 
     /// Snapshot of the lifetime hit/miss counters and occupancy.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        let inner = self.lock();
-        CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            entries: inner.reports.len(),
-            capacity: inner.reports.capacity,
-        }
+        self.reports.read(Memo::stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assembly::AssemblyKind;
     use nanocost_trace::export::{Exporter, JsonlExporter};
+    use nanocost_trace::record::RecordKind;
     use nanocost_trace::with_collector;
     use nanocost_units::{ChipCount, DecompressionIndex, FeatureSize, TransistorCount};
 
@@ -308,16 +130,6 @@ mod tests {
     }
 
     #[test]
-    fn hit_returns_the_same_value_and_counts() {
-        let cache = ChipletCache::defaults().unwrap();
-        let a = cache.evaluate(&scenario(4)).unwrap();
-        let b = cache.evaluate(&scenario(4)).unwrap();
-        assert_eq!(a.unit_cost.amount().to_bits(), b.unit_cost.amount().to_bits());
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-    }
-
-    #[test]
     fn distinct_split_counts_are_distinct_entries() {
         let cache = ChipletCache::defaults().unwrap();
         cache.evaluate(&scenario(1)).unwrap();
@@ -331,46 +143,27 @@ mod tests {
     }
 
     #[test]
-    fn errors_are_not_cached() {
-        let cache = ChipletCache::defaults().unwrap();
-        let mut bad = scenario(4);
-        bad.distinct_designs = 9;
-        assert!(cache.evaluate(&bad).is_err());
-        assert!(cache.evaluate(&bad).is_err());
-        assert_eq!(cache.stats().entries, 0);
-    }
-
-    /// Renders provenance records to JSONL with the volatile timestamp
-    /// prefix stripped, for hit-vs-miss comparison.
-    fn rendered_provenance(records: &[nanocost_trace::record::Record]) -> Vec<String> {
-        let mut exporter = JsonlExporter::new();
-        records
-            .iter()
-            .filter(|r| matches!(r.kind, RecordKind::Provenance { .. }))
-            .map(|r| {
-                let line = exporter.render(r);
-                let tail = line.find(",\"thread\"").map_or(0, |i| i);
-                line[tail..].to_string()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn hits_replay_identical_provenance() {
+    fn hits_replay_the_full_chiplet_chain() {
         let cache = ChipletCache::defaults().unwrap();
         let s = scenario(4);
-        let (miss_records, _) = with_collector(|| {
-            cache.evaluate(&s).unwrap();
-        });
-        let (hit_records, _) = with_collector(|| {
-            cache.evaluate(&s).unwrap();
-        });
+        let render = |records: &[nanocost_trace::record::Record]| -> Vec<String> {
+            let mut exporter = JsonlExporter::new();
+            records
+                .iter()
+                .filter(|r| matches!(r.kind, RecordKind::Provenance { .. }))
+                .map(|r| {
+                    let line = exporter.render(r);
+                    let tail = line.find(",\"thread\"").unwrap_or(0);
+                    line[tail..].to_string()
+                })
+                .collect()
+        };
+        let (miss, _) = with_collector(|| cache.evaluate(&s).unwrap());
+        let (hit, _) = with_collector(|| cache.evaluate(&s).unwrap());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
-        let miss = rendered_provenance(&miss_records);
-        let hit = rendered_provenance(&hit_records);
-        assert!(!miss.is_empty());
-        assert_eq!(miss, hit);
+        let miss = render(&miss);
+        assert_eq!(miss, render(&hit));
         // The full chiplet chain is present: C1, C2 (die + substrate),
         // C3, C4, C5, plus the NRE's paper eq. 5/6 emissions.
         for wanted in ["Eq.C1", "Eq.C2", "Eq.C3", "Eq.C4", "Eq.C5", "Eq.5", "Eq.6"] {
@@ -379,38 +172,5 @@ mod tests {
                 "missing {wanted} in {miss:?}"
             );
         }
-    }
-
-    #[test]
-    fn untraced_entries_recompute_under_tracing() {
-        let cache = ChipletCache::defaults().unwrap();
-        let s = scenario(2);
-        // Stored replay-less (tracing disabled out here).
-        cache.evaluate(&s).unwrap();
-        // Under a collector the replay-less entry must recompute...
-        let (records, _) = with_collector(|| {
-            cache.evaluate(&s).unwrap();
-        });
-        assert!(records.iter().any(|r| matches!(r.kind, RecordKind::Provenance { .. })));
-        // ...and the recomputed entry then replays on a traced hit.
-        let (again, _) = with_collector(|| {
-            cache.evaluate(&s).unwrap();
-        });
-        assert_eq!(rendered_provenance(&records), rendered_provenance(&again));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 2));
-    }
-
-    #[test]
-    fn lru_evicts_at_capacity() {
-        let cache =
-            ChipletCache::new(ChipletModels::defaults().unwrap(), 2);
-        cache.evaluate(&scenario(1)).unwrap();
-        cache.evaluate(&scenario(2)).unwrap();
-        cache.evaluate(&scenario(4)).unwrap(); // evicts scenario(1)
-        cache.evaluate(&scenario(1)).unwrap(); // miss again
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (0, 4));
-        assert_eq!(stats.entries, 2);
     }
 }

@@ -23,8 +23,9 @@
 //! * [`ChipletScenario`] / [`ChipletModels`] — eq. C5, the whole SiP
 //!   priced per shipped unit, with the monolithic build as the `n = 1`
 //!   degenerate case;
-//! * [`ChipletCache`] — quantized-key memoization with verbatim
-//!   Eq.-C* provenance replay on hits.
+//! * [`ChipletCache`] — the core [`Memo`](nanocost_core::memo::Memo)
+//!   keyed on exact scenario inputs, with verbatim Eq.-C* provenance
+//!   replay on hits.
 //!
 //! ```
 //! use nanocost_chiplet::{AssemblyKind, ChipletModels, ChipletScenario};

@@ -42,6 +42,7 @@ mod advisor;
 mod cache;
 mod generalized;
 mod manufacturing;
+pub mod memo;
 mod node_choice;
 mod optimize;
 mod profit;
@@ -52,13 +53,13 @@ mod tradeoff;
 
 pub use advisor::{advise_raw, DfmAdvisor, DfmReport, Recommendation};
 pub use cache::{
-    BatchRequest, BatchResponse, BatchStats, CacheStats, CostQuery, ScenarioCache,
-    DEFAULT_CAPACITY, DOLLARS_QUANTUM, LAMBDA_QUANTUM_UM, SD_QUANTUM, TRANSISTOR_QUANTUM,
-    YIELD_QUANTUM,
+    BatchRequest, BatchResponse, BatchStats, CostQuery, ScenarioCache, DEFAULT_CAPACITY,
+    LAMBDA_QUANTUM_UM, SD_QUANTUM, TRANSISTOR_QUANTUM, YIELD_QUANTUM,
 };
 pub use generalized::{DesignPoint, GeneralizedCostModel, GeneralizedReport};
 pub use node_choice::{cheapest_node, node_sweep, NodeChoice};
 pub use manufacturing::ManufacturingCostModel;
+pub use memo::CacheStats;
 pub use profit::{ProfitModel, ProfitReport};
 pub use optimize::{
     optimal_sd_generalized, optimal_sd_total, optimum_surface, DensityOptimum, OptimizeError,

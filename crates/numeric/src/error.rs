@@ -31,7 +31,7 @@ pub enum NumericError {
         need: usize,
     },
     /// An input value was invalid (non-finite, non-positive where a log is
-    /// taken, unsorted abscissae, …).
+    /// taken, …).
     InvalidInput {
         /// Name of the routine that failed.
         routine: &'static str,
@@ -44,18 +44,6 @@ pub enum NumericError {
         routine: &'static str,
         /// Iterations performed before giving up.
         iterations: usize,
-    },
-    /// The requested abscissa lies outside the table and extrapolation was
-    /// not requested.
-    OutOfDomain {
-        /// Name of the routine that failed.
-        routine: &'static str,
-        /// The requested abscissa.
-        x: f64,
-        /// Smallest tabulated abscissa.
-        lo: f64,
-        /// Largest tabulated abscissa.
-        hi: f64,
     },
 }
 
@@ -78,9 +66,6 @@ impl fmt::Display for NumericError {
                 routine,
                 iterations,
             } => write!(f, "{routine}: no convergence after {iterations} iterations"),
-            NumericError::OutOfDomain { routine, x, lo, hi } => {
-                write!(f, "{routine}: abscissa {x} outside table domain [{lo}, {hi}]")
-            }
         }
     }
 }
@@ -95,12 +80,10 @@ mod tests {
     fn display_mentions_routine() {
         let e = NumericError::Empty { routine: "mean" };
         assert!(e.to_string().contains("mean"));
-        let e = NumericError::OutOfDomain {
-            routine: "interp",
-            x: 5.0,
-            lo: 0.0,
-            hi: 1.0,
+        let e = NumericError::NoConvergence {
+            routine: "golden_section_min",
+            iterations: 3,
         };
-        assert!(e.to_string().contains("interp"));
+        assert!(e.to_string().contains("golden_section_min"));
     }
 }

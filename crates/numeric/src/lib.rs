@@ -1,9 +1,8 @@
 //! Numeric primitives for the `nanocost` workspace.
 //!
-//! Everything the cost models need and nothing more: piecewise
-//! [interpolation](InterpTable), least-squares [fits](linear_fit)
-//! (linear / power-law / exponential trends), derivative-free
-//! [minimization](golden_section_min), [root finding](bisect), descriptive
+//! Everything the cost models need and nothing more: least-squares
+//! [fits](linear_fit) (linear / power-law / exponential trends),
+//! derivative-free [minimization](refine_min), descriptive
 //! [statistics](summarize), seeded [Monte-Carlo sampling](Sampler), and the
 //! [`Series`]/[`Chart`] types that carry reproduced figures.
 //!
@@ -26,27 +25,23 @@
 
 mod error;
 mod histogram;
-mod interp;
 mod mc;
 mod optimize;
 mod regression;
 mod rng;
-mod roots;
 mod series;
 mod stats;
 
 pub use error::NumericError;
 pub use histogram::{bootstrap_mean_ci, ConfidenceInterval, Histogram};
-pub use interp::{Extrapolation, InterpTable};
 pub use mc::{McConfig, Sampler};
-pub use optimize::{golden_section_min, grid_min, refine_min, Minimum};
+pub use optimize::{refine_min, Minimum};
 pub use regression::{
     exponential_fit, linear_fit, power_law_fit, ExponentialFit, LinearFit, PowerLawFit,
 };
 pub use rng::{Rng64, SampleRange, UniformSample};
-pub use roots::bisect;
 pub use series::{Chart, Series};
-pub use stats::{geometric_mean, percentile, summarize, Summary};
+pub use stats::{percentile, summarize, Summary};
 
 #[cfg(test)]
 mod proptests {
@@ -54,6 +49,7 @@ mod proptests {
     //! the suite runs fully offline (the external `proptest` crate is gone).
 
     use super::*;
+    use crate::optimize::{golden_section_min, grid_min};
 
     const CASES: usize = 256;
 
@@ -98,17 +94,6 @@ mod proptests {
     }
 
     #[test]
-    fn interp_is_within_ordinate_hull() {
-        let mut r = Rng64::seed_from_u64(0xD1CE);
-        let t = InterpTable::new(vec![(0.0, 1.0), (1.0, 4.0), (3.0, 2.0)]).unwrap();
-        for _ in 0..CASES {
-            let x = r.random_range(0.0f64..3.0);
-            let y = t.eval(x, Extrapolation::Refuse).unwrap();
-            assert!((1.0..=4.0).contains(&y));
-        }
-    }
-
-    #[test]
     fn percentile_is_monotone_in_p() {
         let mut r = Rng64::seed_from_u64(0xFADE);
         let xs = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
@@ -119,17 +104,6 @@ mod proptests {
             let a = percentile(&xs, lo).unwrap();
             let b = percentile(&xs, hi).unwrap();
             assert!(a <= b + 1e-12);
-        }
-    }
-
-    #[test]
-    fn bisect_inverts_monotone_functions() {
-        let mut r = Rng64::seed_from_u64(0xBEEF);
-        for _ in 0..CASES {
-            let target = r.random_range(0.1f64..99.0);
-            // Solve x^3 = target on [0, 100].
-            let root = bisect(0.0, 100.0, 1e-10, |x| x * x * x - target).unwrap();
-            assert!((root.powi(3) - target).abs() < 1e-4);
         }
     }
 

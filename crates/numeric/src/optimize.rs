@@ -29,15 +29,7 @@ pub struct Minimum {
 /// non-finite value; returns [`NumericError::NoConvergence`] if the bracket
 /// fails to shrink below `tol` within 10 000 iterations (possible only for
 /// pathological `tol` relative to floating-point spacing).
-///
-/// ```
-/// use nanocost_numeric::golden_section_min;
-///
-/// let m = golden_section_min(0.0, 4.0, 1e-9, |x| (x - 1.5).powi(2))?;
-/// assert!((m.x - 1.5).abs() < 1e-6);
-/// # Ok::<(), nanocost_numeric::NumericError>(())
-/// ```
-pub fn golden_section_min(
+pub(crate) fn golden_section_min(
     lo: f64,
     hi: f64,
     tol: f64,
@@ -116,7 +108,7 @@ pub fn golden_section_min(
 ///
 /// Returns [`NumericError::InvalidInput`] for an empty/reversed interval,
 /// fewer than two samples, or a non-finite objective value.
-pub fn grid_min(
+pub(crate) fn grid_min(
     lo: f64,
     hi: f64,
     samples: usize,
@@ -162,7 +154,7 @@ pub fn grid_min(
 ///
 /// # Errors
 ///
-/// Propagates errors from [`grid_min`] and [`golden_section_min`].
+/// Propagates errors from `grid_min` and `golden_section_min`.
 pub fn refine_min(
     lo: f64,
     hi: f64,

@@ -105,30 +105,6 @@ fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     sorted[lo] + frac * (sorted[hi] - sorted[lo])
 }
 
-/// The geometric mean of strictly positive samples.
-///
-/// Used for averaging ratios (e.g. paper-vs-measured cost factors across
-/// experiments), where the arithmetic mean would be biased.
-///
-/// # Errors
-///
-/// Returns [`NumericError`] if `samples` is empty or any sample is not
-/// strictly positive and finite.
-pub fn geometric_mean(samples: &[f64]) -> Result<f64, NumericError> {
-    const ROUTINE: &str = "geometric_mean";
-    if samples.is_empty() {
-        return Err(NumericError::Empty { routine: ROUTINE });
-    }
-    if samples.iter().any(|&v| !v.is_finite() || v <= 0.0) {
-        return Err(NumericError::InvalidInput {
-            routine: ROUTINE,
-            reason: "samples must be finite and positive",
-        });
-    }
-    let log_mean = samples.iter().map(|v| v.ln()).sum::<f64>() / samples.len() as f64;
-    Ok(log_mean.exp())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,15 +149,5 @@ mod tests {
         assert!(summarize(&[]).is_err());
         assert!(summarize(&[f64::NAN]).is_err());
         assert!(percentile(&[1.0], 101.0).is_err());
-        assert!(geometric_mean(&[]).is_err());
-        assert!(geometric_mean(&[1.0, 0.0]).is_err());
-    }
-
-    #[test]
-    fn geometric_mean_of_reciprocals_is_reciprocal() {
-        let g1 = geometric_mean(&[2.0, 8.0]).unwrap();
-        let g2 = geometric_mean(&[0.5, 0.125]).unwrap();
-        assert!((g1 - 4.0).abs() < 1e-12);
-        assert!((g1 * g2 - 1.0).abs() < 1e-12);
     }
 }

@@ -70,26 +70,20 @@ impl From<UnitError> for ApiError {
 /// structured access-log record (when the server has an access log).
 #[must_use]
 pub fn handle(state: &ServerState, req: &Request) -> Response {
-    // The access-log delta spans both evaluation caches: a request hits
-    // exactly one of them, so the sums attribute its traffic correctly.
-    let before = state.cache().stats();
-    let before_chiplet = state.chiplet_cache().stats();
+    // Every cache lookup of a request runs on this thread, so the
+    // thread's own tally isolates it from concurrent requests' traffic.
+    let (hits_before, misses_before) = nanocost_core::memo::thread_tally();
     let started = Instant::now();
     let (endpoint, req_id, response) = route(state, req);
     let latency_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let after = state.cache().stats();
-    let after_chiplet = state.chiplet_cache().stats();
-    let hits = after.hits.saturating_sub(before.hits)
-        + after_chiplet.hits.saturating_sub(before_chiplet.hits);
-    let misses = after.misses.saturating_sub(before.misses)
-        + after_chiplet.misses.saturating_sub(before_chiplet.misses);
+    let (hits_after, misses_after) = nanocost_core::memo::thread_tally();
     state.log_access(
         req_id.as_deref().unwrap_or("-"),
         endpoint,
         response.status,
         latency_ns,
-        hits,
-        misses,
+        hits_after - hits_before,
+        misses_after - misses_before,
     );
     response
 }

@@ -9,9 +9,8 @@
 //!   --addr HOST:PORT        server address (required unless --replica)
 //!   --replica URL           fleet replica to drive (repeatable; replaces
 //!                           --addr). Requests route by a consistent hash
-//!                           of their quantized scenario key, so one
-//!                           design point always lands on the same
-//!                           replica — per-replica cache locality under
+//!                           of `"{endpoint}:{body}"`, so one request
+//!                           always lands on the same replica — per-replica cache locality under
 //!                           fan-out, and a stable assignment when a
 //!                           replica is added or removed
 //!   --requests N            total requests (default 200)

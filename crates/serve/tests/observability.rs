@@ -232,3 +232,68 @@ fn trace_ring_capacity_and_eviction_counter_are_live() {
         );
     });
 }
+
+#[test]
+fn concurrent_access_log_counts_only_each_requests_own_lookups() {
+    let path = std::env::temp_dir().join(format!(
+        "nanocost_access_log_concurrent_{}.jsonl",
+        std::process::id()
+    ));
+    let cfg = ServerStateConfig {
+        access_log: Some(path.to_string_lossy().into_owned()),
+        ..ServerStateConfig::default()
+    };
+    let state = ServerState::with_config(cfg).expect("valid config");
+    with_server_state(state, |addr| {
+        std::thread::scope(|scope| {
+            // Long all-miss batches keep one worker inside the caches
+            // while the other serves single cost requests.
+            scope.spawn(move || {
+                for b in 0..8 {
+                    let queries: Vec<String> = (0..200)
+                        .map(|k| {
+                            format!(
+                                r#"{{"lambda_um":0.13,"sd":{},"transistors":1e7,"volume":5000,"fab_yield":0.4}}"#,
+                                200 + b * 200 + k
+                            )
+                        })
+                        .collect();
+                    let body = format!(r#"{{"queries":[{}]}}"#, queries.join(","));
+                    assert_eq!(exchange(addr, "POST", "/v1/batch", &body).0, 200);
+                }
+            });
+            for t in 0..2 {
+                scope.spawn(move || {
+                    for i in 0..40 {
+                        let body = format!(
+                            r#"{{"lambda_um":0.18,"sd":{},"transistors":1e7,"volume":5000,"fab_yield":0.4}}"#,
+                            300 + (t * 40 + i) % 7
+                        );
+                        assert_eq!(exchange(addr, "POST", "/v1/cost", &body).0, 200);
+                    }
+                });
+            }
+        });
+    });
+    let log = std::fs::read_to_string(&path).expect("access log written");
+    let _ = std::fs::remove_file(&path);
+    let field = |line: &str, key: &str| -> u64 {
+        let doc = json::parse(line).expect("access record is JSON");
+        doc.get(key)
+            .and_then(json::JsonValue::as_u64)
+            .unwrap_or_else(|| panic!("no {key} in {line}"))
+    };
+    let costs: Vec<&str> = log
+        .lines()
+        .filter(|l| l.contains("\"endpoint\":\"cost\""))
+        .collect();
+    assert_eq!(costs.len(), 80, "{log}");
+    for line in costs {
+        // One mask-set lookup plus one eq.-4 lookup, never a peer's.
+        assert_eq!(
+            field(line, "cache_hits") + field(line, "cache_misses"),
+            2,
+            "a concurrent request's lookups leaked into {line}"
+        );
+    }
+}

@@ -194,8 +194,14 @@ mod tests {
     use crate::record::RecordKind;
     use crate::with_collector;
 
+    /// The registry is process-global and `flush_metrics` drains it
+    /// into the calling thread's collector, so tests that flush run one
+    /// at a time or they steal each other's metrics.
+    static FLUSHING: Mutex<()> = Mutex::new(());
+
     #[test]
     fn metrics_accumulate_and_flush_as_records() {
+        let _serial = lock(&FLUSHING);
         let (records, _) = with_collector(|| {
             counter!("unit.counter", 2);
             counter!("unit.counter");
@@ -236,6 +242,7 @@ mod tests {
 
     #[test]
     fn flush_drains_the_registry() {
+        let _serial = lock(&FLUSHING);
         let _ = with_collector(|| {
             counter!("unit.drained", 5);
             flush_metrics();
@@ -245,6 +252,7 @@ mod tests {
 
     #[test]
     fn timer_records_into_a_histogram() {
+        let _serial = lock(&FLUSHING);
         let (records, _) = with_collector(|| {
             {
                 let _t = Timer::start("unit.timer");

@@ -14,6 +14,12 @@ cargo test -q
 echo "==> workspace tests: cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> benchmark unit tests: cargo test -q --manifest-path perfbench/Cargo.toml"
+# perfbench is a workspace of its own, so --workspace above skips it;
+# its reference checker and generator lattice build on the core and
+# serve public APIs, so run them here.
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 echo "==> nanocost-audit --deny --strict-pragmas (budget: ${NANOCOST_AUDIT_BUDGET_S:-90}s)"
 # The analyzer is on the merge path, so its wall clock is a gate too:
 # a workspace-wide audit (lex, parse, symbol table, dataflow fixpoint)
