@@ -4,12 +4,17 @@
 //! while exploring the `(λ, s_d, N_tr, N_w, Y)` space — and the queries
 //! overlap heavily: Figure 4's two panels share every node's mask cost
 //! (eq. 5), and an interactive sweep revisits the same grid points over
-//! and over. [`ScenarioCache`] memoizes the shared subterms — eq.-4
-//! cost breakdowns, eq.-5 mask-set costs, eq.-7 generalized reports,
-//! and located §3.1 optima — in one [`Memo`] each, keyed on the exact
-//! bits of their inputs, so a cached answer always equals the uncached
-//! one and carries the same replayed Eq.-provenance. The four tables
-//! share one lock.
+//! and over. [`ScenarioCache`] memoizes the shared subterms that cost
+//! more to recompute than to look up — eq.-5 mask-set costs, eq.-7
+//! generalized reports, and located §3.1 optima — in one [`Memo`] each,
+//! keyed on the exact bits of their inputs, so a cached answer always
+//! equals the uncached one and carries the same replayed
+//! Eq.-provenance. The three tables share one lock.
+//!
+//! Eq.-4 points are not memoized: an evaluation is a few dozen flops,
+//! cheaper than a lookup under the shared lock, so
+//! [`ScenarioCache::transistor_cost`] and [`ScenarioCache::evaluate_batch`]
+//! call the model for every query.
 
 use nanocost_fab::MaskCostModel;
 use nanocost_trace::counter;
@@ -81,34 +86,29 @@ impl CostQuery {
     }
 }
 
-/// A batch of eq.-4 queries evaluated as one unit, deduplicating
-/// overlapping grid points through the scenario cache.
+/// A batch of eq.-4 queries evaluated as one unit.
 #[derive(Debug, Clone, Default)]
 pub struct BatchRequest {
     /// The query points, in response order.
     pub queries: Vec<CostQuery>,
 }
 
-/// Cache traffic generated by one [`ScenarioCache::evaluate_batch`].
+/// The shape of one [`ScenarioCache::evaluate_batch`] request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchStats {
     /// Points requested (including duplicates).
     pub requested: usize,
     /// Distinct inputs among the requested points.
     pub unique: usize,
-    /// Points answered from the cache.
-    pub hits: u64,
-    /// Points that required a fresh eq.-4 evaluation.
-    pub misses: u64,
 }
 
 /// The result of one batch evaluation: per-point eq.-4 breakdowns in
-/// request order, plus the cache traffic the batch generated.
+/// request order, plus the request's shape.
 #[derive(Debug, Clone)]
 pub struct BatchResponse {
     /// One result per requested query, in order.
     pub results: Vec<Result<CostBreakdown, UnitError>>,
-    /// Dedup/hit accounting for this batch alone.
+    /// Requested and distinct point counts of this batch.
     pub stats: BatchStats,
 }
 
@@ -116,7 +116,8 @@ pub struct BatchResponse {
 /// with verbatim Eq.-provenance replay on hits.
 ///
 /// Wraps the three models the repeated queries of §3.1/§4 touch: the
-/// eq.-4 [`TotalCostModel`], the eq.-5 [`MaskCostModel`], and the
+/// eq.-4 [`TotalCostModel`] (whose points are evaluated directly; only
+/// its §3.1 optima are memoized), the eq.-5 [`MaskCostModel`], and the
 /// eq.-7 [`GeneralizedCostModel`].
 #[derive(Debug)]
 pub struct ScenarioCache {
@@ -128,7 +129,6 @@ pub struct ScenarioCache {
 
 #[derive(Debug)]
 struct Tables {
-    points: Memo<[u64; 6], CostBreakdown>,
     masks: Memo<u64, Dollars>,
     reports: Memo<[u64; 4], GeneralizedReport>,
     optima: Memo<[u64; 7], DensityOptimum>,
@@ -150,7 +150,6 @@ impl ScenarioCache {
             mask_model,
             generalized,
             tables: Locked::new(Tables {
-                points: Memo::new(capacity, count),
                 masks: Memo::new(capacity, count),
                 reports: Memo::new(capacity, count),
                 optima: Memo::new(capacity, count),
@@ -171,7 +170,7 @@ impl ScenarioCache {
         )
     }
 
-    /// The eq.-4 model this cache evaluates on misses.
+    /// The eq.-4 model behind every point query and optimum search.
     #[must_use]
     pub fn model(&self) -> &TotalCostModel {
         &self.model
@@ -189,13 +188,14 @@ impl ScenarioCache {
         &self.generalized
     }
 
-    /// Eq.-4 transistor cost through the cache; identical in value and
-    /// provenance to calling [`TotalCostModel::transistor_cost`].
+    /// Eq.-4 transistor cost: a direct call to
+    /// [`TotalCostModel::transistor_cost`], which is cheaper than any
+    /// lookup.
     ///
     /// # Errors
     ///
     /// As the underlying model: domain violations (eq. 6's forbidden
-    /// region, zero volume, …). Errors are never cached.
+    /// region, zero volume, …).
     #[allow(clippy::too_many_arguments)] // mirrors eq. 4's knobs
     pub fn transistor_cost(
         &self,
@@ -206,27 +206,8 @@ impl ScenarioCache {
         fab_yield: Yield,
         mask_cost: Dollars,
     ) -> Result<CostBreakdown, UnitError> {
-        self.transistor_cost_traced(CostQuery {
-            lambda,
-            sd,
-            transistors,
-            volume,
-            fab_yield,
-            mask_cost,
-        })
-        .map(|(value, _hit)| value)
-    }
-
-    /// As [`ScenarioCache::transistor_cost`], also reporting whether
-    /// the eq.-4 point was served from the cache.
-    fn transistor_cost_traced(
-        &self,
-        q: CostQuery,
-    ) -> Result<(CostBreakdown, bool), UnitError> {
-        self.tables.get_or_compute(|t| &mut t.points, q.key(), || {
-            self.model
-                .transistor_cost(q.lambda, q.sd, q.transistors, q.volume, q.fab_yield, q.mask_cost)
-        })
+        self.model
+            .transistor_cost(lambda, sd, transistors, volume, fab_yield, mask_cost)
     }
 
     /// Eq.-5 mask-set cost through the cache; identical in value and
@@ -309,39 +290,29 @@ impl ScenarioCache {
             .map(|(value, _hit)| value)
     }
 
-    /// Evaluates a batch of eq.-4 queries in request order. Duplicate
-    /// grid points collapse onto one model evaluation: the first
-    /// occurrence misses and stores, the rest replay from the cache —
-    /// the dedup mechanism the figure-4 and optimum-surface sweeps
-    /// share with the query server.
+    /// Evaluates a batch of eq.-4 queries in request order, calling the
+    /// model for every query (duplicates included), so a traced batch
+    /// emits exactly the uncached model's provenance.
     #[must_use]
     pub fn evaluate_batch(&self, request: &BatchRequest) -> BatchResponse {
-        let mut unique = std::collections::HashSet::new();
-        for q in &request.queries {
-            unique.insert(q.key());
-        }
-        let mut stats = BatchStats {
+        let unique: std::collections::HashSet<_> =
+            request.queries.iter().map(CostQuery::key).collect();
+        let stats = BatchStats {
             requested: request.queries.len(),
             unique: unique.len(),
-            hits: 0,
-            misses: 0,
         };
         let results = request
             .queries
             .iter()
-            .map(|q| match self.transistor_cost_traced(*q) {
-                Ok((value, true)) => {
-                    stats.hits += 1;
-                    Ok(value)
-                }
-                Ok((value, false)) => {
-                    stats.misses += 1;
-                    Ok(value)
-                }
-                Err(e) => {
-                    stats.misses += 1;
-                    Err(e)
-                }
+            .map(|q| {
+                self.transistor_cost(
+                    q.lambda,
+                    q.sd,
+                    q.transistors,
+                    q.volume,
+                    q.fab_yield,
+                    q.mask_cost,
+                )
             })
             .collect();
         BatchResponse { results, stats }
@@ -351,14 +322,9 @@ impl ScenarioCache {
     /// observability handle the §4-style serving loop exports.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        let tables = self.tables.read(|t| {
-            [
-                t.points.stats(),
-                t.masks.stats(),
-                t.reports.stats(),
-                t.optima.stats(),
-            ]
-        });
+        let tables = self
+            .tables
+            .read(|t| [t.masks.stats(), t.reports.stats(), t.optima.stats()]);
         CacheStats {
             hits: tables.iter().map(|t| t.hits).sum(),
             misses: tables.iter().map(|t| t.misses).sum(),
@@ -387,26 +353,42 @@ mod tests {
         }
     }
 
-    fn eval(cache: &ScenarioCache, q: CostQuery) -> CostBreakdown {
-        cache
-            .transistor_cost(q.lambda, q.sd, q.transistors, q.volume, q.fab_yield, q.mask_cost)
-            .unwrap()
+    /// Sorted provenance lines of `records`, from `"equation"` on (the
+    /// timestamp, thread and span id before it vary between runs).
+    fn provenance_multiset(records: &[nanocost_trace::Record]) -> Vec<String> {
+        use nanocost_trace::export::{Exporter, JsonlExporter};
+        let mut exporter = JsonlExporter;
+        let mut lines: Vec<String> = records
+            .iter()
+            .filter(|r| matches!(r.kind, nanocost_trace::RecordKind::Provenance { .. }))
+            .map(|r| {
+                let line = exporter.render(r);
+                line[line.find("\"equation\"").unwrap()..].to_string()
+            })
+            .collect();
+        lines.sort();
+        lines
     }
 
     #[test]
     fn near_duplicate_inputs_are_distinct_entries() {
         // A quarter of the s_d lattice step apart: each input gets
-        // its own entry and the model's own answer, whatever came first.
+        // its own eq.-7 entry and the model's own answer, whatever came
+        // first.
         let cache = ScenarioCache::paper_figure4();
-        let uncached = TotalCostModel::paper_figure4();
-        for sd in [300.0, 300.0 + SD_QUANTUM * 0.25, 300.0] {
-            let q = query(sd);
-            let direct = uncached
-                .transistor_cost(q.lambda, q.sd, q.transistors, q.volume, q.fab_yield, q.mask_cost)
-                .unwrap();
+        let uncached = GeneralizedCostModel::nanometer_default();
+        for sd in [400.0, 400.0 + SD_QUANTUM * 0.25, 400.0] {
+            let point = DesignPoint {
+                lambda: um(0.13),
+                sd: DecompressionIndex::new(sd).unwrap(),
+                transistors: TransistorCount::from_millions(10.0),
+                volume: WaferCount::new(20_000).unwrap(),
+            };
+            let cached = cache.evaluate_generalized(point).unwrap();
+            let direct = uncached.evaluate(point).unwrap();
             assert_eq!(
-                eval(&cache, q).total().amount().to_bits(),
-                direct.total().amount().to_bits()
+                cached.transistor_cost.amount().to_bits(),
+                direct.transistor_cost.amount().to_bits()
             );
         }
         let stats = cache.stats();
@@ -414,20 +396,48 @@ mod tests {
     }
 
     #[test]
-    fn batch_deduplicates_overlapping_grid_points() {
+    fn batch_reports_its_shape_and_matches_the_uncached_model() {
         let cache = ScenarioCache::paper_figure4();
         let request = BatchRequest {
             queries: vec![query(250.0), query(350.0), query(250.0), query(250.0)],
         };
-        let response = cache.evaluate_batch(&request);
-        assert_eq!(response.results.len(), 4);
-        assert!(response.results.iter().all(|r| r.is_ok()));
-        assert_eq!(response.stats.requested, 4);
-        assert_eq!(response.stats.unique, 2);
-        assert_eq!((response.stats.hits, response.stats.misses), (2, 2));
-        let a = response.results[0].as_ref().unwrap().total().amount();
-        let c = response.results[2].as_ref().unwrap().total().amount();
-        assert_eq!(a.to_bits(), c.to_bits());
+        let (batch_records, response) =
+            nanocost_trace::with_collector(|| cache.evaluate_batch(&request));
+        assert_eq!(
+            response.stats,
+            BatchStats {
+                requested: 4,
+                unique: 2
+            }
+        );
+        let totals: Vec<u64> = response
+            .results
+            .iter()
+            .map(|r| r.as_ref().unwrap().total().amount().to_bits())
+            .collect();
+        assert_eq!(totals[0], totals[2]);
+        assert_eq!(totals[0], totals[3]);
+        assert_ne!(totals[0], totals[1]);
+        // Every query, duplicates included, is one model evaluation: the
+        // traced batch emits the uncached model's provenance multiset.
+        let model = TotalCostModel::paper_figure4();
+        let (direct_records, _) = nanocost_trace::with_collector(|| {
+            for q in &request.queries {
+                let _ = model.transistor_cost(
+                    q.lambda,
+                    q.sd,
+                    q.transistors,
+                    q.volume,
+                    q.fab_yield,
+                    q.mask_cost,
+                );
+            }
+        });
+        let batch = provenance_multiset(&batch_records);
+        assert!(!batch.is_empty(), "a traced batch emits eq.-4 provenance");
+        assert_eq!(batch, provenance_multiset(&direct_records));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
     }
 
     #[test]

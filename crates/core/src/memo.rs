@@ -134,10 +134,11 @@ struct Entry<V> {
 /// A small LRU memo of fallible evaluations with verbatim
 /// Eq.-provenance replay on hits, and its lookup counters. Recency is a
 /// monotone stamp and eviction scans for the minimum: O(capacity)
-/// eviction is deliberate — capacities are a few thousand entries and
-/// the scan is branch-predictable, so this beats a linked-list LRU
-/// without any unsafe code. Lookups go through the [`Locked`] that
-/// holds the memo; errors are never cached.
+/// eviction is deliberate — it runs only when a full table inserts,
+/// and inserts follow misses that cost far more than the scan (an
+/// optimum search, an eq.-7 report, a chiplet scenario) — so this
+/// beats a linked-list LRU without any unsafe code. Lookups go through
+/// the [`Locked`] that holds the memo; errors are never cached.
 pub struct Memo<K, V> {
     map: HashMap<K, Entry<V>>,
     capacity: usize,
@@ -226,11 +227,14 @@ impl<K: Eq + Hash + Copy, V: Clone> Memo<K, V> {
 
 /// A cache's memo tables behind one lock.
 ///
-/// All of a cache's tables share the lock so that concurrent lookups
-/// contend as they always have. A lock per table was measured to shift
-/// CPU between concurrent requests: on two cores, `sweep` optimum
-/// searches stopped waiting behind batch inserts and the 1,000-query
-/// batches lost about a quarter in p99 latency.
+/// All of a cache's tables share the lock. Each hold is one lookup or
+/// one insert: a batch takes it for the eq.-5 mask-set cost of each
+/// query, an optimum or yield request for its one search or report. A
+/// lock per table would let optimum searches stop queueing behind that
+/// mask traffic, which is no saving on two cores: when the tables were
+/// last split this way, the freed searches took CPU from the
+/// 1,000-query `sweep` batches and cost them about a quarter in p99
+/// latency.
 #[derive(Debug)]
 pub struct Locked<T>(Mutex<T>);
 

@@ -132,10 +132,9 @@ impl Figure4Scenario {
     }
 
     /// As [`Figure4Scenario::curve`], but evaluated through a
-    /// [`ScenarioCache`] batch: the mask cost (eq. 5) and every eq.-4
-    /// grid point are served from the cache when already known, with
-    /// provenance replayed so figure fingerprints match the uncached
-    /// sweep bit for bit.
+    /// [`ScenarioCache`] batch: the mask cost (eq. 5) is served from the
+    /// cache when already known, with provenance replayed so figure
+    /// fingerprints match the uncached sweep bit for bit.
     ///
     /// # Errors
     ///

@@ -3,7 +3,8 @@
 //! Everything the cost models need and nothing more: least-squares
 //! [fits](linear_fit) (linear / power-law / exponential trends),
 //! derivative-free [minimization](refine_min), descriptive
-//! [statistics](summarize), seeded [Monte-Carlo sampling](Sampler), and the
+//! [statistics](summarize), seeded [Monte-Carlo sampling](Sampler) with
+//! [bootstrap confidence intervals](bootstrap_mean_ci), and the
 //! [`Series`]/[`Chart`] types that carry reproduced figures.
 //!
 //! # Example
@@ -23,8 +24,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod bootstrap;
 mod error;
-mod histogram;
 mod mc;
 mod optimize;
 mod regression;
@@ -33,7 +34,7 @@ mod series;
 mod stats;
 
 pub use error::NumericError;
-pub use histogram::{bootstrap_mean_ci, ConfidenceInterval, Histogram};
+pub use bootstrap::{bootstrap_mean_ci, ConfidenceInterval};
 pub use mc::{McConfig, Sampler};
 pub use optimize::{refine_min, Minimum};
 pub use regression::{

@@ -1,9 +1,10 @@
 //! A minimal JSON parser that builds a value tree.
 //!
-//! `nanocost-trace` ships a *validator* (enough for its smoke gate);
-//! the sentinel tools actually need the values — benchmark sample
-//! arrays, span ids, provenance outputs — so this module parses RFC
-//! 8259 documents into a small [`JsonValue`] enum. Strict on syntax,
+//! The workspace's one JSON grammar: the sentinel tools, `trace_check`,
+//! the query server and every test that checks rendered JSON parse
+//! through it. It needs the values — benchmark sample arrays, span ids,
+//! provenance outputs — so it parses RFC 8259 documents into a small
+//! [`JsonValue`] enum. Strict on syntax,
 //! dependency-free, and tolerant of nothing: a malformed byte offset is
 //! reported so a truncated capture fails loudly instead of silently
 //! profiling half a run.
@@ -295,11 +296,10 @@ impl Parser<'_> {
         Ok(cp)
     }
 
-    /// RFC 8259 number syntax, enforced before the `f64` conversion so
-    /// this parser accepts exactly the grammar the `nanocost-trace`
-    /// validator accepts (the differential property test pins the two
-    /// together): no leading zeros on multi-digit integers, a `.` must
-    /// be followed by digits, an exponent must carry digits.
+    /// RFC 8259 number syntax, enforced before the `f64` conversion
+    /// (`tests/json_grammar.rs` pins the edge cases): no leading
+    /// zeros on multi-digit integers, a `.` must be followed by digits,
+    /// an exponent must carry digits.
     fn number(&mut self) -> Result<JsonValue, JsonError> {
         let start = self.pos;
         if self.b.get(self.pos) == Some(&b'-') {

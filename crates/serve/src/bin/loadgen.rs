@@ -33,8 +33,6 @@
 //!                           (one record per endpoint) for bench_diff
 //!   --metrics-out PATH      fetch /v1/metrics afterwards and save it
 //!   --provenance-out PATH   fetch one /v1/provenance/<req-id> and save it
-//!   --require-batch-hits    fail unless the batch endpoint reported
-//!                           cache hits (the overlapping-grid check)
 //!
 //! Soak criteria (the SLO-aware pass/fail checks the CI soak gate uses):
 //!   --allow-shed            a 503 counts as shed load, not a failure
@@ -87,7 +85,6 @@ struct Options {
     bench_out: Option<String>,
     metrics_out: Option<String>,
     provenance_out: Option<String>,
-    require_batch_hits: bool,
     allow_shed: bool,
     max_shed_rate: Option<f64>,
     slo_p99_us: Option<f64>,
@@ -112,7 +109,6 @@ fn parse_options() -> Result<Options, Box<dyn std::error::Error>> {
         bench_out: None,
         metrics_out: None,
         provenance_out: None,
-        require_batch_hits: false,
         allow_shed: false,
         max_shed_rate: None,
         slo_p99_us: None,
@@ -158,7 +154,6 @@ fn parse_options() -> Result<Options, Box<dyn std::error::Error>> {
             "--provenance-out" => {
                 opts.provenance_out = Some(args.next().ok_or("--provenance-out needs PATH")?);
             }
-            "--require-batch-hits" => opts.require_batch_hits = true,
             "--allow-shed" => opts.allow_shed = true,
             "--max-shed-rate" => {
                 opts.max_shed_rate = Some(args.next().ok_or("--max-shed-rate needs F")?.parse()?);
@@ -183,7 +178,7 @@ fn parse_options() -> Result<Options, Box<dyn std::error::Error>> {
                     args.next().ok_or("--profile-window-s needs W")?.parse()?;
             }
             "--help" | "-h" => {
-                println!("usage: loadgen (--addr HOST:PORT | --replica URL ...) [--requests N] [--mix cost,optimum,batch,chiplet] [--chiplet-share F] [--require-chiplet-hits] [--chiplet-provenance-out PATH] [--concurrency C] [--bench-out PATH] [--metrics-out PATH] [--provenance-out PATH] [--require-batch-hits] [--allow-shed] [--max-shed-rate F] [--slo-p99-us N] [--health-out PATH] [--exemplar-traces PREFIX] [--max-evicted-exemplars N] [--profile-out PATH] [--profile-window-s W]");
+                println!("usage: loadgen (--addr HOST:PORT | --replica URL ...) [--requests N] [--mix cost,optimum,batch,chiplet] [--chiplet-share F] [--require-chiplet-hits] [--chiplet-provenance-out PATH] [--concurrency C] [--bench-out PATH] [--metrics-out PATH] [--provenance-out PATH] [--allow-shed] [--max-shed-rate F] [--slo-p99-us N] [--health-out PATH] [--exemplar-traces PREFIX] [--max-evicted-exemplars N] [--profile-out PATH] [--profile-window-s W]");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument: {other}").into()),
@@ -262,8 +257,8 @@ fn body_for(endpoint: &str, i: usize) -> String {
             "{{\"lambda_um\":{lambda},\"transistors\":1e7,\"volume\":{volume},\"fab_yield\":{fab_yield}}}"
         ),
         _batch => {
-            // Twelve queries over six distinct points: dedup inside the
-            // batch plus hits across batches.
+            // Twelve queries over six distinct points, so the batch
+            // reports `unique` below `requested`.
             let mut queries = Vec::with_capacity(12);
             for k in 0..12 {
                 let sd = SDS[k % SDS.len()];
@@ -386,7 +381,6 @@ struct Outcome {
     non_2xx: usize,
     /// 503s counted as shed load under `--allow-shed`.
     shed: usize,
-    batch_hits: u64,
     /// (target index, req_id) usable for a provenance replay — the
     /// replay must go to the replica that served the request.
     req_id: Option<(usize, String)>,
@@ -464,9 +458,6 @@ fn drive(opts: &Options) -> Outcome {
                         Ok((status, payload)) if (200..300).contains(&status) => {
                             mine.latencies
                                 .push((*endpoint_idx, started.elapsed().as_secs_f64()));
-                            if endpoint == "batch" {
-                                mine.batch_hits += batch_hits_of(&payload);
-                            }
                             if mine.req_id.is_none() {
                                 mine.req_id = req_id_of(&payload).map(|id| (*target, id));
                             }
@@ -498,19 +489,11 @@ fn drive(opts: &Options) -> Outcome {
             merged.latencies.append(&mut o.latencies);
             merged.non_2xx += o.non_2xx;
             merged.shed += o.shed;
-            merged.batch_hits += o.batch_hits;
             merged.req_id = merged.req_id.or(o.req_id);
             merged.chiplet_req_id = merged.chiplet_req_id.or(o.chiplet_req_id);
         }
     }
     merged
-}
-
-fn batch_hits_of(payload: &str) -> u64 {
-    json::parse(payload)
-        .ok()
-        .and_then(|doc| doc.get("stats").and_then(|s| s.get("hits")).and_then(JsonValue::as_f64))
-        .map_or(0, |h| h as u64)
 }
 
 fn req_id_of(payload: &str) -> Option<String> {
@@ -575,12 +558,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let addrs = targets(&opts);
     let ok = outcome.latencies.len();
     println!(
-        "loadgen: {}/{} ok, {} shed, {} non-2xx, batch cache hits {}",
-        ok,
-        opts.requests,
-        outcome.shed,
-        outcome.non_2xx,
-        outcome.batch_hits
+        "loadgen: {}/{} ok, {} shed, {} non-2xx",
+        ok, opts.requests, outcome.shed, outcome.non_2xx
     );
     if addrs.len() > 1 {
         let spread: Vec<String> = addrs
@@ -674,9 +653,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     if outcome.non_2xx > 0 {
         return Err(format!("{} non-2xx responses", outcome.non_2xx).into());
-    }
-    if opts.require_batch_hits && outcome.batch_hits == 0 {
-        return Err("batch endpoint reported zero cache hits".into());
     }
     if opts.require_chiplet_hits {
         let (status, body) = exchange(&addrs[0], "GET", "/v1/metrics", None)?;

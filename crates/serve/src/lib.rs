@@ -12,7 +12,7 @@
 //! | `/v1/cost` | POST | eq. 4 cost breakdown at a design point |
 //! | `/v1/yield` | POST | eq. 7 generalized report (yield surface) |
 //! | `/v1/optimum` | POST | §3.1 cost-optimal `s_d*` |
-//! | `/v1/batch` | POST | deduplicated eq.-4 grid evaluation |
+//! | `/v1/batch` | POST | eq.-4 grid evaluation, in request order |
 //! | `/v1/metrics` | GET | latency quantiles + p99 exemplars + counters + cache hit rates |
 //! | `/v1/metrics/raw` | GET | mergeable raw state (histogram buckets, windowed SLO counters) for federation |
 //! | `/v1/health` | GET | SLO burn-rate verdict (200 ok / 503 firing) |

@@ -900,7 +900,7 @@ mod tests {
         state.observe("cost", 120.0, Some("r1"), 10);
         state.observe("cost", 240.0, Some("r2"), 20);
         let doc = state.metrics_json();
-        nanocost_trace::json::validate(&doc).expect("metrics must be valid JSON");
+        nanocost_sentinel::json::parse(&doc).expect("metrics must be valid JSON");
         assert!(doc.contains("\"schema\":2"));
         assert!(doc.contains("\"p50_us\""));
         assert!(doc.contains("\"p99_us\""));
@@ -921,7 +921,7 @@ mod tests {
         workers[0].busy_ns.fetch_add(900, Ordering::Relaxed);
         workers[0].idle_ns.fetch_add(100, Ordering::Relaxed);
         let doc = state.metrics_raw_json();
-        nanocost_trace::json::validate(&doc).expect("raw metrics must be valid JSON");
+        nanocost_sentinel::json::parse(&doc).expect("raw metrics must be valid JSON");
         let snap = RawSnapshot::parse(&doc).expect("federation parser accepts it");
         assert_eq!(snap.replica, "a");
         assert_eq!(snap.counters.get("requests_total"), Some(&2));
@@ -962,7 +962,7 @@ mod tests {
         }
         let (status, body) = state.health_json(200 * minute / 4);
         assert_eq!(status, 503, "{body}");
-        nanocost_trace::json::validate(&body).expect("health must be valid JSON");
+        nanocost_sentinel::json::parse(&body).expect("health must be valid JSON");
         assert!(body.contains("\"status\":\"failing\""), "{body}");
         assert!(body.contains("\"name\":\"latency\""), "{body}");
         assert!(body.contains("\"name\":\"shed_rate\""), "{body}");
@@ -1013,7 +1013,7 @@ mod tests {
         };
         state.profile_ring().push_batch(&[snap], now);
         let doc = state.profile_report_json(60);
-        nanocost_trace::json::validate(&doc).expect("profile report is valid JSON");
+        nanocost_sentinel::json::parse(&doc).expect("profile report is valid JSON");
         let report = ProfileReport::from_json(&doc).expect("parses back");
         assert_eq!(report.samples, 1);
         assert_eq!(report.frames[0].name, "serve.request");
@@ -1029,7 +1029,7 @@ mod tests {
         state.note_conn_open();
         state.note_queue_push();
         let doc = state.metrics_json();
-        nanocost_trace::json::validate(&doc).expect("metrics must be valid JSON");
+        nanocost_sentinel::json::parse(&doc).expect("metrics must be valid JSON");
         assert!(doc.contains("\"gauges\":{\"queue.depth\":1,\"accept.backlog\":1}"), "{doc}");
         assert!(doc.contains("\"workers\":[{\"busy_ns\":750,\"idle_ns\":250,\"served\":3},"), "{doc}");
         assert!(doc.contains("\"profile\":{\"hz\":99,"), "{doc}");

@@ -3,9 +3,8 @@
 //! A seeded stream over every model endpoint — with exact repeats and
 //! near-duplicates a fraction of a lattice step apart — is served in
 //! order by one fresh state and in a shuffled order by another. Each
-//! request's body (less its `req_id` and batch hit/miss counts) and
-//! the Eq.-provenance multiset of its stored trace must be
-//! byte-identical on both.
+//! request's body (less its `req_id`) and the Eq.-provenance multiset
+//! of its stored trace must be byte-identical on both.
 
 use nanocost_numeric::Rng64;
 use nanocost_serve::{handle, Request, ServerState};
@@ -73,22 +72,13 @@ fn after(hay: &str, needle: &str) -> Option<usize> {
     hay.find(needle).map(|i| i + needle.len())
 }
 
-/// The body without its history-dependent members: the leading
-/// `req_id` and a batch's `hits`/`misses`.
+/// The body without its one history-dependent member, the leading
+/// `req_id`.
 fn normalize(body: &str) -> String {
-    let mut out = match body.strip_prefix(r#"{"req_id":""#) {
+    match body.strip_prefix(r#"{"req_id":""#) {
         Some(rest) => format!("{{{}", &rest[after(rest, "\",").unwrap_or(0)..]),
         None => body.to_string(),
-    };
-    if let Some(stats) = out.find(r#","stats":{"#) {
-        if let Some(hits) = out[stats..].find(r#","hits":"#) {
-            let from = stats + hits;
-            if let Some(close) = out[from..].find('}') {
-                out.replace_range(from..from + close, "");
-            }
-        }
     }
-    out
 }
 
 /// Serves `path`/`body` on `state`; returns the normalized body and
@@ -155,12 +145,11 @@ fn answers_and_provenance_do_not_depend_on_request_order() {
 }
 
 #[test]
-fn normalize_strips_only_history_dependent_members() {
+fn normalize_strips_only_the_request_id() {
     assert_eq!(normalize(r#"{"req_id":"r12","total":1}"#), r#"{"total":1}"#);
+    // A batch's `stats` object is kept whole.
     assert_eq!(
-        normalize(
-            r#"{"req_id":"r3","results":[],"stats":{"requested":2,"unique":1,"hits":2,"misses":0}}"#
-        ),
+        normalize(r#"{"req_id":"r3","results":[],"stats":{"requested":2,"unique":1}}"#),
         r#"{"results":[],"stats":{"requested":2,"unique":1}}"#
     );
 }

@@ -424,7 +424,7 @@ mod tests {
         let out = run(Box::new(JsonlExporter::new()));
         assert_eq!(out.lines().count(), 3);
         for line in out.lines() {
-            crate::json::validate(line).expect("line parses as JSON");
+            nanocost_sentinel::json::parse(line).expect("line parses as JSON");
         }
         assert!(out.contains("\"equation\":\"Eq.4\""));
         assert!(!out.contains("req_id"), "unscoped records omit req_id");
@@ -436,7 +436,7 @@ mod tests {
         rec.req_id = Some(std::sync::Arc::from("r17"));
         let mut e = JsonlExporter::new();
         let line = e.render(&rec);
-        crate::json::validate(line.trim_end()).expect("line parses as JSON");
+        nanocost_sentinel::json::parse(line.trim_end()).expect("line parses as JSON");
         assert!(line.starts_with("{\"ts_us\":10,\"thread\":1,\"req_id\":\"r17\",\"type\":\"span_enter\""));
     }
 
@@ -447,7 +447,7 @@ mod tests {
         rec.replica = Some(std::sync::Arc::from("a"));
         let mut e = JsonlExporter::new();
         let line = e.render(&rec);
-        crate::json::validate(line.trim_end()).expect("line parses as JSON");
+        nanocost_sentinel::json::parse(line.trim_end()).expect("line parses as JSON");
         assert!(
             line.starts_with(
                 "{\"ts_us\":10,\"thread\":1,\"req_id\":\"r17\",\"replica\":\"a\",\"type\":\"span_enter\""
@@ -467,7 +467,7 @@ mod tests {
     #[test]
     fn chrome_output_is_one_valid_json_array() {
         let out = run(Box::new(ChromeExporter::new()));
-        crate::json::validate(&out).expect("whole document parses");
+        nanocost_sentinel::json::parse(&out).expect("whole document parses");
         assert!(out.starts_with('['));
         assert!(out.trim_end().ends_with(']'));
         assert!(out.contains("\"ph\":\"B\""));

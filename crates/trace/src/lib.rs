@@ -60,7 +60,6 @@
 //! ```
 
 pub mod export;
-pub mod json;
 pub mod metrics;
 pub mod provenance;
 pub mod record;

@@ -263,7 +263,7 @@ fn text_tree_matches_golden() {
 fn jsonl_matches_golden_and_every_line_is_json() {
     let out = render(Format::Jsonl);
     for line in out.lines() {
-        nanocost_trace::json::validate(line).expect("fixture line is valid JSON");
+        nanocost_sentinel::json::parse(line).expect("fixture line is valid JSON");
     }
     assert!(
         out.contains("\"req_id\":\"r9\""),
@@ -283,7 +283,7 @@ fn jsonl_matches_golden_and_every_line_is_json() {
 #[test]
 fn chrome_matches_golden_and_is_one_json_document() {
     let out = render(Format::Chrome);
-    nanocost_trace::json::validate(&out).expect("chrome trace is one valid JSON document");
+    nanocost_sentinel::json::parse(&out).expect("chrome trace is one valid JSON document");
     assert!(
         out.contains("\"ph\":\"C\""),
         "samples must render as Chrome counter tracks"

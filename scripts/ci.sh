@@ -117,10 +117,10 @@ if [[ -z "$SERVE_ADDR" ]]; then
     exit 1
 fi
 # 200 requests across the mix, a quarter diverted to /v1/chiplet: zero
-# non-2xx tolerated, and both the batch endpoint and the chiplet cache
-# must report hits (the overlapping-grid property).
+# non-2xx tolerated, and the chiplet cache must report hits (the
+# overlapping-grid property; the scenario cache is checked below).
 ./target/release/loadgen --addr "$SERVE_ADDR" --requests 200 \
-    --mix cost,optimum,batch --concurrency 4 --require-batch-hits \
+    --mix cost,optimum,batch --concurrency 4 \
     --chiplet-share 0.25 --require-chiplet-hits \
     --chiplet-provenance-out target/ci-serve-chiplet-prov.jsonl \
     --metrics-out target/ci-serve-metrics.json \
@@ -130,6 +130,13 @@ fi
 if ! grep -q '"p50_us"' target/ci-serve-metrics.json \
     || ! grep -q '"p99_us"' target/ci-serve-metrics.json; then
     echo "ci: FAIL: /v1/metrics is missing latency quantiles" >&2
+    kill "$SERVE_PID" 2>/dev/null || true
+    exit 1
+fi
+# The overlapping grid must hit the scenario cache's mask, report or
+# optimum tables.
+if ! grep -q '"cache":{"hits":[1-9]' target/ci-serve-metrics.json; then
+    echo "ci: FAIL: /v1/metrics reports zero scenario-cache hits" >&2
     kill "$SERVE_PID" 2>/dev/null || true
     exit 1
 fi
