@@ -1,61 +1,41 @@
-//! Live-attach plumbing: a zero-dependency HTTP/1.1 GET client for
-//! scraping running `nanocost-serve` replicas (`/v1/metrics`,
-//! `/v1/metrics/raw`, `/v1/profile`, `/v1/trace/<req-id>`).
+//! The workspace's one HTTP/1.1 client: a zero-dependency, single
+//! connection-per-request client for talking to running
+//! `nanocost-serve` replicas (`/v1/metrics`, `/v1/metrics/raw`,
+//! `/v1/profile`, `/v1/trace/<req-id>`, and the model endpoints).
 //!
-//! `trace_tail --attach`, `trace_profile --attach`, and `fleet_report`
-//! all speak to servers through this module, so target normalization,
-//! response framing, per-scrape deadlines, partial-read handling, and
-//! retry policy live in exactly one place. A scrape is bounded
-//! end-to-end: connect, request, and body reads all draw from one
-//! deadline, a declared `Content-Length` is enforced (a connection that
-//! closes mid-body is a truncation error, not a silently short
+//! `fleet_report`, `trace_profile --attach`, `loadgen`, and the serve
+//! integration tests all speak to servers through this module, so
+//! target normalization, response framing, deadlines, partial-read
+//! handling, and retry policy live in exactly one place. A request is
+//! bounded end-to-end: connect, request, and body reads all draw from
+//! one deadline, a declared `Content-Length` is enforced (a connection
+//! that closes mid-body is a truncation error, not a silently short
 //! payload), and [`scrape`] retries transport failures with a fixed
-//! backoff so a fleet snapshot survives a replica mid-restart. Errors
-//! are plain strings — the callers are CLIs that print them and exit 2.
+//! backoff so a fleet snapshot survives a replica mid-restart. Load
+//! requests ([`request`]) make a single attempt. Errors are plain
+//! strings — the callers are CLIs that print them and exit 2.
 
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-/// Default end-to-end budget for one scrape (connect + request + body).
-const SCRAPE_TIMEOUT: Duration = Duration::from_secs(5);
+/// End-to-end budget for one request (connect + request + body).
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Default number of attempts [`scrape`] makes before giving up.
+/// Number of attempts [`scrape`] makes before giving up.
 const SCRAPE_ATTEMPTS: u32 = 3;
 
-/// Default pause between attempts.
+/// Pause between [`scrape`] attempts.
 const SCRAPE_BACKOFF: Duration = Duration::from_millis(100);
 
-/// Floor for per-read socket timeouts: a deadline expiring mid-read
+/// Floor for socket read/write timeouts: a deadline expiring mid-way
 /// must still map to a valid (non-zero) socket timeout.
-const MIN_READ_TIMEOUT: Duration = Duration::from_millis(1);
+const MIN_SOCKET_TIMEOUT: Duration = Duration::from_millis(1);
 
 /// Read chunk size for the incremental body loop.
 const READ_CHUNK: usize = 8 * 1024;
 
-/// How a scrape retries: `attempts` tries, `backoff` between them, and
-/// a per-attempt end-to-end `deadline`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScrapePolicy {
-    /// Total attempts (≥ 1; 0 behaves as 1).
-    pub attempts: u32,
-    /// Pause between consecutive attempts.
-    pub backoff: Duration,
-    /// End-to-end budget for each attempt.
-    pub deadline: Duration,
-}
-
-impl Default for ScrapePolicy {
-    fn default() -> Self {
-        ScrapePolicy {
-            attempts: SCRAPE_ATTEMPTS,
-            backoff: SCRAPE_BACKOFF,
-            deadline: SCRAPE_TIMEOUT,
-        }
-    }
-}
-
-/// Normalizes an `--attach` target to `host:port`: accepts a bare
+/// Normalizes a server target to `host:port`: accepts a bare
 /// `host:port` or an `http://host:port[/...]` URL.
 ///
 /// # Errors
@@ -66,25 +46,21 @@ pub fn parse_attach_target(url: &str) -> Result<String, String> {
     let host_port = stripped.split('/').next().unwrap_or_default();
     let (host, port) = host_port
         .rsplit_once(':')
-        .ok_or_else(|| format!("--attach {url}: expected host:port"))?;
+        .ok_or_else(|| format!("{url}: expected host:port"))?;
     if host.is_empty() || port.parse::<u16>().is_err() {
-        return Err(format!("--attach {url}: expected host:port"));
+        return Err(format!("{url}: expected host:port"));
     }
     Ok(host_port.to_string())
 }
 
-/// One raw HTTP/1.1 GET against `target` (a `host:port`) with the
-/// default per-scrape deadline. Returns the status code and body;
-/// transport failures, unframed responses, and truncated bodies are
-/// errors, non-200 statuses are not — callers decide what a 410 or 404
-/// means for them.
+/// One raw HTTP/1.1 GET against `target` (a `host:port`): [`request`]
+/// with no body.
 ///
 /// # Errors
 ///
-/// Connect/read/write failures, deadline overruns, responses with no
-/// header/body split, and bodies shorter than their `Content-Length`.
+/// Everything [`request`] rejects.
 pub fn http_get(target: &str, path: &str) -> Result<(u16, String), String> {
-    fetch_once(target, path, SCRAPE_TIMEOUT)
+    request(target, "GET", path, None)
 }
 
 /// [`http_get`] that additionally treats any non-200 status as an
@@ -95,35 +71,30 @@ pub fn http_get(target: &str, path: &str) -> Result<(u16, String), String> {
 /// Everything [`http_get`] rejects, plus non-200 statuses.
 pub fn http_get_ok(target: &str, path: &str) -> Result<String, String> {
     let (status, body) = http_get(target, path)?;
-    if status != 200 {
-        return Err(format!("{target}{path} answered {status}"));
-    }
-    Ok(body)
+    require_ok(target, path, status, body)
 }
 
-/// A retrying GET: up to `policy.attempts` calls of one bounded fetch
-/// each, pausing `policy.backoff` between them. Transport failures
-/// (refused connections, truncated bodies, deadline overruns) retry;
-/// any well-framed HTTP response — whatever its status — is returned as
-/// soon as it arrives, because a live server saying 503 is an answer,
-/// not an outage.
+/// A retrying GET: up to three bounded requests, pausing 100 ms between
+/// them. Transport failures (refused connections, truncated bodies,
+/// deadline overruns) retry; any well-framed HTTP response — whatever
+/// its status — is returned as soon as it arrives, because a live
+/// server saying 503 is an answer, not an outage.
 ///
 /// # Errors
 ///
 /// The last attempt's error once every attempt has failed.
-pub fn scrape(target: &str, path: &str, policy: ScrapePolicy) -> Result<(u16, String), String> {
-    let attempts = policy.attempts.max(1);
+pub fn scrape(target: &str, path: &str) -> Result<(u16, String), String> {
     let mut last_err = String::new();
-    for attempt in 0..attempts {
+    for attempt in 0..SCRAPE_ATTEMPTS {
         if attempt > 0 {
-            std::thread::sleep(policy.backoff);
+            std::thread::sleep(SCRAPE_BACKOFF);
         }
-        match fetch_once(target, path, policy.deadline) {
+        match http_get(target, path) {
             Ok(reply) => return Ok(reply),
             Err(e) => last_err = e,
         }
     }
-    Err(format!("{last_err} (after {attempts} attempts)"))
+    Err(format!("{last_err} (after {SCRAPE_ATTEMPTS} attempts)"))
 }
 
 /// [`scrape`] that treats any non-200 status as an error.
@@ -131,23 +102,42 @@ pub fn scrape(target: &str, path: &str, policy: ScrapePolicy) -> Result<(u16, St
 /// # Errors
 ///
 /// Everything [`scrape`] rejects, plus non-200 statuses.
-pub fn scrape_ok(target: &str, path: &str, policy: ScrapePolicy) -> Result<String, String> {
-    let (status, body) = scrape(target, path, policy)?;
+pub fn scrape_ok(target: &str, path: &str) -> Result<String, String> {
+    let (status, body) = scrape(target, path)?;
+    require_ok(target, path, status, body)
+}
+
+/// Passes a 200 body through; any other status becomes an error.
+fn require_ok(target: &str, path: &str, status: u16, body: String) -> Result<String, String> {
     if status != 200 {
         return Err(format!("{target}{path} answered {status}"));
     }
     Ok(body)
 }
 
-/// One bounded fetch: resolve, connect, write the request, and read the
-/// response incrementally, charging every step against `deadline`.
-fn fetch_once(target: &str, path: &str, deadline: Duration) -> Result<(u16, String), String> {
+/// One bounded HTTP/1.1 exchange with `target` (a `host:port`): resolve,
+/// connect, write the request, and read the response incrementally,
+/// charging every step against one 10 s deadline. A `body` is sent with
+/// its `Content-Length`; `None` sends no body headers. Returns the
+/// status code and body; non-2xx statuses are not errors — callers
+/// decide what a 410 or 503 means for them. Makes a single attempt.
+///
+/// # Errors
+///
+/// Connect/read/write failures, deadline overruns, responses with no
+/// header/body split, and bodies shorter than their `Content-Length`.
+pub fn request(
+    target: &str,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+) -> Result<(u16, String), String> {
     let started = Instant::now();
     let remaining = |started: Instant| -> Result<Duration, String> {
-        deadline
+        REQUEST_TIMEOUT
             .checked_sub(started.elapsed())
             .filter(|d| !d.is_zero())
-            .ok_or_else(|| format!("{target}{path}: scrape deadline ({deadline:?}) exceeded"))
+            .ok_or_else(|| format!("{target}{path}: deadline ({REQUEST_TIMEOUT:?}) exceeded"))
     };
     let addrs = target
         .to_socket_addrs()
@@ -165,26 +155,30 @@ fn fetch_once(target: &str, path: &str, deadline: Duration) -> Result<(u16, Stri
     }
     let mut stream = stream.ok_or(connect_err)?;
     stream
-        .set_read_timeout(Some(remaining(started)?.max(MIN_READ_TIMEOUT)))
+        .set_write_timeout(Some(remaining(started)?.max(MIN_SOCKET_TIMEOUT)))
         .map_err(|e| format!("set timeout: {e}"))?;
     // One write_all of the pre-formatted request: `write!` would issue
     // one syscall per format fragment, and a peer that answers (or
     // resets) after the first fragment would turn a served request into
     // a spurious EPIPE.
-    let request = format!("GET {path} HTTP/1.1\r\nHost: {target}\r\nConnection: close\r\n\r\n");
+    let length = body.map_or_else(String::new, |b| format!("Content-Length: {}\r\n", b.len()));
+    let message = format!(
+        "{method} {path} HTTP/1.1\r\nHost: {target}\r\n{length}Connection: close\r\n\r\n{}",
+        body.unwrap_or_default()
+    );
     stream
-        .write_all(request.as_bytes())
+        .write_all(message.as_bytes())
         .map_err(|e| format!("write {target}: {e}"))?;
     // Incremental read: partial TCP segments reassemble, each read is
     // bounded by what is left of the deadline, and the loop ends as
     // soon as the declared Content-Length is satisfied (a server that
-    // keeps the socket open cannot stall the scrape past its budget).
+    // keeps the socket open cannot stall the request past its budget).
     let mut response: Vec<u8> = Vec::new();
     let mut chunk = [0u8; READ_CHUNK];
     let mut eof = false;
     while !eof && !body_complete(&response) {
         stream
-            .set_read_timeout(Some(remaining(started)?.max(MIN_READ_TIMEOUT)))
+            .set_read_timeout(Some(remaining(started)?.max(MIN_SOCKET_TIMEOUT)))
             .map_err(|e| format!("set timeout: {e}"))?;
         match stream.read(&mut chunk) {
             Ok(0) => eof = true,
@@ -254,9 +248,43 @@ mod tests {
             Ok("127.0.0.1:8077")
         );
         assert_eq!(parse_attach_target("localhost:9").as_deref(), Ok("localhost:9"));
-        assert!(parse_attach_target("no-port").is_err());
         assert!(parse_attach_target(":8077").is_err());
         assert!(parse_attach_target("host:notaport").is_err());
+        // The message names only the target: callers take it as an
+        // `--attach` value, a positional argument, or `--replica`.
+        assert_eq!(
+            parse_attach_target("no-port"),
+            Err("no-port: expected host:port".to_string())
+        );
+    }
+
+    #[test]
+    fn post_requests_round_trip_against_a_local_listener() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let body = r#"{"lambda_um":0.18,"sd":300}"#;
+        let expected_len = body.len();
+        let server = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().expect("accept");
+            let mut request = Vec::new();
+            let mut buf = [0u8; 1024];
+            // Read until the head and the whole declared body are in.
+            while !request.ends_with(b"}") {
+                let n = sock.read(&mut buf).expect("read request");
+                assert!(n > 0, "request truncated");
+                request.extend_from_slice(&buf[..n]);
+            }
+            sock.write_all(b"HTTP/1.1 201 Created\r\nContent-Length: 7\r\n\r\ncreated")
+                .expect("write response");
+            String::from_utf8(request).expect("utf-8 request")
+        });
+        let (status, reply) = request(&addr, "POST", "/v1/cost", Some(body)).expect("exchange");
+        assert_eq!((status, reply.as_str()), (201, "created"));
+        let request = server.join().expect("server thread");
+        let (head, sent) = request.split_once("\r\n\r\n").expect("head/body split");
+        assert!(head.starts_with("POST /v1/cost HTTP/1.1\r\n"), "{head}");
+        assert!(head.contains(&format!("\r\nContent-Length: {expected_len}")), "{head}");
+        assert_eq!(sent, body);
     }
 
     #[test]
@@ -367,24 +395,14 @@ mod tests {
             sock.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
                 .expect("write response");
         });
-        let policy = ScrapePolicy {
-            attempts: 3,
-            backoff: Duration::from_millis(10),
-            deadline: Duration::from_secs(2),
-        };
-        let body = scrape_ok(&addr, "/v1/metrics", policy).expect("second attempt lands");
+        let body = scrape_ok(&addr, "/v1/metrics").expect("second attempt lands");
         assert_eq!(body, "ok");
         server.join().expect("server thread");
     }
 
     #[test]
     fn scrape_reports_the_final_error_with_attempt_count() {
-        let policy = ScrapePolicy {
-            attempts: 2,
-            backoff: Duration::from_millis(1),
-            deadline: Duration::from_millis(200),
-        };
-        let err = scrape("127.0.0.1:1", "/v1/metrics", policy).expect_err("nothing listens");
-        assert!(err.contains("after 2 attempts"), "{err}");
+        let err = scrape("127.0.0.1:1", "/v1/metrics").expect_err("nothing listens");
+        assert!(err.contains("after 3 attempts"), "{err}");
     }
 }

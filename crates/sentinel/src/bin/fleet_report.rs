@@ -29,7 +29,7 @@
 
 use std::process::ExitCode;
 
-use nanocost_sentinel::attach::{parse_attach_target, scrape, scrape_ok, ScrapePolicy};
+use nanocost_sentinel::attach::{parse_attach_target, scrape, scrape_ok};
 use nanocost_sentinel::federate::{merge_profiles, FleetView, RawSnapshot};
 use nanocost_sentinel::profile::ProfileReport;
 
@@ -92,11 +92,10 @@ fn parse_args(argv: &[String]) -> Result<Options, String> {
 /// Scrapes every target, federates, and returns the JSON artifact plus
 /// the fleet health verdict.
 fn run(opts: &Options) -> Result<(String, bool), String> {
-    let policy = ScrapePolicy::default();
     let mut snapshots = Vec::new();
     let mut profiles = Vec::new();
     for target in &opts.targets {
-        let body = scrape_ok(target, "/v1/metrics/raw", policy)?;
+        let body = scrape_ok(target, "/v1/metrics/raw")?;
         let mut snap = RawSnapshot::parse(&body).map_err(|e| format!("{target}: {e}"))?;
         if snap.replica.is_empty() {
             // An unlabeled replica: its scrape target is the next-best
@@ -108,7 +107,7 @@ fn run(opts: &Options) -> Result<(String, bool), String> {
         // Best-effort: a replica with profiling off (or predating the
         // endpoint) simply contributes nothing to the fleet hotspots.
         let profile_path = format!("/v1/profile?window_s={}", opts.window_s);
-        if let Ok((HTTP_OK, body)) = scrape(target, &profile_path, policy) {
+        if let Ok((HTTP_OK, body)) = scrape(target, &profile_path) {
             if let Ok(report) = ProfileReport::from_json(&body) {
                 if report.samples > 0 {
                     profiles.push((label, report));

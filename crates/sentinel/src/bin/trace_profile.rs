@@ -33,7 +33,7 @@
 
 use std::process::ExitCode;
 
-use nanocost_sentinel::attach::{parse_attach_target, scrape_ok, ScrapePolicy};
+use nanocost_sentinel::attach::{parse_attach_target, scrape_ok};
 use nanocost_sentinel::profile::{stack_samples_from_jsonl, Profile, ProfileReport};
 use nanocost_sentinel::timeline::{
     counter_folded, metric_summaries, resolve_window, TimelineCapture, WindowSpec,
@@ -99,12 +99,8 @@ fn run(argv: &[String]) -> Result<String, String> {
             return Err(format!("--attach replaces the capture file\n{USAGE}"));
         }
         // The shared retrying scraper: a server mid-restart gets the
-        // default three attempts before the CLI gives up.
-        let body = scrape_ok(
-            &target,
-            &format!("/v1/profile?window_s={window_s}"),
-            ScrapePolicy::default(),
-        )?;
+        // three attempts before the CLI gives up.
+        let body = scrape_ok(&target, &format!("/v1/profile?window_s={window_s}"))?;
         let report = ProfileReport::from_json(&body).map_err(|e| format!("{target}: {e}"))?;
         let mut out = report.hotspot_table();
         if !hotspots_only {

@@ -8,8 +8,6 @@
 //! trace_tail --once <capture.jsonl>           # one frame, then exit (CI)
 //! trace_tail --interval-ms 500 --window-s 10 --width 60 <capture.jsonl>
 //! trace_tail --frames 20 <capture.jsonl>      # render 20 frames, then exit
-//! trace_tail --attach 127.0.0.1:8077          # live-attach to nanocost-serve
-//! trace_tail --attach host:8077 --attach host:8078   # fleet dashboard
 //! ```
 //!
 //! Each frame shows, per metric: a unicode-block sparkline of the
@@ -19,56 +17,26 @@
 //! trailing lines are buffered until their newline arrives, so a
 //! half-written record is never misparsed.
 //!
-//! `--attach <url>` replaces the file with a running `nanocost-serve`:
-//! each frame scrapes `GET /v1/metrics`, converts the per-endpoint
-//! quantiles, cumulative counters, and cache hit rate into timeline
-//! samples, and renders the same dashboard — plus a footer linking each
-//! endpoint's p99 exemplar to its fetchable `/v1/trace/<req-id>`, a
-//! per-worker utilization bar (busy share of wall-clock, from the
-//! worker-pool telemetry), the queue-depth/backlog gauges, and the top
-//! self-time frames from a best-effort `GET /v1/profile` scrape (the
-//! footer is simply omitted when the server runs with profiling off).
-//!
-//! Repeating `--attach` federates: each frame scrapes every replica's
-//! `GET /v1/metrics/raw`, merges the histograms losslessly through
-//! [`FleetView`], and renders fleet-wide quantiles and counters plus a
-//! footer of per-replica utilization rows, per-endpoint p99 skew
-//! (slowest vs fastest replica), and the fleet's merged top self-time
-//! frames. Scrapes retry transport failures, so one replica restarting
-//! does not tear the dashboard down.
+//! Live server state is read with `fleet_report <host:port>...` (one
+//! replica or many) or a raw `GET /v1/metrics`; this tool only follows
+//! captures.
 //!
 //! Exit code 0 on success, 2 on usage or I/O errors.
 
 use std::io::{IsTerminal, Read, Seek, SeekFrom, Write as _};
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use nanocost_sentinel::attach::{parse_attach_target, scrape, scrape_ok, ScrapePolicy};
-use nanocost_sentinel::federate::{merge_profiles, FleetView, RawSnapshot};
-use nanocost_sentinel::profile::ProfileReport;
 use nanocost_sentinel::timeline::Dashboard;
-use nanocost_sentinel::{json, SentinelError};
-
-/// Width of a worker utilization bar, in character cells.
-const WORKER_BAR_WIDTH: usize = 20;
-
-/// How many frames the profiler footer shows.
-const TOP_FRAMES: usize = 5;
-
-/// Window the footer's `/v1/profile` scrape asks for, in seconds.
-const PROFILE_FOOTER_WINDOW_S: u64 = 30;
+use nanocost_sentinel::SentinelError;
 
 const USAGE: &str = "usage: trace_tail [--once] [--frames N] [--interval-ms N] \
-                     [--window-s S] [--width N] \
-                     (<capture.jsonl> | --attach <host:port> [--attach <host:port>...])";
+                     [--window-s S] [--width N] <capture.jsonl>";
 
 /// Parsed command line.
 struct Options {
-    /// Capture file to follow; empty when `--attach` is used.
+    /// Capture file to follow.
     path: String,
-    /// `host:port` of live servers to scrape instead of a file: one
-    /// target renders that server's dashboard, two or more federate.
-    attach: Vec<String>,
     interval: Duration,
     window_ns: u64,
     width: usize,
@@ -87,7 +55,6 @@ fn parse_args(argv: &[String]) -> Result<Options, String> {
     let mut width: usize = 40;
     let mut frames: Option<u64> = None;
     let mut path: Option<&str> = None;
-    let mut attach: Vec<String> = Vec::new();
     let mut args = argv.iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -96,10 +63,6 @@ fn parse_args(argv: &[String]) -> Result<Options, String> {
             "--interval-ms" => interval_ms = parse_num("--interval-ms", args.next())?,
             "--window-s" => window_s = parse_num("--window-s", args.next())?,
             "--width" => width = parse_num("--width", args.next())?,
-            "--attach" => {
-                let url = args.next().ok_or_else(|| format!("--attach needs a URL\n{USAGE}"))?;
-                attach.push(parse_attach_target(url).map_err(|e| format!("{e}\n{USAGE}"))?);
-            }
             "--help" | "-h" => return Err(USAGE.to_string()),
             other if other.starts_with('-') => {
                 return Err(format!("unknown flag `{other}`\n{USAGE}"))
@@ -112,19 +75,12 @@ fn parse_args(argv: &[String]) -> Result<Options, String> {
             }
         }
     }
-    let path = match (attach.is_empty(), path) {
-        (false, Some(_)) => {
-            return Err(format!("--attach replaces the capture file\n{USAGE}"))
-        }
-        (false, None) => String::new(),
-        (true, p) => p.ok_or_else(|| USAGE.to_string())?.to_string(),
-    };
+    let path = path.ok_or_else(|| USAGE.to_string())?.to_string();
     if !window_s.is_finite() || window_s <= 0.0 {
         return Err(format!("--window-s must be positive\n{USAGE}"));
     }
     Ok(Options {
         path,
-        attach,
         interval: Duration::from_millis(interval_ms),
         window_ns: (window_s * 1.0e9) as u64,
         width,
@@ -183,281 +139,20 @@ impl Follower {
     }
 }
 
-/// Converts one `/v1/metrics` scrape into timeline sample lines the
-/// dashboard ingests, plus the exemplar footer. Gauges carry the
-/// quantiles and cache hit rate; counters carry the cumulative totals
-/// (the dashboard derives rates from consecutive scrapes itself).
-fn scrape_to_samples(body: &str) -> Result<(Vec<String>, Vec<String>), String> {
-    let doc = json::parse(body).map_err(|e| format!("metrics scrape is not JSON: {e}"))?;
-    let t_ns = doc
-        .get("t_ns")
-        .and_then(json::JsonValue::as_u64)
-        .ok_or("metrics scrape has no t_ns (server too old for --attach?)")?;
-    let sample = |name: &str, kind: &str, value: f64| {
-        format!(
-            "{{\"ts_us\":{},\"thread\":0,\"type\":\"sample\",\"name\":\"{name}\",\
-             \"metric_kind\":\"{kind}\",\"t_ns\":{t_ns},\"value\":{value:e}}}",
-            t_ns / 1_000
-        )
-    };
-    let mut lines = Vec::new();
-    let mut footer = Vec::new();
-    if let Some(json::JsonValue::Obj(counters)) = doc.get("counters") {
-        for (key, value) in counters {
-            if let Some(v) = value.as_f64() {
-                lines.push(sample(&format!("serve.{key}"), "counter", v));
-            }
-        }
-    }
-    if let Some(json::JsonValue::Obj(endpoints)) = doc.get("endpoints") {
-        for (endpoint, stats) in endpoints {
-            for q in ["p50_us", "p99_us"] {
-                if let Some(v) = stats.get(q).and_then(json::JsonValue::as_f64) {
-                    lines.push(sample(&format!("serve.{endpoint}.{q}"), "gauge", v));
-                }
-            }
-            if let Some(v) = stats.get("count").and_then(json::JsonValue::as_f64) {
-                lines.push(sample(&format!("serve.{endpoint}.requests"), "counter", v));
-            }
-            if let Some(e) = stats.get("p99_exemplar") {
-                if let (Some(req_id), Some(value)) = (
-                    e.get("req_id").and_then(json::JsonValue::as_str),
-                    e.get("value_us").and_then(json::JsonValue::as_f64),
-                ) {
-                    footer.push(format!(
-                        "p99 exemplar {endpoint}: {req_id} @ {value:.1}us  \
-                         (GET /v1/trace/{req_id})"
-                    ));
-                }
-            }
-        }
-    }
-    if let Some(v) = doc
-        .get("cache")
-        .and_then(|c| c.get("hit_rate"))
-        .and_then(json::JsonValue::as_f64)
-    {
-        lines.push(sample("serve.cache.hit_rate", "gauge", v));
-    }
-    if let Some(json::JsonValue::Obj(gauges)) = doc.get("gauges") {
-        for (key, value) in gauges {
-            if let Some(v) = value.as_f64() {
-                lines.push(sample(&format!("serve.{key}"), "gauge", v));
-            }
-        }
-    }
-    footer.extend(worker_bars(&doc));
-    Ok((lines, footer))
-}
-
-/// Renders one utilization bar per worker from the `workers` section of
-/// a metrics scrape (empty on servers that predate the telemetry).
-fn worker_bars(doc: &json::JsonValue) -> Vec<String> {
-    let Some(json::JsonValue::Arr(workers)) = doc.get("workers") else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for (i, w) in workers.iter().enumerate() {
-        let busy = w.get("busy_ns").and_then(json::JsonValue::as_f64).unwrap_or(0.0);
-        let idle = w.get("idle_ns").and_then(json::JsonValue::as_f64).unwrap_or(0.0);
-        let served = w.get("served").and_then(json::JsonValue::as_u64).unwrap_or(0);
-        let share = if busy + idle > 0.0 { busy / (busy + idle) } else { 0.0 };
-        let filled = ((share * WORKER_BAR_WIDTH as f64).round() as usize).min(WORKER_BAR_WIDTH);
-        let bar: String = std::iter::repeat('█')
-            .take(filled)
-            .chain(std::iter::repeat('·').take(WORKER_BAR_WIDTH - filled))
-            .collect();
-        out.push(format!(
-            "worker {i} [{bar}] {:5.1}% busy  {served} served",
-            share * 100.0
-        ));
-    }
-    out
-}
-
-/// Best-effort `/v1/profile` scrape of one replica. `None` (rather
-/// than an error) when the server has profiling off, predates the
-/// endpoint, or reported no samples — the dashboard must keep
-/// rendering.
-fn scrape_profile(target: &str) -> Option<ProfileReport> {
-    let path = format!("/v1/profile?window_s={PROFILE_FOOTER_WINDOW_S}");
-    let Ok((200, body)) = scrape(target, &path, ScrapePolicy::default()) else {
-        return None;
-    };
-    ProfileReport::from_json(&body).ok().filter(|r| r.samples > 0)
-}
-
-/// Renders a profile report as the dashboard's top-frames footer.
-fn profile_lines(report: &ProfileReport, scope: &str) -> Vec<String> {
-    let mut out = vec![format!(
-        "{scope} profile ({}s window): {} samples, {} threads",
-        PROFILE_FOOTER_WINDOW_S, report.samples, report.threads
-    )];
-    for f in report.frames.iter().filter(|f| f.self_samples > 0).take(TOP_FRAMES) {
-        out.push(format!(
-            "  {:5.1}% {}",
-            f.self_samples as f64 * 100.0 / report.samples as f64,
-            f.name
-        ));
-    }
-    out
-}
-
-/// Converts one federated [`FleetView`] into timeline sample lines the
-/// dashboard ingests. Replica clocks are not comparable across
-/// processes, so fleet series are stamped with the *local* monotone
-/// `t_ns` the caller passes (nanoseconds since the dashboard started).
-fn fleet_to_samples(view: &FleetView, t_ns: u64) -> Vec<String> {
-    let sample = |name: &str, kind: &str, value: f64| {
-        format!(
-            "{{\"ts_us\":{},\"thread\":0,\"type\":\"sample\",\"name\":\"{name}\",\
-             \"metric_kind\":\"{kind}\",\"t_ns\":{t_ns},\"value\":{value:e}}}",
-            t_ns / 1_000
-        )
-    };
-    let mut lines = Vec::new();
-    for (key, value) in &view.counters {
-        lines.push(sample(&format!("fleet.{key}"), "counter", *value as f64));
-    }
-    for (endpoint, hist) in &view.endpoints {
-        if let Some(p50) = hist.quantile(0.50) {
-            lines.push(sample(&format!("fleet.{endpoint}.p50_us"), "gauge", p50));
-        }
-        if let Some(p99) = hist.p99() {
-            lines.push(sample(&format!("fleet.{endpoint}.p99_us"), "gauge", p99));
-        }
-        lines.push(sample(&format!("fleet.{endpoint}.requests"), "counter", hist.count() as f64));
-    }
-    if view.cache.hits + view.cache.misses > 0 {
-        let rate = view.cache.hits as f64 / (view.cache.hits + view.cache.misses) as f64;
-        lines.push(sample("fleet.cache.hit_rate", "gauge", rate));
-    }
-    lines
-}
-
-/// The fleet footer: one utilization row per replica, the per-endpoint
-/// p99 skew (slowest vs fastest replica), any fleet-wide firing
-/// objective, and the merged top self-time frames.
-fn fleet_footer(view: &FleetView) -> Vec<String> {
-    let mut out = vec![format!("fleet: {} replicas", view.replicas.len())];
-    let label_w = view
-        .utilization
-        .iter()
-        .map(|u| u.replica.len())
-        .max()
-        .unwrap_or(1);
-    for u in &view.utilization {
-        let filled = ((u.busy_fraction * WORKER_BAR_WIDTH as f64).round() as usize)
-            .min(WORKER_BAR_WIDTH);
-        let bar: String = std::iter::repeat('█')
-            .take(filled)
-            .chain(std::iter::repeat('·').take(WORKER_BAR_WIDTH - filled))
-            .collect();
-        out.push(format!(
-            "replica {:<label_w$} [{bar}] {:5.1}% busy  {} workers  {} served  {} requests",
-            u.replica,
-            u.busy_fraction * 100.0,
-            u.workers,
-            u.served,
-            u.requests
-        ));
-    }
-    for (endpoint, s) in &view.skew {
-        if s.ratio.is_finite() {
-            out.push(format!(
-                "p99 skew {endpoint}: {} {:.1}us .. {} {:.1}us (x{:.2})",
-                s.min_replica, s.min_p99, s.max_replica, s.max_p99, s.ratio
-            ));
-        }
-    }
-    for report in view.slo.iter().filter(|r| r.firing) {
-        out.push(format!(
-            "SLO {} FIRING fleet-wide (fast burn {:.1}x, slow burn {:.1}x, max {:.1}x)",
-            report.name, report.fast_burn, report.slow_burn, report.max_burn
-        ));
-    }
-    if let Some(report) = &view.profile {
-        out.extend(profile_lines(report, "fleet"));
-    }
-    out
-}
-
-/// One federated frame: scrape every target's raw state (and
-/// best-effort profile), merge, and feed the dashboard.
-fn fleet_frame(
-    targets: &[String],
-    dashboard: &mut Dashboard,
-    t_ns: u64,
-) -> Result<Vec<String>, String> {
-    let policy = ScrapePolicy::default();
-    let mut snapshots = Vec::new();
-    let mut profiles = Vec::new();
-    for target in targets {
-        let body = scrape_ok(target, "/v1/metrics/raw", policy)?;
-        let mut snap = RawSnapshot::parse(&body).map_err(|e| format!("{target}: {e}"))?;
-        if snap.replica.is_empty() {
-            // Unlabeled replica: identify it by its scrape target.
-            snap.replica = target.clone();
-        }
-        if let Some(report) = scrape_profile(target) {
-            profiles.push((snap.replica.clone(), report));
-        }
-        snapshots.push(snap);
-    }
-    let mut view = FleetView::from_snapshots(&snapshots).map_err(|e| e.to_string())?;
-    if !profiles.is_empty() {
-        view.profile = Some(merge_profiles(&profiles));
-    }
-    for line in fleet_to_samples(&view, t_ns) {
-        dashboard.ingest_line(&line);
-    }
-    Ok(fleet_footer(&view))
-}
-
 fn run(opts: &Options) -> Result<(), String> {
-    let mut follower = if opts.attach.is_empty() {
-        Some(Follower::open(&opts.path)?)
-    } else {
-        None
-    };
+    let mut follower = Follower::open(&opts.path)?;
     let mut dashboard = Dashboard::new(opts.window_ns);
     let clear = std::io::stdout().is_terminal();
     let mut rendered = 0u64;
-    let started = Instant::now();
     loop {
-        let mut footer = Vec::new();
-        match (&mut follower, opts.attach.as_slice()) {
-            (Some(f), _) => {
-                f.drain_into(&mut dashboard)?;
-            }
-            (None, [target]) => {
-                let body = scrape_ok(target, "/v1/metrics", ScrapePolicy::default())?;
-                let (lines, exemplars) = scrape_to_samples(&body)?;
-                for line in &lines {
-                    dashboard.ingest_line(line);
-                }
-                footer = exemplars;
-                if let Some(report) = scrape_profile(target) {
-                    footer.extend(profile_lines(&report, "server"));
-                }
-            }
-            (None, targets) if !targets.is_empty() => {
-                let t_ns = started.elapsed().as_nanos() as u64;
-                footer = fleet_frame(targets, &mut dashboard, t_ns)?;
-            }
-            (None, _) => return Err(USAGE.to_string()),
-        }
-        let mut frame = dashboard.render(opts.width);
-        for line in &footer {
-            frame.push_str(line);
-            frame.push('\n');
-        }
+        follower.drain_into(&mut dashboard)?;
+        let frame = dashboard.render(opts.width);
         if clear {
             // ANSI home + clear-below keeps a live terminal stable.
             print!("\u{1b}[H\u{1b}[J{frame}");
             let _ = std::io::stdout().flush();
         } else {
-            print!("{frame}\n");
+            println!("{frame}");
         }
         rendered += 1;
         if opts.frames.is_some_and(|n| rendered >= n) {
@@ -501,110 +196,9 @@ mod tests {
         assert!(parse_args(&args(&["--window-s", "0", "x"])).is_err());
         assert!(parse_args(&args(&["--frames", "abc", "x"])).is_err());
         assert!(parse_args(&args(&["--bogus", "x"])).is_err());
-    }
-
-    #[test]
-    fn attach_targets_normalize_and_exclude_the_capture_file() {
-        let o = parse_args(&args(&["--attach", "http://127.0.0.1:8077/v1/metrics"]))
-            .expect("parses");
-        assert_eq!(o.attach, vec!["127.0.0.1:8077"]);
-        assert!(o.path.is_empty());
-        let o = parse_args(&args(&["--attach", "localhost:9"])).expect("parses");
-        assert_eq!(o.attach, vec!["localhost:9"]);
-        assert!(parse_args(&args(&["--attach", "no-port"])).is_err());
-        assert!(parse_args(&args(&["--attach", ":8077"])).is_err());
-        assert!(
-            parse_args(&args(&["--attach", "h:1", "cap.jsonl"])).is_err(),
-            "--attach and a capture file are mutually exclusive"
-        );
-    }
-
-    #[test]
-    fn repeated_attach_targets_collect_in_order() {
-        let o = parse_args(&args(&["--attach", "h:1", "--attach", "http://h:2/"]))
-            .expect("parses");
-        assert_eq!(o.attach, vec!["h:1", "h:2"]);
-        assert!(o.path.is_empty());
-    }
-
-    #[test]
-    fn fleet_views_become_dashboard_samples_and_footer() {
-        use nanocost_sentinel::federate::RawWorker;
-        use nanocost_sentinel::LogHistogram;
-
-        // Two replicas, replica "b" twice as slow, both with one busy
-        // worker; the merged view must render fleet series and per-
-        // replica footer rows.
-        let mut snaps = Vec::new();
-        for (label, scale) in [("a", 1.0_f64), ("b", 2.0_f64)] {
-            let mut hist = LogHistogram::new();
-            for i in 1..=100u32 {
-                hist.record(f64::from(i) * scale);
-            }
-            let mut snap = RawSnapshot { replica: label.to_string(), ..RawSnapshot::default() };
-            snap.counters.insert("requests_total".to_string(), 100);
-            snap.workers.push(RawWorker { busy_ns: 750, idle_ns: 250, served: 100 });
-            snap.endpoints.insert("cost".to_string(), hist);
-            snaps.push(snap);
-        }
-        let view = FleetView::from_snapshots(&snaps).expect("federates");
-        let lines = fleet_to_samples(&view, 5_000_000);
-        let mut d = Dashboard::new(1_000_000_000);
-        for line in &lines {
-            d.ingest_line(line);
-        }
-        assert_eq!(d.parse_errors, 0, "every synthesized line must parse");
-        let frame = d.render(40);
-        assert!(frame.contains("fleet.cost.p99_us"), "{frame}");
-        assert!(frame.contains("fleet.requests_total"), "{frame}");
-        let footer = fleet_footer(&view);
-        assert!(footer[0].contains("2 replicas"), "{}", footer[0]);
-        assert!(
-            footer.iter().any(|l| l.starts_with("replica a") && l.contains("75.0% busy")),
-            "{footer:?}"
-        );
-        assert!(
-            footer.iter().any(|l| l.contains("p99 skew cost:") && l.contains("a ") && l.contains("b ")),
-            "{footer:?}"
-        );
-    }
-
-    #[test]
-    fn metrics_scrapes_become_dashboard_samples() {
-        let body = "{\"schema\":2,\"uptime_s\":1e0,\"t_ns\":5000000,\"requests\":3,\
-                    \"counters\":{\"requests_total\":3,\"shed_total\":1,\"trace_ring_evicted\":0},\
-                    \"gauges\":{\"queue.depth\":2,\"accept.backlog\":1},\
-                    \"endpoints\":{\"cost\":{\"count\":3,\"min_us\":1e1,\"max_us\":3e1,\
-                    \"mean_us\":2e1,\"p50_us\":2e1,\"p90_us\":3e1,\"p99_us\":3e1,\"p999_us\":3e1,\
-                    \"p99_exemplar\":{\"req_id\":\"r2\",\"value_us\":3e1,\"t_ns\":4000000}}},\
-                    \"workers\":[{\"busy_ns\":750000,\"idle_ns\":250000,\"served\":2},\
-                    {\"busy_ns\":0,\"idle_ns\":1000000,\"served\":1}],\
-                    \"cache\":{\"hits\":2,\"misses\":1,\"entries\":1,\"capacity\":64,\
-                    \"hit_rate\":6.6e-1}}";
-        let (lines, footer) = scrape_to_samples(body).expect("scrape converts");
-        let mut d = Dashboard::new(1_000_000_000);
-        for line in &lines {
-            d.ingest_line(line);
-        }
-        assert_eq!(d.parse_errors, 0, "every synthesized line must parse");
-        assert_eq!(d.live_metrics(), lines.len(), "one series per line");
-        let frame = d.render(40);
-        assert!(frame.contains("serve.cost.p99_us"), "{frame}");
-        assert!(frame.contains("serve.shed_total"), "{frame}");
-        assert!(frame.contains("serve.cache.hit_rate"), "{frame}");
-        assert!(frame.contains("serve.queue.depth"), "{frame}");
-        assert!(frame.contains("serve.accept.backlog"), "{frame}");
-        // Footer: the exemplar line plus one bar per worker.
-        assert_eq!(footer.len(), 3, "{footer:?}");
-        assert!(footer[0].contains("r2"), "{}", footer[0]);
-        assert!(footer[0].contains("/v1/trace/r2"), "{}", footer[0]);
-        assert!(footer[1].starts_with("worker 0 ["), "{}", footer[1]);
-        assert!(footer[1].contains("75.0% busy"), "{}", footer[1]);
-        assert!(footer[1].contains("2 served"), "{}", footer[1]);
-        assert!(footer[2].contains("  0.0% busy"), "{}", footer[2]);
-        // A scrape without t_ns (pre-schema-2 server) is a clean error.
-        assert!(scrape_to_samples("{\"uptime_s\":1e0}").is_err());
-        assert!(scrape_to_samples("not json").is_err());
+        // Live servers are read with fleet_report, not attached here.
+        let err = parse_args(&args(&["--attach", "h:1"])).err().unwrap_or_default();
+        assert!(err.starts_with("unknown flag `--attach`"), "{err}");
     }
 
     #[test]

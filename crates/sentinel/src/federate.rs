@@ -1,6 +1,6 @@
 //! Fleet federation: the mergeable raw-metrics wire format and the
-//! multi-replica aggregation behind `fleet_report` and the fleet
-//! `trace_tail` dashboard.
+//! multi-replica aggregation behind `fleet_report`, the one reader of
+//! live server state for one replica or many.
 //!
 //! Maly's thesis (DAC 2001) is that nanometer-era cost control needs
 //! *aggregate* visibility — portfolio-level truth assembled from

@@ -29,20 +29,20 @@
 //! - [`timeline`] — the reading side of the metric timeline: sample
 //!   parsing, `--since`/`--until` window algebra, per-window metric
 //!   summaries, counter flamegraphs, sparklines, and the sliding-window
-//!   dashboard state behind the `trace_tail` bin.
+//!   dashboard state behind the `trace_tail` capture follower.
 //! - [`fingerprint`] — canonical digests of the Eq.1–7 provenance
 //!   stream, checked into `FINGERPRINTS.json` so numeric drift in the
 //!   cost model fails CI with a per-equation diff (the `fingerprint`
 //!   bin).
-//! - [`attach`] — the zero-dependency retrying HTTP GET client behind
-//!   `trace_tail --attach`, `trace_profile --attach`, and
-//!   `fleet_report`, scraping a live `nanocost-serve`'s `/v1/metrics`,
-//!   `/v1/metrics/raw`, and `/v1/profile` with per-scrape deadlines.
+//! - [`attach`] — the workspace's one zero-dependency HTTP/1.1 client:
+//!   bounded single-attempt requests for `loadgen` and the serve
+//!   tests, and retrying scrapes of a live `nanocost-serve`'s
+//!   `/v1/metrics/raw` and `/v1/profile` for `fleet_report` and
+//!   `trace_profile --attach`.
 //! - [`federate`] — the mergeable raw-metrics wire format behind
 //!   `GET /v1/metrics/raw` and the N-replica aggregation (fleet
 //!   quantiles, per-replica skew, summed burn verdicts, merged
-//!   profiles) behind the `fleet_report` bin and the fleet
-//!   `trace_tail` dashboard.
+//!   profiles) behind the `fleet_report` bin.
 //! - [`json`] — the minimal value-tree JSON parser the above share.
 
 pub mod attach;

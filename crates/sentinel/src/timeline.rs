@@ -476,13 +476,21 @@ impl Dashboard {
             return;
         };
         self.last_t_ns = self.last_t_ns.max(t_ns);
+        let horizon = self.last_t_ns.saturating_sub(self.window_ns);
+        // A capture interleaves per-thread sample buffers, so one
+        // metric's points can arrive out of time order: a late point
+        // already behind the window is dropped, the rest are inserted
+        // at their `t_ns` position so each series stays sorted.
+        if t_ns < horizon {
+            return;
+        }
         let series = self.series.entry(name.to_string()).or_insert_with(|| Series {
             metric_kind: kind.to_string(),
             points: VecDeque::new(),
         });
-        series.points.push_back((t_ns, value));
+        let at = series.points.partition_point(|&(t, _)| t <= t_ns);
+        series.points.insert(at, (t_ns, value));
         // Evict everything that slid out of the window.
-        let horizon = self.last_t_ns.saturating_sub(self.window_ns);
         for s in self.series.values_mut() {
             while s.points.front().is_some_and(|&(t, _)| t < horizon) {
                 s.points.pop_front();
@@ -721,6 +729,28 @@ mod tests {
         // A far-future sample slides everything else out of the window.
         d.ingest_line(&sample_line(10_000_000, 1, "g", "gauge", 9.0));
         assert_eq!(d.live_metrics(), 1);
+    }
+
+    #[test]
+    fn late_samples_keep_series_in_time_order() {
+        // A sample older than the window is dropped, not rendered as
+        // the series' latest value.
+        let mut d = Dashboard::new(10);
+        d.ingest_line(&sample_line(100, 1, "g", "gauge", 1.0));
+        d.ingest_line(&sample_line(5, 2, "g", "gauge", 2.0));
+        assert_eq!(d.series["g"].points, [(100, 1.0)]);
+        assert!(d.render(40).contains("last=1.0000"), "{}", d.render(40));
+        // An in-window late point lands at its time position, so a
+        // counter's rate still spans first..last.
+        let mut d = Dashboard::new(1_000_000_000);
+        for (t, thread, v) in [(1_000, 1, 1.0), (3_000_000, 1, 4.0), (2_000_000, 2, 3.0)] {
+            d.ingest_line(&sample_line(t, thread, "c", "counter", v));
+        }
+        let times: Vec<u64> = d.series["c"].points.iter().map(|&(t, _)| t).collect();
+        assert_eq!(times, [1_000, 2_000_000, 3_000_000]);
+        let frame = d.render(40);
+        assert!(frame.contains("total=4"), "{frame}");
+        assert!(!frame.contains("rate=0.0/s"), "{frame}");
     }
 
     #[test]

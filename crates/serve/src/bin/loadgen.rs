@@ -58,14 +58,11 @@
 //! points cycled many times) — the paper's interactive exploration
 //! pattern — so the server's scenario cache has hits to report.
 
-use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
+use nanocost_sentinel::attach::{http_get, request};
 use nanocost_sentinel::json::{self, JsonValue};
 use nanocost_trace::value::json_string;
-
-const CLIENT_TIMEOUT: Duration = Duration::from_secs(10);
 
 struct Options {
     addr: String,
@@ -342,38 +339,6 @@ impl HashRing {
     }
 }
 
-/// One raw HTTP exchange; returns (status, body).
-fn exchange(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> std::io::Result<(u16, String)> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(CLIENT_TIMEOUT))?;
-    stream.set_write_timeout(Some(CLIENT_TIMEOUT))?;
-    let body = body.unwrap_or("");
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )?;
-    stream.flush()?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    let text = String::from_utf8_lossy(&raw);
-    let status: u16 = text
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let payload = match text.find("\r\n\r\n") {
-        Some(i) => text[i + 4..].to_string(),
-        None => String::new(),
-    };
-    Ok((status, payload))
-}
-
 #[derive(Default)]
 struct Outcome {
     /// (endpoint index in mix, latency seconds) per 2xx response.
@@ -454,7 +419,7 @@ fn drive(opts: &Options) -> Outcome {
                     let endpoint = &opts_ref.mix[*endpoint_idx];
                     let path = format!("/v1/{endpoint}");
                     let started = Instant::now();
-                    match exchange(&addrs[*target], "POST", &path, Some(body)) {
+                    match request(&addrs[*target], "POST", &path, Some(body)) {
                         Ok((status, payload)) if (200..300).contains(&status) => {
                             mine.latencies
                                 .push((*endpoint_idx, started.elapsed().as_secs_f64()));
@@ -592,7 +557,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("loadgen: bench capture -> {path}");
     }
     if let Some(path) = &opts.metrics_out {
-        let (status, body) = exchange(&addrs[0], "GET", "/v1/metrics", None)?;
+        let (status, body) = http_get(&addrs[0], "/v1/metrics")?;
         if status != 200 || body.is_empty() {
             return Err(format!("/v1/metrics -> {status}").into());
         }
@@ -604,7 +569,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .req_id
             .clone()
             .ok_or("no req_id captured for provenance replay")?;
-        let (status, body) = exchange(&addrs[target], "GET", &format!("/v1/provenance/{id}"), None)?;
+        let (status, body) = http_get(&addrs[target], &format!("/v1/provenance/{id}"))?;
         if status != 200 || body.is_empty() {
             return Err(format!("/v1/provenance/{id} -> {status}").into());
         }
@@ -616,7 +581,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .chiplet_req_id
             .clone()
             .ok_or("no chiplet req_id captured for provenance replay")?;
-        let (status, body) = exchange(&addrs[target], "GET", &format!("/v1/trace/{id}"), None)?;
+        let (status, body) = http_get(&addrs[target], &format!("/v1/trace/{id}"))?;
         if status != 200 || body.is_empty() {
             return Err(format!("/v1/trace/{id} -> {status}").into());
         }
@@ -629,7 +594,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("loadgen: chiplet provenance capture ({id}) -> {path}");
     }
     if let Some(path) = &opts.health_out {
-        let (status, body) = exchange(&addrs[0], "GET", "/v1/health", None)?;
+        let (status, body) = http_get(&addrs[0], "/v1/health")?;
         std::fs::write(path, &body)?;
         println!("loadgen: health ({status}) -> {path}");
         if status != 200 {
@@ -644,7 +609,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     if let Some(path) = &opts.profile_out {
         let query = format!("/v1/profile?window_s={}", opts.profile_window_s);
-        let (status, body) = exchange(&addrs[0], "GET", &query, None)?;
+        let (status, body) = http_get(&addrs[0], &query)?;
         if status != 200 || body.is_empty() {
             return Err(format!("{query} -> {status}").into());
         }
@@ -655,7 +620,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return Err(format!("{} non-2xx responses", outcome.non_2xx).into());
     }
     if opts.require_chiplet_hits {
-        let (status, body) = exchange(&addrs[0], "GET", "/v1/metrics", None)?;
+        let (status, body) = http_get(&addrs[0], "/v1/metrics")?;
         if status != 200 {
             return Err(format!("/v1/metrics -> {status}").into());
         }
@@ -702,7 +667,7 @@ fn fetch_exemplar_traces(
     prefix: &str,
     max_evicted: usize,
 ) -> Result<usize, Box<dyn std::error::Error>> {
-    let (status, body) = exchange(addr, "GET", "/v1/metrics", None)?;
+    let (status, body) = http_get(addr, "/v1/metrics")?;
     if status != 200 {
         return Err(format!("/v1/metrics -> {status}").into());
     }
@@ -720,7 +685,7 @@ fn fetch_exemplar_traces(
         else {
             continue;
         };
-        let (status, capture) = exchange(addr, "GET", &format!("/v1/trace/{req_id}"), None)?;
+        let (status, capture) = http_get(addr, &format!("/v1/trace/{req_id}"))?;
         if status == 410 && capture.contains("serve.trace_ring.evicted") {
             evicted += 1;
             if evicted > max_evicted {

@@ -28,13 +28,12 @@
 //!                                  fleet_report can merge replicas
 //!
 //! The process exits cleanly (status 0) on SIGTERM or SIGINT; pair it
-//! with `loadgen` for a driven run, `trace_tail --attach` for a live
-//! view, `GET /v1/metrics` for quantiles with exemplars,
-//! `GET /v1/health` for the SLO burn verdict,
+//! with `loadgen` for a driven run, `fleet_report <host:port>...` for
+//! a live view of one replica or many (it reads the mergeable state on
+//! `GET /v1/metrics/raw`), `GET /v1/metrics` for quantiles with
+//! exemplars, `GET /v1/health` for the SLO burn verdict, and
 //! `GET /v1/profile?window_s=N` (or `trace_profile --attach`) for the
-//! continuous sampling profiler's hotspot report, and
-//! `GET /v1/metrics/raw` for the mergeable state `fleet_report` and a
-//! multi-`--attach` `trace_tail` federate across replicas.
+//! continuous sampling profiler's hotspot report.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

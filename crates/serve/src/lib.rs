@@ -31,13 +31,12 @@
 //! The `loadgen` bin drives concurrent request mixes, checks soak
 //! pass/fail criteria against those SLOs, and emits a
 //! `NANOCOST_BENCH_JSON` capture so `bench_diff` can gate server
-//! latency like any other benchmark; `trace_tail --attach` renders the
-//! live dashboard from the `/v1/metrics` scrape. In a fleet, each
-//! replica is labeled via `NANOCOST_REPLICA`; `/v1/metrics/raw` then
-//! publishes the replica's *mergeable* state (raw histogram buckets
-//! with replica-tagged exemplars, summable windowed SLO counters) in
-//! the [`nanocost_sentinel::federate`] wire format, and `fleet_report`
-//! or a multi-`--attach` `trace_tail` folds N replicas into one
+//! latency like any other benchmark. `/v1/metrics/raw` publishes a
+//! replica's *mergeable* state (raw histogram buckets with
+//! replica-tagged exemplars, summable windowed SLO counters) in the
+//! [`nanocost_sentinel::federate`] wire format; each replica of a
+//! fleet is labeled via `NANOCOST_REPLICA`, and `fleet_report` is the
+//! one reader of live state, folding one replica or N into a
 //! fleet-wide view.
 
 #![warn(missing_docs)]

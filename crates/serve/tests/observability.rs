@@ -1,13 +1,13 @@
 //! End-to-end observability tests over a real socket: the exemplar →
 //! trace drill-down, the SLO health verdict, the structured access
-//! log, and the trace-capture ring — the paths `trace_tail --attach`
-//! and the CI soak gate depend on.
+//! log, and the trace-capture ring — the paths `fleet_report`,
+//! `loadgen`, and the CI soak gate depend on. Requests go through
+//! `nanocost_sentinel::attach`, the workspace's one HTTP client.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
+use nanocost_sentinel::attach::{http_get, request};
 use nanocost_sentinel::json;
 use nanocost_serve::{Server, ServerConfig, ServerState, ServerStateConfig};
 
@@ -16,7 +16,7 @@ const COST_BODY: &str =
 
 /// Runs `f` against a live server built from `state`, then shuts the
 /// server down cleanly.
-fn with_server_state(state: ServerState, f: impl FnOnce(std::net::SocketAddr)) {
+fn with_server_state(state: ServerState, f: impl FnOnce(&str)) {
     let server = Server::bind_with_state(
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
@@ -26,41 +26,14 @@ fn with_server_state(state: ServerState, f: impl FnOnce(std::net::SocketAddr)) {
         state,
     )
     .expect("bind");
-    let addr = server.local_addr().expect("local addr");
+    let addr = server.local_addr().expect("local addr").to_string();
     let shutdown = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let handle = scope.spawn(|| server.run(&shutdown));
-        f(addr);
+        f(&addr);
         shutdown.store(true, Ordering::SeqCst);
         handle.join().expect("server thread").expect("server run");
     });
-}
-
-/// One HTTP/1.1 exchange; returns `(status, body)`.
-fn exchange(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("timeout");
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("write");
-    let mut response = Vec::new();
-    stream.read_to_end(&mut response).expect("read");
-    let text = String::from_utf8_lossy(&response).into_owned();
-    let status: u16 = text
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = text
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
 }
 
 #[test]
@@ -68,12 +41,12 @@ fn p99_exemplar_round_trips_to_a_clean_request_trace() {
     with_server_state(ServerState::new(), |addr| {
         // A mixed workload so every model endpoint has an exemplar.
         for _ in 0..5 {
-            assert_eq!(exchange(addr, "POST", "/v1/cost", COST_BODY).0, 200);
+            assert_eq!(request(addr, "POST", "/v1/cost", Some(COST_BODY)).expect("POST").0, 200);
         }
         let yield_body = r#"{"lambda_um":0.13,"sd":400,"transistors":1e7,"volume":20000}"#;
-        assert_eq!(exchange(addr, "POST", "/v1/yield", yield_body).0, 200);
+        assert_eq!(request(addr, "POST", "/v1/yield", Some(yield_body)).expect("POST").0, 200);
 
-        let (status, metrics) = exchange(addr, "GET", "/v1/metrics", "");
+        let (status, metrics) = http_get(addr, "/v1/metrics").expect("GET");
         assert_eq!(status, 200, "{metrics}");
         let doc = json::parse(&metrics).expect("metrics is JSON");
         assert_eq!(doc.get("schema").and_then(json::JsonValue::as_u64), Some(2));
@@ -89,7 +62,7 @@ fn p99_exemplar_round_trips_to_a_clean_request_trace() {
 
             // The drill-down: the anonymous p99 pivots to a fetchable,
             // fully request-scoped trace capture.
-            let (status, capture) = exchange(addr, "GET", &format!("/v1/trace/{req_id}"), "");
+            let (status, capture) = http_get(addr, &format!("/v1/trace/{req_id}")).expect("GET");
             assert_eq!(status, 200, "exemplar {req_id} has no stored trace");
             assert!(!capture.trim().is_empty(), "empty capture for {req_id}");
             let tag = format!("\"req_id\":\"{req_id}\"");
@@ -118,7 +91,7 @@ fn p99_exemplar_round_trips_to_a_clean_request_trace() {
 #[test]
 fn health_verdict_is_served_over_the_wire() {
     with_server_state(ServerState::new(), |addr| {
-        let (status, body) = exchange(addr, "GET", "/v1/health", "");
+        let (status, body) = http_get(addr, "/v1/health").expect("GET");
         assert_eq!(status, 200, "{body}");
         let doc = json::parse(&body).expect("health is JSON");
         assert_eq!(
@@ -145,9 +118,9 @@ fn health_verdict_is_served_over_the_wire() {
     let state = ServerState::with_config(cfg).expect("valid config");
     with_server_state(state, |addr| {
         for _ in 0..20 {
-            assert_eq!(exchange(addr, "POST", "/v1/cost", COST_BODY).0, 200);
+            assert_eq!(request(addr, "POST", "/v1/cost", Some(COST_BODY)).expect("POST").0, 200);
         }
-        let (status, body) = exchange(addr, "GET", "/v1/health", "");
+        let (status, body) = http_get(addr, "/v1/health").expect("GET");
         assert_eq!(status, 503, "every request misses a 1ns SLO: {body}");
         assert!(body.contains("\"status\":\"failing\""), "{body}");
     });
@@ -165,10 +138,10 @@ fn access_log_records_every_request_in_golden_field_order() {
     };
     let state = ServerState::with_config(cfg).expect("valid config");
     with_server_state(state, |addr| {
-        assert_eq!(exchange(addr, "POST", "/v1/cost", COST_BODY).0, 200);
-        assert_eq!(exchange(addr, "POST", "/v1/cost", COST_BODY).0, 200);
-        assert_eq!(exchange(addr, "GET", "/v1/metrics", "").0, 200);
-        assert_eq!(exchange(addr, "GET", "/v1/trace/r999", "").0, 404);
+        assert_eq!(request(addr, "POST", "/v1/cost", Some(COST_BODY)).expect("POST").0, 200);
+        assert_eq!(request(addr, "POST", "/v1/cost", Some(COST_BODY)).expect("POST").0, 200);
+        assert_eq!(http_get(addr, "/v1/metrics").expect("GET").0, 200);
+        assert_eq!(http_get(addr, "/v1/trace/r999").expect("GET").0, 404);
     });
     let log = std::fs::read_to_string(&path).expect("access log written");
     let _ = std::fs::remove_file(&path);
@@ -211,17 +184,17 @@ fn trace_ring_capacity_and_eviction_counter_are_live() {
     let state = ServerState::with_config(cfg).expect("valid config");
     with_server_state(state, |addr| {
         for _ in 0..4 {
-            assert_eq!(exchange(addr, "POST", "/v1/cost", COST_BODY).0, 200);
+            assert_eq!(request(addr, "POST", "/v1/cost", Some(COST_BODY)).expect("POST").0, 200);
         }
         // r1/r2 evicted (410 with machine-readable context), r3/r4
         // retained.
-        let (status, body) = exchange(addr, "GET", "/v1/trace/r1", "");
+        let (status, body) = http_get(addr, "/v1/trace/r1").expect("GET");
         assert_eq!(status, 410, "{body}");
         assert!(body.contains("serve.trace_ring.evicted"), "{body}");
-        assert_eq!(exchange(addr, "GET", "/v1/trace/r2", "").0, 410);
-        assert_eq!(exchange(addr, "GET", "/v1/trace/r3", "").0, 200);
-        assert_eq!(exchange(addr, "GET", "/v1/trace/r4", "").0, 200);
-        let (_, metrics) = exchange(addr, "GET", "/v1/metrics", "");
+        assert_eq!(http_get(addr, "/v1/trace/r2").expect("GET").0, 410);
+        assert_eq!(http_get(addr, "/v1/trace/r3").expect("GET").0, 200);
+        assert_eq!(http_get(addr, "/v1/trace/r4").expect("GET").0, 200);
+        let (_, metrics) = http_get(addr, "/v1/metrics").expect("GET");
         let doc = json::parse(&metrics).expect("metrics is JSON");
         assert_eq!(
             doc.get("counters")
@@ -260,7 +233,8 @@ fn concurrent_access_log_counts_only_each_requests_own_lookups() {
                         })
                         .collect();
                     let body = format!(r#"{{"queries":[{}]}}"#, queries.join(","));
-                    assert_eq!(exchange(addr, "POST", "/v1/batch", &body).0, 200);
+                    let (status, _) = request(addr, "POST", "/v1/batch", Some(&body)).expect("POST");
+                    assert_eq!(status, 200);
                 }
             });
             for t in 0..2 {
@@ -270,7 +244,8 @@ fn concurrent_access_log_counts_only_each_requests_own_lookups() {
                             r#"{{"lambda_um":0.18,"sd":{},"transistors":1e7,"volume":5000,"fab_yield":0.4}}"#,
                             300 + (t * 40 + i) % 7
                         );
-                        assert_eq!(exchange(addr, "POST", "/v1/cost", &body).0, 200);
+                        let (status, _) = request(addr, "POST", "/v1/cost", Some(&body)).expect("POST");
+                        assert_eq!(status, 200);
                     }
                 });
             }

@@ -68,7 +68,7 @@ cargo run -q --release -p nanocost-sentinel --bin trace_profile -- "$TRACE_OUT" 
 # Windowed metrics view over the back half of the capture must succeed.
 cargo run -q --release -p nanocost-sentinel --bin trace_profile -- \
     --since 50% --metrics "$TRACE_OUT" >/dev/null
-# The live dashboard must render one frame from the same capture.
+# The capture dashboard must render one frame from the same capture.
 cargo run -q --release -p nanocost-sentinel --bin trace_tail -- --once "$TRACE_OUT" >/dev/null
 
 echo "==> timeline smoke: chrome export carries counter tracks"
@@ -301,10 +301,15 @@ if [[ "$FLEET_A_N" -lt 1 || "$FLEET_B_N" -lt 1 ]]; then
 fi
 grep -q '"replicas":\["a","b"\]' target/ci-fleet.json \
     || fleet_fail "fleet artifact is missing the NANOCOST_REPLICA labels"
-# The live fleet dashboard must render one frame over both replicas.
-cargo run -q --release -p nanocost-sentinel --bin trace_tail -- \
-    --attach "$FLEET_A_ADDR" --attach "$FLEET_B_ADDR" --once >/dev/null \
-    || fleet_fail "fleet trace_tail frame failed"
+# The fleet view carries the per-replica rows a live reader needs:
+# utilization per replica, each endpoint's replica-tagged p99
+# exemplar, and the slowest-vs-fastest replica p99 skew.
+grep -q '"utilization":\[{"replica":"a"' target/ci-fleet.json \
+    || fleet_fail "fleet artifact has no per-replica utilization rows"
+grep -q '"p99_exemplar":{"replica":' target/ci-fleet.json \
+    || fleet_fail "fleet artifact has no replica-tagged p99 exemplar"
+grep -q '"skew":{' target/ci-fleet.json \
+    || fleet_fail "fleet artifact has no per-endpoint p99 skew"
 kill -TERM "$FLEET_A_PID" "$FLEET_B_PID"
 wait "$FLEET_A_PID" || fleet_fail "replica a did not exit cleanly on SIGTERM"
 wait "$FLEET_B_PID" || fleet_fail "replica b did not exit cleanly on SIGTERM"
