@@ -3,7 +3,7 @@
 //! `nanocost-serve` replicas (`/v1/metrics`, `/v1/metrics/raw`,
 //! `/v1/profile`, `/v1/trace/<req-id>`, and the model endpoints).
 //!
-//! `fleet_report`, `trace_profile --attach`, `loadgen`, and the serve
+//! `fleet_report`, `loadgen`, and the serve
 //! integration tests all speak to servers through this module, so
 //! target normalization, response framing, deadlines, partial-read
 //! handling, and retry policy live in exactly one place. A request is
@@ -250,8 +250,8 @@ mod tests {
         assert_eq!(parse_attach_target("localhost:9").as_deref(), Ok("localhost:9"));
         assert!(parse_attach_target(":8077").is_err());
         assert!(parse_attach_target("host:notaport").is_err());
-        // The message names only the target: callers take it as an
-        // `--attach` value, a positional argument, or `--replica`.
+        // The message names only the target: callers take it as a
+        // positional argument or a `--replica` value.
         assert_eq!(
             parse_attach_target("no-port"),
             Err("no-port: expected host:port".to_string())

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 
 use crate::json::{self, JsonValue};
 use crate::stats::{mann_whitney, MIN_SAMPLES};
-use crate::SentinelError;
+use crate::{schema, SentinelError};
 
 /// The run-manifest header of a format-2 capture.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,10 +79,6 @@ pub fn parse_bench_file(text: &str) -> Result<BenchFile, SentinelError> {
         out.records.push(parse_record(&v, lineno)?);
     }
     Ok(out)
-}
-
-fn schema(line: usize, message: &str) -> SentinelError {
-    SentinelError::Schema { line, message: message.to_string() }
 }
 
 fn parse_manifest(v: &JsonValue, line: usize) -> Result<Manifest, SentinelError> {

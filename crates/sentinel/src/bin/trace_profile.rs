@@ -13,27 +13,24 @@
 //! trace_profile --samples <capture.jsonl>   # aggregate the sampling
 //!                                           # profiler's stack_sample
 //!                                           # records into report JSON
-//! trace_profile --attach 127.0.0.1:8077     # scrape a live server's
-//!                                           # /v1/profile and render it
-//! trace_profile --attach host:port --window-s 10
 //! ```
 //!
 //! `--since`/`--until` take a nanosecond offset from the capture's
 //! first timestamp or a percentage of its duration, and bound a
 //! half-open window `[since, until)` applied to spans (elapsed time
-//! clipped to the overlap) and samples alike.
+//! clipped to the overlap) and samples alike. The span and metric
+//! views share one parse of the capture.
 //!
-//! `--attach` replaces the capture file with a running `nanocost-serve`:
-//! one `GET /v1/profile?window_s=N` scrape (default 30 s), rendered as
-//! the sampling-profiler hotspot table plus folded stacks. `--samples`
-//! prints the same aggregation of an offline capture as deterministic
-//! [`ProfileReport`] JSON — the `profile_diff` interchange format.
+//! `--samples` prints the sampling profiler's aggregation of the
+//! capture as deterministic [`ProfileReport`] JSON — the `profile_diff`
+//! interchange format. A live server's profile is read with
+//! `fleet_report <host:port>`, which merges `/v1/profile` into its
+//! artifact.
 //!
 //! Exit code 0 on success, 2 on usage, I/O, or parse errors.
 
 use std::process::ExitCode;
 
-use nanocost_sentinel::attach::{parse_attach_target, scrape_ok};
 use nanocost_sentinel::profile::{stack_samples_from_jsonl, Profile, ProfileReport};
 use nanocost_sentinel::timeline::{
     counter_folded, metric_summaries, resolve_window, TimelineCapture, WindowSpec,
@@ -41,11 +38,7 @@ use nanocost_sentinel::timeline::{
 use nanocost_sentinel::SentinelError;
 
 const USAGE: &str = "usage: trace_profile [--folded | --hotspots | --metrics | --samples] \
-                     [--since NS|P%] [--until NS|P%] \
-                     (<capture.jsonl> | --attach <host:port> [--window-s N])";
-
-/// Default `/v1/profile` window for `--attach`, in seconds.
-const DEFAULT_ATTACH_WINDOW_S: u64 = 30;
+                     [--since NS|P%] [--until NS|P%] <capture.jsonl>";
 
 fn parse_spec(flag: &str, value: Option<&String>) -> Result<WindowSpec, String> {
     let raw = value.ok_or_else(|| format!("{flag} needs a value\n{USAGE}"))?;
@@ -61,8 +54,6 @@ fn run(argv: &[String]) -> Result<String, String> {
     let mut since: Option<WindowSpec> = None;
     let mut until: Option<WindowSpec> = None;
     let mut path: Option<&str> = None;
-    let mut attach: Option<String> = None;
-    let mut window_s: u64 = DEFAULT_ATTACH_WINDOW_S;
     let mut args = argv.iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -72,16 +63,6 @@ fn run(argv: &[String]) -> Result<String, String> {
             "--samples" => samples_mode = true,
             "--since" => since = Some(parse_spec("--since", args.next())?),
             "--until" => until = Some(parse_spec("--until", args.next())?),
-            "--attach" => {
-                let url = args.next().ok_or_else(|| format!("--attach needs a URL\n{USAGE}"))?;
-                attach = Some(parse_attach_target(url).map_err(|e| format!("{e}\n{USAGE}"))?);
-            }
-            "--window-s" => {
-                let raw = args.next().ok_or_else(|| format!("--window-s needs a value\n{USAGE}"))?;
-                window_s = raw
-                    .parse()
-                    .map_err(|_| format!("--window-s {raw}: not a number\n{USAGE}"))?;
-            }
             "--help" | "-h" => return Err(USAGE.to_string()),
             other if other.starts_with('-') => {
                 return Err(format!("unknown flag `{other}`\n{USAGE}"))
@@ -93,21 +74,6 @@ fn run(argv: &[String]) -> Result<String, String> {
                 path = Some(other);
             }
         }
-    }
-    if let Some(target) = attach {
-        if path.is_some() {
-            return Err(format!("--attach replaces the capture file\n{USAGE}"));
-        }
-        // The shared retrying scraper: a server mid-restart gets the
-        // three attempts before the CLI gives up.
-        let body = scrape_ok(&target, &format!("/v1/profile?window_s={window_s}"))?;
-        let report = ProfileReport::from_json(&body).map_err(|e| format!("{target}: {e}"))?;
-        let mut out = report.hotspot_table();
-        if !hotspots_only {
-            out.push_str("\n# folded stacks (sample counts)\n");
-            out.push_str(&report.folded_text());
-        }
-        return Ok(out);
     }
     let path = path.ok_or_else(|| USAGE.to_string())?;
     let text = std::fs::read_to_string(path)
@@ -162,7 +128,7 @@ fn run(argv: &[String]) -> Result<String, String> {
         }
         return Ok(out);
     }
-    let profile = Profile::from_jsonl_window(&text, window).map_err(|e| format!("{path}: {e}"))?;
+    let profile = Profile::from_capture(&capture, window);
     if !folded_only {
         out.push_str(&profile.hotspot_table());
     }
@@ -219,11 +185,58 @@ mod tests {
         ]
     }
 
+    /// Nested spans (`root` > `a` > `b`, plus a second `a`), an
+    /// unclosed span on another thread and an orphan exit.
+    fn pinned_capture() -> String {
+        let lines: Vec<String> = [
+            r#"{"ts_us":1,"thread":1,"type":"span_enter","span":1,"parent":null,"name":"root","fields":{}}"#,
+            r#"{"ts_us":2,"thread":1,"type":"span_enter","span":2,"parent":1,"name":"a","fields":{}}"#,
+            r#"{"ts_us":3,"thread":1,"type":"span_enter","span":3,"parent":2,"name":"b","fields":{}}"#,
+            r#"{"ts_us":5,"thread":1,"type":"span_exit","span":3,"name":"b","elapsed_ns":2000}"#,
+            r#"{"ts_us":7,"thread":1,"type":"span_exit","span":2,"name":"a","elapsed_ns":5000}"#,
+            r#"{"ts_us":8,"thread":1,"type":"span_enter","span":4,"parent":1,"name":"a","fields":{}}"#,
+            r#"{"ts_us":9,"thread":1,"type":"span_exit","span":4,"name":"a","elapsed_ns":1500}"#,
+            r#"{"ts_us":11,"thread":1,"type":"span_exit","span":1,"name":"root","elapsed_ns":10000}"#,
+            r#"{"ts_us":12,"thread":2,"type":"span_enter","span":5,"parent":null,"name":"open","fields":{}}"#,
+            r#"{"ts_us":13,"thread":2,"type":"span_exit","span":9,"name":"ghost","elapsed_ns":50}"#,
+        ]
+        .map(String::from)
+        .to_vec();
+        write_capture("pinned.jsonl", &lines)
+    }
+
+    const PINNED_HOTSPOTS: &str = "   calls         total          self  name\n\
+        \x20      2      6.500 us      4.500 us  a   \n\
+        \x20      1     10.000 us      3.500 us  root\n\
+        \x20      1      2.000 us      2.000 us  b   \n\
+        \n\
+        5 spans, root total 10.000 us, self total 10.000 us (1 unclosed, 1 orphan exits)\n";
+
+    const PINNED_FOLDED: &str = "root 3500\nroot;a 4500\nroot;a;b 2000\n";
+
     #[test]
-    fn window_flags_parse_and_render_header() {
-        let path = write_capture("windowed.jsonl", &capture_lines());
-        let out = run(&args(&["--since", "50%", &path])).expect("runs");
-        assert!(out.starts_with("# window ["), "{out}");
+    fn span_views_print_exactly_the_pinned_output() {
+        let path = pinned_capture();
+        assert_eq!(run(&args(&["--folded", &path])).expect("runs"), PINNED_FOLDED);
+        assert_eq!(run(&args(&["--hotspots", &path])).expect("runs"), PINNED_HOTSPOTS);
+        assert_eq!(
+            run(&args(&[&path])).expect("runs"),
+            format!("{PINNED_HOTSPOTS}\n# folded stacks\n{PINNED_FOLDED}")
+        );
+        assert_eq!(
+            run(&args(&["--since", "50%", &path])).expect("runs"),
+            "# window [7000, 13001) ns of [1000, 13000]\n\
+             \x20  calls         total          self  name\n\
+             \x20      1      4.000 us      2.500 us  root\n\
+             \x20      1      1.500 us      1.500 us  a   \n\
+             \n\
+             5 spans, root total 4.000 us, self total 4.000 us \
+             (1 unclosed, 1 orphan exits) (2 spans outside the window)\n\
+             \n\
+             # folded stacks\n\
+             root 2500\n\
+             root;a 1500\n"
+        );
     }
 
     #[test]
@@ -264,13 +277,10 @@ mod tests {
     }
 
     #[test]
-    fn attach_flags_validate_before_connecting() {
-        assert!(run(&args(&["--attach"])).is_err());
-        assert!(run(&args(&["--attach", "no-port"])).is_err());
-        assert!(
-            run(&args(&["--attach", "h:1", "cap.jsonl"])).is_err(),
-            "--attach and a capture file are mutually exclusive"
-        );
-        assert!(run(&args(&["--attach", "h:1", "--window-s", "abc"])).is_err());
+    fn live_server_flags_are_gone() {
+        for flag in ["--attach", "--window-s"] {
+            let err = run(&args(&[flag, "h:1"])).expect_err("rejected");
+            assert!(err.starts_with(&format!("unknown flag `{flag}`")), "{err}");
+        }
     }
 }

@@ -18,7 +18,7 @@
 use std::collections::BTreeMap;
 
 use crate::json::{self, JsonValue};
-use crate::SentinelError;
+use crate::{schema, SentinelError};
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -120,10 +120,6 @@ pub fn fingerprint_jsonl(text: &str) -> Result<PipelineFingerprint, SentinelErro
             (eq, EquationFingerprint { count: lines.len() as u64, digest: format!("{digest:016x}") })
         })
         .collect())
-}
-
-fn schema(line: usize, message: &str) -> SentinelError {
-    SentinelError::Schema { line, message: message.to_string() }
 }
 
 /// Parses a `FINGERPRINTS.json` document.

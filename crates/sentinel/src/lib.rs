@@ -20,16 +20,16 @@
 //!   `bench_diff` bin to separate real latency shifts from noise.
 //! - [`bench`] — parsing and statistical diffing of
 //!   `NANOCOST_BENCH_JSON` capture files against `BENCH_baseline.json`.
-//! - [`profile`] — folds the `NANOCOST_TRACE` JSONL span stream into
+//! - [`profile`] — times the spans of a parsed capture into
 //!   folded-stack flamegraph lines and a self/total-time hotspot table
 //!   (the `trace_profile` bin), with optional time-windowing; also
 //!   aggregates the sampling profiler's `stack_sample` records into a
 //!   deterministic [`profile::ProfileReport`] that `/v1/profile` serves
 //!   and the `profile_diff` bin gates on.
-//! - [`timeline`] — the reading side of the metric timeline: sample
-//!   parsing, `--since`/`--until` window algebra, per-window metric
-//!   summaries, counter flamegraphs, sparklines, and the sliding-window
-//!   dashboard state behind the `trace_tail` capture follower.
+//! - [`timeline`] — the one parse of a JSONL capture (samples and
+//!   id-keyed span intervals) that every `trace_profile` view reads,
+//!   plus the `--since`/`--until` window algebra, per-window metric
+//!   summaries and counter flamegraphs behind `trace_profile --metrics`.
 //! - [`fingerprint`] — canonical digests of the Eq.1–7 provenance
 //!   stream, checked into `FINGERPRINTS.json` so numeric drift in the
 //!   cost model fails CI with a per-equation diff (the `fingerprint`
@@ -37,8 +37,7 @@
 //! - [`attach`] — the workspace's one zero-dependency HTTP/1.1 client:
 //!   bounded single-attempt requests for `loadgen` and the serve
 //!   tests, and retrying scrapes of a live `nanocost-serve`'s
-//!   `/v1/metrics/raw` and `/v1/profile` for `fleet_report` and
-//!   `trace_profile --attach`.
+//!   `/v1/metrics/raw` and `/v1/profile` for `fleet_report`.
 //! - [`federate`] — the mergeable raw-metrics wire format behind
 //!   `GET /v1/metrics/raw` and the N-replica aggregation (fleet
 //!   quantiles, per-replica skew, summed burn verdicts, merged
@@ -127,4 +126,10 @@ impl SentinelError {
     pub fn io(path: &str, err: &std::io::Error) -> Self {
         SentinelError::Io { path: path.to_string(), message: err.to_string() }
     }
+}
+
+/// A [`SentinelError::Schema`] for a line that parsed as JSON but is
+/// not the expected shape.
+pub(crate) fn schema(line: usize, message: &str) -> SentinelError {
+    SentinelError::Schema { line, message: message.to_string() }
 }

@@ -1,12 +1,12 @@
-//! Folds the `NANOCOST_TRACE` JSONL span stream into a profile.
+//! Folds a `NANOCOST_TRACE` JSONL capture into a profile.
 //!
-//! PR 2 gave the model pipeline spans; this module turns a captured
-//! stream into (1) folded-stack lines (`root;child;leaf <self_ns>`),
-//! the interchange format every flamegraph renderer accepts, and (2) a
-//! self/total-time hotspot table. Self time is a span's elapsed time
-//! minus the elapsed time of its direct children, so the folded lines
-//! sum to the root spans' wall time — the invariant the acceptance
-//! tests pin.
+//! The first half of this module turns a parsed capture
+//! ([`TimelineCapture`], the one span reconstruction) into (1)
+//! folded-stack lines (`root;child;leaf <self_ns>`), the interchange
+//! format every flamegraph renderer accepts, and (2) a self/total-time
+//! hotspot table. Self time is a span's elapsed time minus the elapsed
+//! time of its direct children, so the folded lines sum to the root
+//! spans' wall time — the invariant the acceptance tests pin.
 //!
 //! The second half of this module aggregates the *sampling* profiler's
 //! `"type":"stack_sample"` records (emitted by
@@ -19,37 +19,28 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::json::{self, JsonValue};
-use crate::SentinelError;
+use crate::timeline::{SpanInterval, TimelineCapture};
+use crate::{schema, SentinelError};
 
-/// One span reconstructed from the stream.
-#[derive(Debug, Clone, PartialEq)]
-struct SpanNode {
-    name: String,
-    parent: Option<u64>,
-    thread: u64,
-    /// Entry time in nanoseconds (the enter record's `ts_us` scaled
-    /// up); anchors window clipping.
-    start_ns: u64,
-    /// Elapsed nanoseconds from the exit record (clipped to the window
-    /// when one is active); `None` while unclosed or fully outside the
-    /// window.
-    elapsed_ns: Option<u64>,
-    /// Sum of direct (closed) children's elapsed nanoseconds.
+/// Clipped time of one closed span that overlaps the window.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct SpanTime<'a> {
+    span: &'a SpanInterval,
+    /// Elapsed nanoseconds, clipped to the window.
+    elapsed_ns: u64,
+    /// Sum of direct timed children's clipped elapsed nanoseconds.
     children_ns: u64,
 }
 
-/// A reconstructed span profile.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Profile {
-    spans: BTreeMap<u64, SpanNode>,
-    /// Half-open time window `[since, until)` in epoch nanoseconds;
-    /// span elapsed time is clipped to it. `None` = whole capture.
-    window: Option<(u64, u64)>,
+/// A span profile over one parsed capture.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Profile<'a> {
+    capture: &'a TimelineCapture,
+    /// Closed spans that overlap the window, keyed by span id.
+    timed: BTreeMap<u64, SpanTime<'a>>,
     /// Spans that entered but never exited (a crash or truncated
     /// capture); they are excluded from timing but kept for stack paths.
     pub unclosed: usize,
-    /// Exit records with no matching enter (truncated capture head).
-    pub orphan_exits: usize,
     /// Closed spans whose interval missed the window entirely; their
     /// time is excluded but their names still anchor stack paths.
     pub windowed_out: usize,
@@ -68,162 +59,68 @@ pub struct Hotspot {
     pub self_ns: u64,
 }
 
-impl Profile {
-    /// Reconstructs a profile from a JSONL capture. Non-span records
-    /// (events, provenance, metrics) are skipped; malformed JSON fails.
-    ///
-    /// # Errors
-    ///
-    /// [`SentinelError::Parse`] on malformed JSON,
-    /// [`SentinelError::Schema`] when a span record lacks its keys.
-    pub fn from_jsonl(text: &str) -> Result<Profile, SentinelError> {
-        Profile::from_jsonl_window(text, None)
-    }
-
-    /// [`Profile::from_jsonl`] restricted to a half-open time window
-    /// `[since, until)` in epoch nanoseconds. A span's elapsed time is
-    /// clipped to its overlap with the window; spans with no overlap
-    /// contribute no time (but still anchor their descendants' stack
-    /// paths) and are counted in [`Profile::windowed_out`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Profile::from_jsonl`].
-    pub fn from_jsonl_window(
-        text: &str,
-        window: Option<(u64, u64)>,
-    ) -> Result<Profile, SentinelError> {
-        let mut p = Profile { window, ..Profile::default() };
-        for (i, line) in text.lines().enumerate() {
-            let lineno = i + 1;
-            if line.trim().is_empty() {
+impl<'a> Profile<'a> {
+    /// Times the spans of `capture`, restricted to the half-open window
+    /// `[since, until)` in epoch nanoseconds (`None` = whole capture).
+    /// A span's elapsed time is clipped to its overlap with the window;
+    /// spans with no overlap contribute no time (but still anchor their
+    /// descendants' stack paths) and are counted in
+    /// [`Profile::windowed_out`].
+    #[must_use]
+    pub fn from_capture(capture: &'a TimelineCapture, window: Option<(u64, u64)>) -> Self {
+        let mut p = Profile {
+            capture,
+            timed: BTreeMap::new(),
+            unclosed: 0,
+            windowed_out: 0,
+        };
+        let mut child_time: Vec<(u64, u64)> = Vec::new();
+        for (&id, span) in &capture.spans {
+            let Some(end) = span.end_ns else {
+                p.unclosed += 1;
+                continue;
+            };
+            // Children nest inside parents in time, so clipped child
+            // time never exceeds clipped parent time and the self-time
+            // invariant survives windowing.
+            let elapsed_ns = match window {
+                None => end - span.start_ns,
+                Some((lo, hi)) => end.min(hi).saturating_sub(span.start_ns.max(lo)),
+            };
+            if window.is_some() && elapsed_ns == 0 {
+                p.windowed_out += 1;
                 continue;
             }
-            let v =
-                json::parse(line).map_err(|error| SentinelError::Parse { line: lineno, error })?;
-            match v.get("type").and_then(JsonValue::as_str) {
-                Some("span_enter") => p.on_enter(&v, lineno)?,
-                Some("span_exit") => p.on_exit(&v, lineno)?,
-                _ => {}
+            p.timed.insert(id, SpanTime { span, elapsed_ns, children_ns: 0 });
+            if let Some(parent) = span.parent {
+                child_time.push((parent, elapsed_ns));
             }
         }
-        // Windowed-out spans also carry `elapsed_ns: None`; only the
-        // remainder genuinely never closed.
-        let no_elapsed = p.spans.values().filter(|s| s.elapsed_ns.is_none()).count();
-        p.unclosed = no_elapsed.saturating_sub(p.windowed_out);
-        Ok(p)
-    }
-
-    fn on_enter(&mut self, v: &JsonValue, line: usize) -> Result<(), SentinelError> {
-        let span = v
-            .get("span")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| schema(line, "span_enter missing `span`"))?;
-        let name = v
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| schema(line, "span_enter missing `name`"))?
-            .to_string();
-        let parent = v.get("parent").and_then(JsonValue::as_u64);
-        let thread = v.get("thread").and_then(JsonValue::as_u64).unwrap_or(0);
-        let start_ns = v
-            .get("ts_us")
-            .and_then(JsonValue::as_u64)
-            .map_or(0, |us| us.saturating_mul(1_000));
-        self.spans.insert(
-            span,
-            SpanNode { name, parent, thread, start_ns, elapsed_ns: None, children_ns: 0 },
-        );
-        Ok(())
-    }
-
-    fn on_exit(&mut self, v: &JsonValue, line: usize) -> Result<(), SentinelError> {
-        let span = v
-            .get("span")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| schema(line, "span_exit missing `span`"))?;
-        let elapsed = v
-            .get("elapsed_ns")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| schema(line, "span_exit missing `elapsed_ns`"))?;
-        let window = self.window;
-        let parent = match self.spans.get_mut(&span) {
-            Some(node) => {
-                // Clip the span's interval to the window, if one is
-                // active. Children nest inside parents in time, so
-                // clipped child time never exceeds clipped parent time
-                // and the self-time invariant survives windowing.
-                let clipped = match window {
-                    None => Some(elapsed),
-                    Some((lo, hi)) => {
-                        let start = node.start_ns;
-                        let end = start.saturating_add(elapsed);
-                        let overlap = end.min(hi).saturating_sub(start.max(lo));
-                        if overlap > 0 {
-                            Some(overlap)
-                        } else {
-                            self.windowed_out += 1;
-                            None
-                        }
-                    }
-                };
-                node.elapsed_ns = clipped;
-                clipped.map(|c| (node.parent, c))
-            }
-            None => {
-                self.orphan_exits += 1;
-                return Ok(());
-            }
-        };
-        if let Some((Some(pid), clipped)) = parent {
-            if let Some(pnode) = self.spans.get_mut(&pid) {
-                pnode.children_ns += clipped;
+        for (parent, elapsed_ns) in child_time {
+            if let Some(t) = p.timed.get_mut(&parent) {
+                t.children_ns += elapsed_ns;
             }
         }
-        Ok(())
+        p
     }
 
     /// Number of spans reconstructed (closed or not).
     #[must_use]
     pub fn span_count(&self) -> usize {
-        self.spans.len()
+        self.capture.spans.len()
     }
 
     /// Total elapsed nanoseconds of closed root spans (no parent).
     #[must_use]
     pub fn root_total_ns(&self) -> u64 {
-        self.spans
-            .values()
-            .filter(|s| s.parent.is_none())
-            .filter_map(|s| s.elapsed_ns)
-            .sum()
+        self.timed.values().filter(|t| t.span.parent.is_none()).map(|t| t.elapsed_ns).sum()
     }
 
     /// Sum of self time over all closed spans; equals
     /// [`Self::root_total_ns`] for a complete, well-nested capture.
     #[must_use]
     pub fn total_self_ns(&self) -> u64 {
-        self.spans
-            .values()
-            .filter_map(|s| s.elapsed_ns.map(|e| e.saturating_sub(s.children_ns)))
-            .sum()
-    }
-
-    /// The `;`-joined ancestor path of a span, root first.
-    fn stack_path(&self, mut id: u64) -> String {
-        let mut names: Vec<&str> = Vec::new();
-        // Bounded walk guards against a corrupt capture with a parent
-        // cycle; real traces are trees.
-        for _ in 0..1024 {
-            let Some(node) = self.spans.get(&id) else { break };
-            names.push(&node.name);
-            match node.parent {
-                Some(p) => id = p,
-                None => break,
-            }
-        }
-        names.reverse();
-        names.join(";")
+        self.timed.values().map(|t| t.elapsed_ns.saturating_sub(t.children_ns)).sum()
     }
 
     /// Folded-stack lines, one per distinct stack with positive self
@@ -231,11 +128,10 @@ impl Profile {
     #[must_use]
     pub fn folded_stacks(&self) -> String {
         let mut by_stack: BTreeMap<String, u64> = BTreeMap::new();
-        for (&id, node) in &self.spans {
-            let Some(elapsed) = node.elapsed_ns else { continue };
-            let self_ns = elapsed.saturating_sub(node.children_ns);
+        for (&id, t) in &self.timed {
+            let self_ns = t.elapsed_ns.saturating_sub(t.children_ns);
             if self_ns > 0 {
-                *by_stack.entry(self.stack_path(id)).or_insert(0) += self_ns;
+                *by_stack.entry(self.capture.stack_path(id)).or_insert(0) += self_ns;
             }
         }
         let mut out = String::new();
@@ -250,17 +146,16 @@ impl Profile {
     #[must_use]
     pub fn hotspots(&self) -> Vec<Hotspot> {
         let mut by_name: BTreeMap<&str, Hotspot> = BTreeMap::new();
-        for node in self.spans.values() {
-            let Some(elapsed) = node.elapsed_ns else { continue };
-            let row = by_name.entry(&node.name).or_insert_with(|| Hotspot {
-                name: node.name.clone(),
+        for t in self.timed.values() {
+            let row = by_name.entry(&t.span.name).or_insert_with(|| Hotspot {
+                name: t.span.name.clone(),
                 calls: 0,
                 total_ns: 0,
                 self_ns: 0,
             });
             row.calls += 1;
-            row.total_ns += elapsed;
-            row.self_ns += elapsed.saturating_sub(node.children_ns);
+            row.total_ns += t.elapsed_ns;
+            row.self_ns += t.elapsed_ns.saturating_sub(t.children_ns);
         }
         let mut rows: Vec<Hotspot> = by_name.into_values().collect();
         rows.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then_with(|| a.name.cmp(&b.name)));
@@ -288,11 +183,9 @@ impl Profile {
             fmt_ns(self.root_total_ns()),
             fmt_ns(self.total_self_ns()),
         ));
-        if self.unclosed > 0 || self.orphan_exits > 0 {
-            out.push_str(&format!(
-                " ({} unclosed, {} orphan exits)",
-                self.unclosed, self.orphan_exits
-            ));
+        let orphan_exits = self.capture.orphan_exits;
+        if self.unclosed > 0 || orphan_exits > 0 {
+            out.push_str(&format!(" ({} unclosed, {orphan_exits} orphan exits)", self.unclosed));
         }
         if self.windowed_out > 0 {
             out.push_str(&format!(" ({} spans outside the window)", self.windowed_out));
@@ -300,10 +193,6 @@ impl Profile {
         out.push('\n');
         out
     }
-}
-
-fn schema(line: usize, message: &str) -> SentinelError {
-    SentinelError::Schema { line, message: message.to_string() }
 }
 
 /// Renders nanoseconds with an SI prefix suited to the magnitude.
@@ -847,7 +736,8 @@ mod tests {
 
     #[test]
     fn self_time_sums_to_the_root_span() {
-        let p = Profile::from_jsonl(&nested_capture()).expect("parses");
+        let cap = TimelineCapture::parse(&nested_capture()).expect("parses");
+        let p = Profile::from_capture(&cap, None);
         assert_eq!(p.root_total_ns(), 1000);
         assert_eq!(p.total_self_ns(), 1000);
         assert_eq!(p.unclosed, 0);
@@ -855,7 +745,8 @@ mod tests {
 
     #[test]
     fn folded_stacks_carry_full_paths_and_self_times() {
-        let p = Profile::from_jsonl(&nested_capture()).expect("parses");
+        let cap = TimelineCapture::parse(&nested_capture()).expect("parses");
+        let p = Profile::from_capture(&cap, None);
         let folded = p.folded_stacks();
         let lines: Vec<&str> = folded.lines().collect();
         assert!(lines.contains(&"root 300"), "root self = 1000-600-100: {folded}");
@@ -871,7 +762,8 @@ mod tests {
 
     #[test]
     fn hotspots_aggregate_by_name() {
-        let p = Profile::from_jsonl(&nested_capture()).expect("parses");
+        let cap = TimelineCapture::parse(&nested_capture()).expect("parses");
+        let p = Profile::from_capture(&cap, None);
         let rows = p.hotspots();
         let a = rows.iter().find(|r| r.name == "a").expect("has `a`");
         assert_eq!(a.calls, 2);
@@ -886,9 +778,10 @@ mod tests {
     #[test]
     fn unclosed_and_orphan_spans_are_counted_not_fatal() {
         let text = [enter(1, None, "root"), exit(9, "ghost", 50)].join("\n");
-        let p = Profile::from_jsonl(&text).expect("parses");
+        let cap = TimelineCapture::parse(&text).expect("parses");
+        let p = Profile::from_capture(&cap, None);
         assert_eq!(p.unclosed, 1);
-        assert_eq!(p.orphan_exits, 1);
+        assert_eq!(cap.orphan_exits, 1);
         assert_eq!(p.root_total_ns(), 0);
     }
 
@@ -900,8 +793,8 @@ mod tests {
             "{\"ts_us\":1,\"thread\":0,\"type\":\"metric\",\"name\":\"m\",",
             "\"metric_kind\":\"counter\",\"fields\":{}}\n"
         );
-        let p = Profile::from_jsonl(text).expect("parses");
-        assert_eq!(p.span_count(), 0);
+        let cap = TimelineCapture::parse(text).expect("parses");
+        assert_eq!(Profile::from_capture(&cap, None).span_count(), 0);
     }
 
     #[test]
@@ -925,11 +818,12 @@ mod tests {
         ]
         .join("\n");
         // Full capture: root 1000 + late 400.
-        let p = Profile::from_jsonl(&text).expect("parses");
+        let cap = TimelineCapture::parse(&text).expect("parses");
+        let p = Profile::from_capture(&cap, None);
         assert_eq!(p.root_total_ns(), 1400);
         // Window [1000, 1500): root clipped to 500, `a` clipped to 500,
         // `late` excluded entirely.
-        let w = Profile::from_jsonl_window(&text, Some((1_000, 1_500))).expect("parses");
+        let w = Profile::from_capture(&cap, Some((1_000, 1_500)));
         assert_eq!(w.root_total_ns(), 500);
         assert_eq!(w.total_self_ns(), 500);
         assert_eq!(w.windowed_out, 1);
@@ -938,7 +832,7 @@ mod tests {
         assert!(folded.contains("root;a 500"), "{folded}");
         assert!(!folded.contains("late"), "{folded}");
         // Empty window: nothing survives, nothing panics.
-        let e = Profile::from_jsonl_window(&text, Some((9_000, 9_000))).expect("parses");
+        let e = Profile::from_capture(&cap, Some((9_000, 9_000)));
         assert_eq!(e.root_total_ns(), 0);
         assert_eq!(e.windowed_out, 3);
     }
@@ -946,7 +840,7 @@ mod tests {
     #[test]
     fn malformed_lines_fail_with_the_line_number() {
         let text = format!("{}\nnot json\n", enter(1, None, "root"));
-        match Profile::from_jsonl(&text) {
+        match TimelineCapture::parse(&text) {
             Err(SentinelError::Parse { line: 2, .. }) => {}
             other => panic!("unexpected: {other:?}"),
         }

@@ -1,20 +1,21 @@
-//! Consumes the `"type":"sample"` timeline stream: windowing, metric
-//! summaries, counter flamegraphs, sparklines, and the `trace_tail`
-//! dashboard state.
+//! Parses a `NANOCOST_TRACE` JSONL capture once into its samples and
+//! span intervals, and answers the windowed metric questions over it.
 //!
 //! `nanocost-trace` produces timestamped metric samples (one point per
-//! counter/gauge/histogram update); this module is the reading side.
-//! [`TimelineCapture::parse`] reconstructs the sample stream and the
-//! span intervals from a JSONL capture; [`WindowSpec`] implements the
-//! `--since`/`--until` algebra (ns offsets or percentages, resolved to
-//! a half-open `[since, until)` window); [`metric_summaries`] and
-//! [`counter_folded`] power `trace_profile --metrics`; [`Dashboard`]
-//! holds the sliding-window state the `trace_tail` bin renders.
+//! counter/gauge/histogram update, written when the trace flushes);
+//! this module is the reading side. [`TimelineCapture::parse`]
+//! reconstructs the sample stream and the span intervals, keyed by span
+//! id, from a JSONL capture — the one span reconstruction behind every
+//! `trace_profile` view ([`crate::profile::Profile`] computes span time
+//! from it). [`WindowSpec`] implements the `--since`/`--until` algebra
+//! (ns offsets or percentages, resolved to a half-open `[since, until)`
+//! window); [`metric_summaries`] and [`counter_folded`] power
+//! `trace_profile --metrics`.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use crate::json::{self, JsonValue};
-use crate::{LogHistogram, SentinelError};
+use crate::{schema, SentinelError};
 
 /// One timeline point read back from a capture.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,8 +58,11 @@ pub struct SpanInterval {
 pub struct TimelineCapture {
     /// All sample records, in file order.
     pub samples: Vec<SamplePoint>,
-    /// All span intervals, in enter order.
-    pub spans: Vec<SpanInterval>,
+    /// All span intervals, keyed by span id (a re-used id keeps its
+    /// latest enter).
+    pub spans: BTreeMap<u64, SpanInterval>,
+    /// Exit records with no matching enter (truncated capture head).
+    pub orphan_exits: usize,
     /// Earliest timestamp seen across all records (ns).
     pub t_min_ns: u64,
     /// Latest timestamp seen across all records (ns).
@@ -76,7 +80,6 @@ impl TimelineCapture {
     /// keys.
     pub fn parse(text: &str) -> Result<TimelineCapture, SentinelError> {
         let mut cap = TimelineCapture::default();
-        let mut open: BTreeMap<u64, usize> = BTreeMap::new();
         let mut t_min = u64::MAX;
         let mut t_max = 0u64;
         for (i, line) in text.lines().enumerate() {
@@ -130,15 +133,10 @@ impl TimelineCapture {
                         .to_string();
                     let parent = v.get("parent").and_then(JsonValue::as_u64);
                     let start_ns = ts_ns.unwrap_or(0);
-                    open.insert(span, cap.spans.len());
-                    cap.spans.push(SpanInterval {
+                    cap.spans.insert(
                         span,
-                        parent,
-                        thread,
-                        name,
-                        start_ns,
-                        end_ns: None,
-                    });
+                        SpanInterval { span, parent, thread, name, start_ns, end_ns: None },
+                    );
                 }
                 Some("span_exit") => {
                     let span = v
@@ -149,13 +147,14 @@ impl TimelineCapture {
                         .get("elapsed_ns")
                         .and_then(JsonValue::as_u64)
                         .ok_or_else(|| schema(lineno, "span_exit missing `elapsed_ns`"))?;
-                    if let Some(&idx) = open.get(&span) {
-                        if let Some(interval) = cap.spans.get_mut(idx) {
+                    match cap.spans.get_mut(&span) {
+                        Some(interval) => {
                             let end = interval.start_ns.saturating_add(elapsed);
                             interval.end_ns = Some(end);
                             t_min = t_min.min(interval.start_ns);
                             t_max = t_max.max(end);
                         }
+                        None => cap.orphan_exits += 1,
                     }
                 }
                 _ => {}
@@ -170,38 +169,34 @@ impl TimelineCapture {
     }
 
     /// The innermost closed span containing time `t` on `thread` (the
-    /// containing interval with the latest start), if any.
+    /// containing interval with the latest start; ties go to the larger
+    /// id, which a thread allocates later), if any.
     #[must_use]
     pub fn enclosing_span(&self, thread: u64, t: u64) -> Option<&SpanInterval> {
         self.spans
-            .iter()
+            .values()
             .filter(|s| s.thread == thread && s.start_ns <= t)
             .filter(|s| s.end_ns.is_some_and(|e| t < e))
             .max_by_key(|s| s.start_ns)
     }
 
-    /// The `;`-joined ancestor path of a span interval, root first.
+    /// The `;`-joined ancestor path of span `id`, root first.
     #[must_use]
-    pub fn stack_path(&self, interval: &SpanInterval) -> String {
-        let by_id: BTreeMap<u64, &SpanInterval> =
-            self.spans.iter().map(|s| (s.span, s)).collect();
-        let mut names: Vec<&str> = vec![&interval.name];
-        let mut cursor = interval.parent;
+    pub fn stack_path(&self, mut id: u64) -> String {
+        let mut names: Vec<&str> = Vec::new();
         // Bounded walk guards against a corrupt capture with a parent
         // cycle; real traces are trees.
         for _ in 0..1024 {
-            let Some(pid) = cursor else { break };
-            let Some(node) = by_id.get(&pid) else { break };
+            let Some(node) = self.spans.get(&id) else { break };
             names.push(&node.name);
-            cursor = node.parent;
+            match node.parent {
+                Some(p) => id = p,
+                None => break,
+            }
         }
         names.reverse();
         names.join(";")
     }
-}
-
-fn schema(line: usize, message: &str) -> SentinelError {
-    SentinelError::Schema { line, message: message.to_string() }
 }
 
 // ---------------------------------------------------------------------
@@ -296,7 +291,7 @@ pub struct MetricSummary {
     pub mean: f64,
     /// Largest value in the window.
     pub max: f64,
-    /// Last value in the window (file order).
+    /// Value at the latest `t_ns` in the window (ties: the later line).
     pub last: f64,
 }
 
@@ -304,29 +299,37 @@ pub struct MetricSummary {
 /// sorted by metric name. Samples with a `null` value are skipped.
 #[must_use]
 pub fn metric_summaries(samples: &[SamplePoint], window: (u64, u64)) -> Vec<MetricSummary> {
-    let mut by_name: BTreeMap<&str, MetricSummary> = BTreeMap::new();
+    // The flush drains per-thread buffers one thread at a time, so file
+    // order is not time order: `last` tracks the latest `t_ns` instead.
+    let mut by_name: BTreeMap<&str, (MetricSummary, u64)> = BTreeMap::new();
     for s in samples {
         if !in_window(s.t_ns, window) {
             continue;
         }
         let Some(v) = s.value else { continue };
-        let row = by_name.entry(&s.name).or_insert_with(|| MetricSummary {
-            name: s.name.clone(),
-            metric_kind: s.metric_kind.clone(),
-            count: 0,
-            min: f64::INFINITY,
-            mean: 0.0,
-            max: f64::NEG_INFINITY,
-            last: v,
+        let (row, last_t_ns) = by_name.entry(&s.name).or_insert_with(|| {
+            let row = MetricSummary {
+                name: s.name.clone(),
+                metric_kind: s.metric_kind.clone(),
+                count: 0,
+                min: f64::INFINITY,
+                mean: 0.0,
+                max: f64::NEG_INFINITY,
+                last: v,
+            };
+            (row, s.t_ns)
         });
         row.count += 1;
         row.min = row.min.min(v);
         row.max = row.max.max(v);
         // Running mean, numerically stable for long windows.
         row.mean += (v - row.mean) / row.count as f64;
-        row.last = v;
+        if s.t_ns >= *last_t_ns {
+            *last_t_ns = s.t_ns;
+            row.last = v;
+        }
     }
-    by_name.into_values().collect()
+    by_name.into_values().map(|(row, _)| row).collect()
 }
 
 /// Folds windowed counter deltas onto the enclosing span stack:
@@ -335,235 +338,40 @@ pub fn metric_summaries(samples: &[SamplePoint], window: (u64, u64)) -> Vec<Metr
 /// with no enclosing span fold under `(no span)`.
 #[must_use]
 pub fn counter_folded(capture: &TimelineCapture, window: (u64, u64)) -> String {
-    let mut prev: BTreeMap<(u64, &str), f64> = BTreeMap::new();
-    let mut by_stack: BTreeMap<String, f64> = BTreeMap::new();
+    // A counter sample carries the process-global running total, and the
+    // flush writes one thread's samples after another's. The total only
+    // grows, so value order is update order: sorted by value, each delta
+    // is exactly one update's increment, whichever thread made it.
+    let mut by_name: BTreeMap<&str, Vec<(f64, &SamplePoint)>> = BTreeMap::new();
     for s in &capture.samples {
         if s.metric_kind != "counter" {
             continue;
         }
-        let Some(v) = s.value else { continue };
-        let slot = prev.entry((s.thread, &s.name)).or_insert(0.0);
-        let delta = v - *slot;
-        *slot = v;
-        if !in_window(s.t_ns, window) || delta <= 0.0 {
-            continue;
+        if let Some(v) = s.value {
+            by_name.entry(&s.name).or_default().push((v, s));
         }
-        let stack = capture
-            .enclosing_span(s.thread, s.t_ns)
-            .map_or_else(|| "(no span)".to_string(), |sp| capture.stack_path(sp));
-        *by_stack.entry(format!("{stack};{}", s.name)).or_insert(0.0) += delta;
+    }
+    let mut by_stack: BTreeMap<String, f64> = BTreeMap::new();
+    for (name, mut points) in by_name {
+        points.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut prev = 0.0;
+        for (v, s) in points {
+            let delta = v - prev;
+            prev = v;
+            if !in_window(s.t_ns, window) || delta <= 0.0 {
+                continue;
+            }
+            let stack = capture
+                .enclosing_span(s.thread, s.t_ns)
+                .map_or_else(|| "(no span)".to_string(), |sp| capture.stack_path(sp.span));
+            *by_stack.entry(format!("{stack};{name}")).or_insert(0.0) += delta;
+        }
     }
     let mut out = String::new();
     for (stack, delta) in by_stack {
         out.push_str(&format!("{stack} {}\n", delta.round() as i64));
     }
     out
-}
-
-// ---------------------------------------------------------------------
-// Sparklines
-// ---------------------------------------------------------------------
-
-/// The eight block heights a sparkline cell can take.
-const SPARK_LEVELS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-
-/// Renders values as a unicode-block sparkline of at most `width`
-/// cells: values are bucketed by position, each bucket's mean mapped to
-/// one of eight block heights scaled over the observed min..max range.
-#[must_use]
-pub fn sparkline(values: &[f64], width: usize) -> String {
-    if values.is_empty() || width == 0 {
-        return String::new();
-    }
-    let cells = width.min(values.len());
-    let mut bucket_sum = vec![0.0f64; cells];
-    let mut bucket_n = vec![0u64; cells];
-    for (i, v) in values.iter().enumerate() {
-        let b = (i * cells) / values.len();
-        let b = b.min(cells - 1);
-        bucket_sum[b] += v;
-        bucket_n[b] += 1;
-    }
-    let means: Vec<f64> = bucket_sum
-        .iter()
-        .zip(&bucket_n)
-        .map(|(s, &n)| if n == 0 { 0.0 } else { s / n as f64 })
-        .collect();
-    let lo = means.iter().copied().fold(f64::INFINITY, f64::min);
-    let hi = means.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let range = hi - lo;
-    means
-        .iter()
-        .map(|m| {
-            let level = if range > 0.0 {
-                (((m - lo) / range) * 7.0).round() as usize
-            } else {
-                3
-            };
-            SPARK_LEVELS[level.min(7)]
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
-// trace_tail dashboard state
-// ---------------------------------------------------------------------
-
-/// One metric's sliding-window point store.
-#[derive(Debug, Clone, PartialEq)]
-struct Series {
-    metric_kind: String,
-    points: VecDeque<(u64, f64)>,
-}
-
-/// Incremental dashboard over a growing JSONL capture: feed it lines as
-/// they arrive ([`Dashboard::ingest_line`]), render a frame on a timer
-/// ([`Dashboard::render`]). Keeps only the sliding window in memory.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Dashboard {
-    window_ns: u64,
-    series: BTreeMap<String, Series>,
-    /// Total lines fed in (including non-sample records).
-    pub lines_ingested: u64,
-    /// Lines that failed to parse or lacked sample keys (a growing
-    /// file's final line is routinely half-written; these are expected
-    /// and merely counted).
-    pub parse_errors: u64,
-    /// Latest sample timestamp seen (ns).
-    pub last_t_ns: u64,
-}
-
-impl Dashboard {
-    /// A dashboard keeping `window_ns` of trailing samples per metric.
-    #[must_use]
-    pub fn new(window_ns: u64) -> Self {
-        Dashboard {
-            window_ns: window_ns.max(1),
-            series: BTreeMap::new(),
-            lines_ingested: 0,
-            parse_errors: 0,
-            last_t_ns: 0,
-        }
-    }
-
-    /// Feeds one line from the capture. Only `"type":"sample"` records
-    /// change the dashboard; anything else (other record types, blank
-    /// lines) is counted and skipped, and malformed JSON — routine for
-    /// the last, still-being-written line of a live file — increments
-    /// [`Self::parse_errors`] instead of failing.
-    pub fn ingest_line(&mut self, line: &str) {
-        self.lines_ingested += 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            return;
-        }
-        let Ok(v) = json::parse(trimmed) else {
-            self.parse_errors += 1;
-            return;
-        };
-        if v.get("type").and_then(JsonValue::as_str) != Some("sample") {
-            return;
-        }
-        let (Some(name), Some(kind), Some(t_ns)) = (
-            v.get("name").and_then(JsonValue::as_str),
-            v.get("metric_kind").and_then(JsonValue::as_str),
-            v.get("t_ns").and_then(JsonValue::as_u64),
-        ) else {
-            self.parse_errors += 1;
-            return;
-        };
-        let Some(value) = v.get("value").and_then(JsonValue::as_f64) else {
-            return;
-        };
-        self.last_t_ns = self.last_t_ns.max(t_ns);
-        let horizon = self.last_t_ns.saturating_sub(self.window_ns);
-        // A capture interleaves per-thread sample buffers, so one
-        // metric's points can arrive out of time order: a late point
-        // already behind the window is dropped, the rest are inserted
-        // at their `t_ns` position so each series stays sorted.
-        if t_ns < horizon {
-            return;
-        }
-        let series = self.series.entry(name.to_string()).or_insert_with(|| Series {
-            metric_kind: kind.to_string(),
-            points: VecDeque::new(),
-        });
-        let at = series.points.partition_point(|&(t, _)| t <= t_ns);
-        series.points.insert(at, (t_ns, value));
-        // Evict everything that slid out of the window.
-        for s in self.series.values_mut() {
-            while s.points.front().is_some_and(|&(t, _)| t < horizon) {
-                s.points.pop_front();
-            }
-        }
-    }
-
-    /// Number of metrics with at least one point in the window.
-    #[must_use]
-    pub fn live_metrics(&self) -> usize {
-        self.series.values().filter(|s| !s.points.is_empty()).count()
-    }
-
-    /// Renders one dashboard frame: a header line, then one block per
-    /// metric — sparkline plus kind-appropriate stats (gauges:
-    /// last/min/max; counters: total and rate per second; histograms:
-    /// p50/p90/p99 from a window [`LogHistogram`]).
-    #[must_use]
-    pub fn render(&self, width: usize) -> String {
-        let width = width.clamp(8, 120);
-        let mut out = format!(
-            "trace_tail  t={:.3}s  window={:.1}s  metrics={}  lines={}  unparsed={}\n",
-            self.last_t_ns as f64 / 1.0e9,
-            self.window_ns as f64 / 1.0e9,
-            self.live_metrics(),
-            self.lines_ingested,
-            self.parse_errors
-        );
-        let name_w = self
-            .series
-            .iter()
-            .filter(|(_, s)| !s.points.is_empty())
-            .map(|(n, _)| n.len())
-            .max()
-            .unwrap_or(4);
-        for (name, series) in &self.series {
-            if series.points.is_empty() {
-                continue;
-            }
-            let values: Vec<f64> = series.points.iter().map(|&(_, v)| v).collect();
-            let spark = sparkline(&values, width);
-            let stats = match series.metric_kind.as_str() {
-                "counter" => {
-                    let first = series.points.front().map_or(0.0, |&(_, v)| v);
-                    let last = series.points.back().map_or(0.0, |&(_, v)| v);
-                    let t0 = series.points.front().map_or(0, |&(t, _)| t);
-                    let t1 = series.points.back().map_or(0, |&(t, _)| t);
-                    let dt_s = t1.saturating_sub(t0) as f64 / 1.0e9;
-                    let rate = if dt_s > 0.0 { (last - first) / dt_s } else { 0.0 };
-                    format!("total={last:.0} rate={rate:.1}/s")
-                }
-                "histogram" => {
-                    let mut h = LogHistogram::new();
-                    for v in &values {
-                        h.record(*v);
-                    }
-                    let q = |p: f64| h.quantile(p).unwrap_or(0.0);
-                    format!("n={} p50={:.3e} p90={:.3e} p99={:.3e}", h.count(), q(0.5), q(0.9), q(0.99))
-                }
-                _ => {
-                    let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
-                    let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                    let last = values.last().copied().unwrap_or(0.0);
-                    format!("last={last:.4} min={lo:.4} max={hi:.4}")
-                }
-            };
-            out.push_str(&format!(
-                "{name:<name_w$}  {spark:<width$}  [{kind}] {stats}\n",
-                kind = series.metric_kind
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -617,7 +425,8 @@ mod tests {
         assert_eq!(cap.spans.len(), 2);
         assert_eq!(cap.t_min_ns, 1_000);
         assert_eq!(cap.t_max_ns, 200_000);
-        assert_eq!(cap.spans[0].end_ns, Some(101_000));
+        assert_eq!(cap.spans[&1].end_ns, Some(101_000));
+        assert_eq!(cap.orphan_exits, 0);
     }
 
     #[test]
@@ -699,68 +508,41 @@ mod tests {
     }
 
     #[test]
-    fn sparkline_maps_range_to_blocks() {
-        let flat = sparkline(&[2.0, 2.0, 2.0], 3);
-        assert_eq!(flat.chars().count(), 3);
-        let ramp = sparkline(&[0.0, 1.0, 2.0, 3.0], 4);
-        assert_eq!(ramp.chars().next(), Some('▁'));
-        assert_eq!(ramp.chars().last(), Some('█'));
-        assert_eq!(sparkline(&[], 10), "");
-        // More values than width: buckets average without panicking.
-        let squeezed = sparkline(&(0..100).map(f64::from).collect::<Vec<_>>(), 8);
-        assert_eq!(squeezed.chars().count(), 8);
+    fn summary_last_is_the_latest_sample_not_the_last_line() {
+        // Thread 1's buffer flushed before thread 2's, so file order and
+        // time order disagree; equal times keep the later line.
+        let text = [
+            sample_line(300, 1, "g", "gauge", 5.0),
+            sample_line(100, 2, "g", "gauge", 7.0),
+            sample_line(200, 1, "h", "gauge", 1.0),
+            sample_line(200, 2, "h", "gauge", 2.0),
+        ]
+        .join("\n");
+        let cap = TimelineCapture::parse(&text).expect("parses");
+        let full = resolve_window(None, None, cap.t_min_ns, cap.t_max_ns);
+        let last: Vec<(String, f64)> =
+            metric_summaries(&cap.samples, full).into_iter().map(|m| (m.name, m.last)).collect();
+        assert_eq!(last, [("g".to_string(), 5.0), ("h".to_string(), 2.0)]);
     }
 
     #[test]
-    fn dashboard_ingests_renders_and_slides() {
-        let mut d = Dashboard::new(500_000);
-        for line in capture().lines() {
-            d.ingest_line(line);
-        }
-        // Half-written trailing line: counted, not fatal.
-        d.ingest_line("{\"ts_us\":3,\"type\":\"sam");
-        assert_eq!(d.parse_errors, 1);
-        assert_eq!(d.live_metrics(), 2);
-        let frame = d.render(40);
-        assert!(frame.contains("trace_tail"), "{frame}");
-        assert!(frame.contains("[counter]"), "{frame}");
-        assert!(frame.contains("[gauge]"), "{frame}");
-        assert!(frame.contains("rate="), "{frame}");
-        // A far-future sample slides everything else out of the window.
-        d.ingest_line(&sample_line(10_000_000, 1, "g", "gauge", 9.0));
-        assert_eq!(d.live_metrics(), 1);
-    }
-
-    #[test]
-    fn late_samples_keep_series_in_time_order() {
-        // A sample older than the window is dropped, not rendered as
-        // the series' latest value.
-        let mut d = Dashboard::new(10);
-        d.ingest_line(&sample_line(100, 1, "g", "gauge", 1.0));
-        d.ingest_line(&sample_line(5, 2, "g", "gauge", 2.0));
-        assert_eq!(d.series["g"].points, [(100, 1.0)]);
-        assert!(d.render(40).contains("last=1.0000"), "{}", d.render(40));
-        // An in-window late point lands at its time position, so a
-        // counter's rate still spans first..last.
-        let mut d = Dashboard::new(1_000_000_000);
-        for (t, thread, v) in [(1_000, 1, 1.0), (3_000_000, 1, 4.0), (2_000_000, 2, 3.0)] {
-            d.ingest_line(&sample_line(t, thread, "c", "counter", v));
-        }
-        let times: Vec<u64> = d.series["c"].points.iter().map(|&(t, _)| t).collect();
-        assert_eq!(times, [1_000, 2_000_000, 3_000_000]);
-        let frame = d.render(40);
-        assert!(frame.contains("total=4"), "{frame}");
-        assert!(!frame.contains("rate=0.0/s"), "{frame}");
-    }
-
-    #[test]
-    fn histogram_series_render_percentiles() {
-        let mut d = Dashboard::new(1_000_000);
-        for i in 0..50u64 {
-            d.ingest_line(&sample_line(1_000 + i * 100, 1, "lat", "histogram", 0.001 * i as f64 + 0.001));
-        }
-        let frame = d.render(30);
-        assert!(frame.contains("[histogram]"), "{frame}");
-        assert!(frame.contains("p99="), "{frame}");
+    fn counter_flamegraph_conserves_a_multi_thread_total() {
+        // Two threads bumped one process-global counter in turn (1 and 3
+        // on thread 1, 2 and 4 on thread 2); the flush wrote thread 1's
+        // buffer, then thread 2's. Four increments of one: the folded
+        // deltas must sum to the last total, 4.
+        let text = [
+            span_enter(1, None, "run", 0),
+            sample_line(100, 1, "c", "counter", 1.0),
+            sample_line(300, 1, "c", "counter", 3.0),
+            sample_line(200, 2, "c", "counter", 2.0),
+            sample_line(400, 2, "c", "counter", 4.0),
+            span_exit(1, "run", 1, 1_000),
+        ]
+        .join("\n");
+        let cap = TimelineCapture::parse(&text).expect("parses");
+        let full = resolve_window(None, None, cap.t_min_ns, cap.t_max_ns);
+        let folded = counter_folded(&cap, full);
+        assert_eq!(folded, "(no span);c 2\nrun;c 2\n");
     }
 }

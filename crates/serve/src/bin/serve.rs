@@ -32,8 +32,8 @@
 //! a live view of one replica or many (it reads the mergeable state on
 //! `GET /v1/metrics/raw`), `GET /v1/metrics` for quantiles with
 //! exemplars, `GET /v1/health` for the SLO burn verdict, and
-//! `GET /v1/profile?window_s=N` (or `trace_profile --attach`) for the
-//! continuous sampling profiler's hotspot report.
+//! `GET /v1/profile?window_s=N` (merged into `fleet_report`'s artifact)
+//! for the continuous sampling profiler's hotspot report.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -19,11 +19,11 @@
 //!   records when the trace guard drops; histogram samples stream into
 //!   a [`nanocost_sentinel::LogHistogram`] and flush as percentile
 //!   summaries (p50/p90/p99/p99.9) with bounded relative error.
-//! * **Timelines** ([`timeline`]) — with `NANOCOST_TRACE_SAMPLE` set,
+//! * **Timelines** ([`timeline`]) — with `NANOCOST_TRACE_SAMPLE` on,
 //!   every metric update also lands a timestamped point in a bounded
 //!   per-thread ring buffer (deterministic 2:1 decimation on overflow,
-//!   exact `dropped` accounting), flushed as `"type":"sample"` records
-//!   and Chrome `"ph":"C"` counter tracks.
+//!   exact `dropped` accounting), flushed at exit as `"type":"sample"`
+//!   records and Chrome `"ph":"C"` counter tracks.
 //! * **Stack profiler** ([`stack_registry`]) — span guards publish the
 //!   live stack into per-thread seqlock slots; a background sampler
 //!   walks them at `NANOCOST_PROFILE_HZ` and emits
@@ -44,7 +44,7 @@
 //! | `NANOCOST_TRACE` | enables tracing; value selects the format (`text`, `jsonl`, `chrome`; `1`/`on` mean `text`) |
 //! | `NANOCOST_TRACE_FORMAT` | overrides the format when `NANOCOST_TRACE` is just an on-switch |
 //! | `NANOCOST_TRACE_FILE` | writes the trace to this path instead of the default (stderr for `text`/`jsonl`, `nanocost_trace.chrome.json` for `chrome`) |
-//! | `NANOCOST_TRACE_SAMPLE` | enables metric timeline sampling; `1`/`on` use the default per-thread buffer capacity, a number sets it |
+//! | `NANOCOST_TRACE_SAMPLE` | on/off switch for metric timeline sampling (`1`/`on`/`true` or `0`/`off`/`false`; anything else is reported and leaves it off); samples are written when the trace flushes at exit |
 //! | `NANOCOST_PROFILE_HZ` | starts the stack-sampling profiler (see [`stack_registry`]) at this rate; `0`/`off` disables, `1`/`on` use the 99 Hz default |
 //!
 //! # Example
@@ -508,8 +508,15 @@ pub fn init_from_env() -> TraceGuard {
     };
     let installed = set_subscriber(Box::new(WriterSubscriber::new(exporter, out)));
     if installed {
-        if let Some(capacity) = sample_capacity_from_env() {
-            timeline::enable_sampling(capacity);
+        let sampling = std::env::var("NANOCOST_TRACE_SAMPLE")
+            .map_or(Ok(false), |raw| parse_trace_sample(&raw));
+        match sampling {
+            Ok(true) => timeline::enable_sampling(),
+            Ok(false) => {}
+            Err(msg) => {
+                // nanocost-audit: allow(R6, reason = "env misconfiguration diagnostic during init; library has no other channel and must not abort the host's run")
+                eprintln!("nanocost-trace: {msg}; sampling stays off");
+            }
         }
         match stack_registry::profile_hz_from_env() {
             Ok(stack_registry::ProfileHz::Hz(hz)) => {
@@ -525,16 +532,15 @@ pub fn init_from_env() -> TraceGuard {
     TraceGuard { active: installed }
 }
 
-/// Parses `NANOCOST_TRACE_SAMPLE`: `None` means sampling stays off;
-/// `Some(None)` means on at the default capacity; `Some(Some(n))` sets
-/// the per-thread buffer capacity to `n` samples.
-fn sample_capacity_from_env() -> Option<Option<usize>> {
-    let spec = std::env::var("NANOCOST_TRACE_SAMPLE").ok()?;
-    let spec = spec.trim().to_ascii_lowercase();
-    match spec.as_str() {
-        "" | "0" | "off" | "false" => None,
-        "1" | "on" | "true" => Some(None),
-        n => n.parse::<usize>().ok().map(Some),
+/// Parses the `NANOCOST_TRACE_SAMPLE` on/off switch: `1`/`on`/`true`
+/// arm timeline sampling, `0`/`off`/`false`/empty leave it off, and
+/// anything else is an error, so a typo fails loudly instead of
+/// silently capturing no samples.
+fn parse_trace_sample(raw: &str) -> Result<bool, String> {
+    match raw.trim().to_ascii_lowercase().as_str() {
+        "1" | "on" | "true" => Ok(true),
+        "" | "0" | "off" | "false" => Ok(false),
+        _ => Err(format!("NANOCOST_TRACE_SAMPLE: not an on/off switch: {raw:?}")),
     }
 }
 
@@ -653,6 +659,20 @@ mod tests {
         let a = epoch_micros();
         let b = epoch_micros();
         assert!(b >= a);
+    }
+
+    #[test]
+    fn trace_sample_switch_parses_strictly() {
+        for on in ["1", "on", "TRUE", " true "] {
+            assert_eq!(parse_trace_sample(on), Ok(true), "{on:?}");
+        }
+        for off in ["", "  ", "0", "off", "False"] {
+            assert_eq!(parse_trace_sample(off), Ok(false), "{off:?}");
+        }
+        for typo in ["yes", "8k", "4096", "2"] {
+            let err = parse_trace_sample(typo).expect_err(typo);
+            assert_eq!(err, format!("NANOCOST_TRACE_SAMPLE: not an on/off switch: {typo:?}"));
+        }
     }
 
     #[test]

@@ -4,14 +4,16 @@
 //! aggregates; this module answers the question those aggregates
 //! cannot — *when* did a counter move during the figure-4 λ×s_d sweep
 //! or the wafer-map Monte-Carlo? With sampling enabled (see
-//! [`enable_sampling`] / the `NANOCOST_TRACE_SAMPLE` environment
-//! variable), every `counter!`/`gauge!`/`metric_histogram!` update also
-//! appends a `(t_ns, name, value)` point to a bounded per-thread ring
-//! buffer. [`flush_samples`] (run by [`crate::flush`]) drains the
-//! buffers through the normal exporter fan-out as
+//! [`enable_sampling`] / the `NANOCOST_TRACE_SAMPLE` on/off switch),
+//! every `counter!`/`gauge!`/`metric_histogram!` update also appends a
+//! `(t_ns, name, value)` point to a bounded per-thread ring buffer of
+//! [`DEFAULT_CAPACITY`] samples. [`flush_samples`] (run by
+//! [`crate::flush`], which the trace guard calls at process exit)
+//! drains the buffers through the normal exporter fan-out as
 //! [`RecordKind::Sample`] records — JSONL `"type":"sample"` lines and
 //! Chrome trace-event `"ph":"C"` counter tracks, so a sweep renders as
-//! a live counter graph in `chrome://tracing` / Perfetto.
+//! a counter graph in `chrome://tracing` / Perfetto. Samples reach the
+//! capture only at that flush: the timeline is a post-run view.
 //!
 //! Loss is never silent. Below capacity the buffer is lossless; on
 //! overflow it performs deterministic 2:1 decimation — every other
@@ -25,7 +27,7 @@
 //! of the disabled trace path extends to sampling.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::record::RecordKind;
@@ -39,10 +41,6 @@ const MIN_CAPACITY: usize = 2;
 
 /// Is the sampling layer on? Checked (relaxed) on every metric update.
 static SAMPLING: AtomicBool = AtomicBool::new(false);
-
-/// Ring-buffer capacity applied to buffers created after
-/// [`enable_sampling`].
-static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
 
 /// Per-thread sample buffers, keyed by the trace thread id.
 static BUFFERS: Mutex<BTreeMap<u64, SampleBuffer>> = Mutex::new(BTreeMap::new());
@@ -171,13 +169,9 @@ pub fn sampling_enabled() -> bool {
     SAMPLING.load(Ordering::Relaxed)
 }
 
-/// Turns sampling on. `capacity` bounds each per-thread ring buffer
-/// (`None` keeps [`DEFAULT_CAPACITY`]). Buffers that already exist keep
-/// their old capacity; new threads pick up the new one.
-pub fn enable_sampling(capacity: Option<usize>) {
-    if let Some(c) = capacity {
-        CAPACITY.store(c.max(MIN_CAPACITY), Ordering::Relaxed);
-    }
+/// Turns sampling on; each thread's buffer holds [`DEFAULT_CAPACITY`]
+/// samples before it decimates.
+pub fn enable_sampling() {
     SAMPLING.store(true, Ordering::Relaxed);
 }
 
@@ -199,7 +193,7 @@ pub fn record_sample(name: &'static str, metric_kind: &'static str, value: f64) 
     let mut buffers = lock(&BUFFERS);
     buffers
         .entry(thread)
-        .or_insert_with(|| SampleBuffer::new(CAPACITY.load(Ordering::Relaxed)))
+        .or_insert_with(|| SampleBuffer::new(DEFAULT_CAPACITY))
         .push(Sample { t_ns, name, metric_kind, value });
 }
 
@@ -210,7 +204,11 @@ pub fn record_sample(name: &'static str, metric_kind: &'static str, value: f64) 
 /// loss accounting that keeps decimation honest. Called by
 /// [`crate::flush`].
 pub fn flush_samples() {
-    let buffers = std::mem::take(&mut *lock(&BUFFERS));
+    dispatch_buffers(std::mem::take(&mut *lock(&BUFFERS)));
+}
+
+/// The dispatching half of [`flush_samples`], one buffer per thread.
+fn dispatch_buffers(buffers: BTreeMap<u64, SampleBuffer>) {
     for (thread, buffer) in buffers {
         for s in buffer.samples() {
             crate::dispatch_origin(
@@ -293,9 +291,9 @@ mod tests {
     }
 
     #[test]
-    fn flush_emits_sample_records_with_origin_thread_and_loss_event() {
+    fn flush_emits_sample_records_with_origin_thread() {
         let (records, _) = with_collector(|| {
-            enable_sampling(Some(2));
+            enable_sampling();
             for i in 0..5 {
                 record_sample("t.flush_probe", "counter", f64::from(i));
             }
@@ -311,11 +309,6 @@ mod tests {
         for r in &samples {
             assert_eq!(r.thread, my_thread, "sample stamped with its origin thread");
         }
-        // 5 observations into a 2-slot buffer must have decimated.
-        assert!(records.iter().any(|r| matches!(
-            r.kind,
-            RecordKind::Event { name: "timeline.decimation", .. }
-        )));
         // And a second flush finds nothing.
         let (again, _) = with_collector(flush_samples);
         assert!(again
@@ -324,9 +317,44 @@ mod tests {
     }
 
     #[test]
+    fn lossy_buffers_flush_an_exact_decimation_event() {
+        let mut buffer = SampleBuffer::new(2);
+        for i in 0..5 {
+            buffer.push(sample(i));
+        }
+        let (records, _) = with_collector(|| dispatch_buffers(BTreeMap::from([(7, buffer)])));
+        let origins: Vec<u64> = records
+            .iter()
+            .filter(|r| matches!(r.kind, RecordKind::Sample { .. }))
+            .map(|r| r.thread)
+            .collect();
+        assert_eq!(origins, [7, 7], "kept samples, stamped with the sampled thread");
+        let accounting: Vec<(&str, Value)> = records
+            .iter()
+            .find_map(|r| match &r.kind {
+                RecordKind::Event { name: "timeline.decimation", fields, .. } => Some(fields),
+                _ => None,
+            })
+            .expect("decimation event")
+            .iter()
+            .map(|f| (f.name, f.value.clone()))
+            .collect();
+        assert_eq!(
+            accounting,
+            [
+                ("sampled_thread", Value::U64(7)),
+                ("observed", Value::U64(5)),
+                ("kept", Value::U64(2)),
+                ("dropped", Value::U64(3)),
+                ("stride", Value::U64(4)),
+            ]
+        );
+    }
+
+    #[test]
     fn sample_timestamps_are_monotone_per_thread() {
         let (records, _) = with_collector(|| {
-            enable_sampling(Some(64));
+            enable_sampling();
             for i in 0..10 {
                 record_sample("t.monotone_probe", "gauge", f64::from(i));
             }

@@ -68,8 +68,6 @@ cargo run -q --release -p nanocost-sentinel --bin trace_profile -- "$TRACE_OUT" 
 # Windowed metrics view over the back half of the capture must succeed.
 cargo run -q --release -p nanocost-sentinel --bin trace_profile -- \
     --since 50% --metrics "$TRACE_OUT" >/dev/null
-# The capture dashboard must render one frame from the same capture.
-cargo run -q --release -p nanocost-sentinel --bin trace_tail -- --once "$TRACE_OUT" >/dev/null
 
 echo "==> timeline smoke: chrome export carries counter tracks"
 CHROME_OUT=target/ci-trace-chrome.json
@@ -190,15 +188,19 @@ if ! wait "$SERVE_PID"; then
 fi
 
 echo "==> serve profiling gate: continuous sampler + /v1/profile + profile_diff"
-# A second server with the sampling profiler cranked up: the loadgen
-# burst must leave a non-empty /v1/profile report whose stacks
-# attribute work to serve.request, a self-diff must be clean, the live
-# trace_profile --attach view must render, and the JSONL capture must
-# carry trace_check-valid stack_sample records.
+# A second server with the sampling profiler cranked up and metric
+# timeline sampling armed: the loadgen burst must leave a non-empty
+# /v1/profile report whose stacks attribute work to serve.request, a
+# self-diff must be clean, fleet_report's artifact must carry the same
+# live profile, and the JSONL capture must carry trace_check-valid
+# stack_sample records plus a counter flamegraph that conserves the
+# core.optimize.probes total.
 PROF_LOG=target/ci-serve-prof.log
 PROF_TRACE=target/ci-serve-prof.jsonl
 rm -f "$PROF_LOG" "$PROF_TRACE" target/ci-serve-profile.json target/ci-serve-prof-exemplar.*.jsonl
+rm -f target/ci-serve-prof-fleet.json
 NANOCOST_PROFILE_HZ=500 NANOCOST_TRACE=jsonl NANOCOST_TRACE_FILE="$PROF_TRACE" \
+    NANOCOST_TRACE_SAMPLE=1 \
     ./target/release/serve --port 0 --workers 4 >"$PROF_LOG" 2>&1 &
 PROF_PID=$!
 PROF_ADDR=""
@@ -226,9 +228,15 @@ fi
 # A report diffed against itself must never regress (exit 0).
 cargo run -q --release -p nanocost-sentinel --bin profile_diff -- \
     --against target/ci-serve-profile.json target/ci-serve-profile.json >/dev/null
-# The live attach view over the same server must render a report.
-cargo run -q --release -p nanocost-sentinel --bin trace_profile -- \
-    --attach "$PROF_ADDR" --window-s 30 >/dev/null
+# The live profile reader over the same server must merge the report.
+cargo run -q --release -p nanocost-sentinel --bin fleet_report -- \
+    "$PROF_ADDR" -o target/ci-serve-prof-fleet.json
+if ! grep -q '"profile":{' target/ci-serve-prof-fleet.json \
+    || ! grep -q 'serve.request' target/ci-serve-prof-fleet.json; then
+    echo "ci: FAIL: fleet_report artifact has no profile with serve.request frames" >&2
+    kill "$PROF_PID" 2>/dev/null || true
+    exit 1
+fi
 kill -TERM "$PROF_PID"
 if ! wait "$PROF_PID"; then
     echo "ci: FAIL: profiled serve did not exit cleanly on SIGTERM" >&2
@@ -240,6 +248,19 @@ PROF_SUMMARY="$(cargo run -q --release -p nanocost-trace --bin trace_check -- --
 echo "$PROF_SUMMARY"
 if ! grep -q 'stack samples: [1-9]' <<<"$PROF_SUMMARY"; then
     echo "ci: FAIL: profiled capture has no stack_sample records" >&2
+    exit 1
+fi
+# Counter samples carry the process-global total, so the counter
+# flamegraph's core.optimize.probes deltas must add up to at most the
+# flush-time metric record (less only when a buffer decimated), and to
+# more than zero: the optimum requests did probe.
+PROBES_FOLDED="$(cargo run -q --release -p nanocost-sentinel --bin trace_profile -- \
+    --metrics "$PROF_TRACE" | awk '$1 ~ /;core\.optimize\.probes$/ {s += $2} END {print s + 0}')"
+PROBES_TOTAL="$(grep '"type":"metric","name":"core.optimize.probes"' "$PROF_TRACE" \
+    | grep -o '"value":[0-9]*' | cut -d: -f2)"
+if [[ -z "$PROBES_TOTAL" || "$PROBES_FOLDED" -le 0 || "$PROBES_FOLDED" -gt "$PROBES_TOTAL" ]]; then
+    echo "ci: FAIL: counter flamegraph sums core.optimize.probes to $PROBES_FOLDED," \
+        "the capture's metric record says ${PROBES_TOTAL:-nothing}" >&2
     exit 1
 fi
 
