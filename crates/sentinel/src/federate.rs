@@ -35,8 +35,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::histogram::{LogHistogram, RawHistogram};
 use crate::json::{self, JsonValue};
 use crate::profile::ProfileReport;
-use crate::slo::{burn_rate, escape_json, fmt_f64, BurnReport, SloMonitor};
-use crate::SentinelError;
+use crate::slo::{
+    burn_rate, fmt_f64, BurnReport, SloMonitor, FAST_WINDOW_NS, MAX_BURN, SLOW_WINDOW_NS,
+};
+use crate::{escape_json, SentinelError};
 
 /// Raw-snapshot wire schema version.
 pub const RAW_SCHEMA: u64 = 1;
@@ -92,15 +94,14 @@ impl RawSlo {
     #[must_use]
     pub fn from_monitor(monitor: &SloMonitor, now_ns: u64) -> RawSlo {
         let report = monitor.report(now_ns);
-        let windows = monitor.windows();
-        let (fast_good, fast_bad) = monitor.window_counts(now_ns, windows.fast_ns);
-        let (slow_good, slow_bad) = monitor.window_counts(now_ns, windows.slow_ns);
+        let (fast_good, fast_bad) = monitor.window_counts(now_ns, FAST_WINDOW_NS);
+        let (slow_good, slow_bad) = monitor.window_counts(now_ns, SLOW_WINDOW_NS);
         RawSlo {
             name: report.name,
             target: report.target,
-            max_burn: windows.max_burn,
-            fast_ns: windows.fast_ns,
-            slow_ns: windows.slow_ns,
+            max_burn: MAX_BURN,
+            fast_ns: FAST_WINDOW_NS,
+            slow_ns: SLOW_WINDOW_NS,
             good: report.good,
             bad: report.bad,
             fast_good,
@@ -843,7 +844,7 @@ fn as_i64(v: &JsonValue) -> Option<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slo::{BurnWindows, Objective};
+    use crate::slo::Objective;
 
     fn sample_histogram(replica: &str, scale: f64) -> LogHistogram {
         let mut h = LogHistogram::new();
@@ -856,11 +857,8 @@ mod tests {
 
     fn sample_snapshot(replica: &str, scale: f64) -> RawSnapshot {
         let monitor = {
-            let mut m = SloMonitor::new(
-                Objective { name: "latency_p99".to_string(), target: 0.99 },
-                BurnWindows::default(),
-            )
-            .expect("valid config");
+            let mut m =
+                SloMonitor::new(Objective { name: "latency_p99".to_string(), target: 0.99 });
             m.observe(1_000_000_000, 990, 10);
             m
         };

@@ -57,7 +57,7 @@ pub mod timeline;
 
 pub use federate::{FleetView, RawSnapshot};
 pub use histogram::{Exemplar, LogHistogram, RawHistogram};
-pub use slo::{BurnReport, BurnWindows, Objective, SloMonitor};
+pub use slo::{BurnReport, Objective, SloMonitor};
 pub use stats::{mann_whitney, MannWhitney, MIN_SAMPLES};
 
 use std::fmt;
@@ -91,8 +91,6 @@ pub enum SentinelError {
         /// The OS error text.
         message: String,
     },
-    /// An SLO monitor was configured with impossible parameters.
-    SloConfig(String),
 }
 
 impl fmt::Display for SentinelError {
@@ -113,7 +111,6 @@ impl fmt::Display for SentinelError {
                 write!(f, "schema error on line {line}: {message}")
             }
             SentinelError::Io { path, message } => write!(f, "{path}: {message}"),
-            SentinelError::SloConfig(message) => write!(f, "bad SLO configuration: {message}"),
         }
     }
 }
@@ -132,4 +129,22 @@ impl SentinelError {
 /// not the expected shape.
 pub(crate) fn schema(line: usize, message: &str) -> SentinelError {
     SentinelError::Schema { line, message: message.to_string() }
+}
+
+/// Renders a string as a quoted JSON literal. Objective names, frame
+/// names and request ids are plain identifiers, but every rendered
+/// document must stay valid JSON for any input.
+pub(crate) fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }

@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::json::{self, JsonValue};
 use crate::timeline::{SpanInterval, TimelineCapture};
-use crate::{schema, SentinelError};
+use crate::{escape_json, schema, SentinelError};
 
 /// Clipped time of one closed span that overlaps the window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -681,22 +681,6 @@ impl ProfileReport {
         }
         out
     }
-}
-
-/// Renders a string as a quoted JSON literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

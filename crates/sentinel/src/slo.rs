@@ -8,22 +8,35 @@
 //! three days. Alerting on a single window forces a bad trade — a short
 //! window pages on blips, a long one pages an hour late — so the
 //! standard practice (Google SRE workbook, ch. 5) is to require **both**
-//! a fast window (default 1 min — is it burning *now*?) and a slow
-//! window (default 30 min — has it burned *enough to matter*?) to
-//! exceed the threshold before firing.
+//! a fast window ([`FAST_WINDOW_NS`], 1 min — is it burning *now*?)
+//! and a slow window ([`SLOW_WINDOW_NS`], 30 min — has it burned
+//! *enough to matter*?) to exceed [`MAX_BURN`] before firing.
 //!
 //! [`SloMonitor`] implements this over *cumulative* good/bad counters:
-//! the caller feeds monotone snapshots ([`SloMonitor::observe`]), the
-//! monitor keeps a pruned ring of them, and [`SloMonitor::report`]
-//! differences the ring against each window's start to produce the two
-//! burn rates and the firing verdict. The query server evaluates one
-//! monitor per objective on `GET /v1/health` (200 when no objective
-//! fires, 503 otherwise) and `loadgen` applies the same thresholds as
-//! its soak pass/fail criteria.
+//! the caller feeds snapshots ([`SloMonitor::observe`]), the monitor
+//! keeps a pruned ring of them, and [`SloMonitor::report`] differences
+//! the ring against each window's start to produce the two burn rates
+//! and the firing verdict. The query server evaluates one monitor per
+//! objective on `GET /v1/health` (200 when no objective fires, 503
+//! otherwise) and `fleet_report --health` sums the same window counts
+//! across replicas.
 
 use std::collections::VecDeque;
 
-use crate::SentinelError;
+use crate::escape_json;
+
+/// Fast burn window in nanoseconds (1 min): is it burning now?
+pub const FAST_WINDOW_NS: u64 = 60 * 1_000_000_000;
+
+/// Slow burn window in nanoseconds (30 min): has enough burned?
+pub const SLOW_WINDOW_NS: u64 = 30 * 60 * 1_000_000_000;
+
+/// Both windows' burn rates must exceed this to fire.
+pub const MAX_BURN: f64 = 2.0;
+
+/// Snapshots closer together than this coalesce in place, bounding the
+/// ring at ~64 points per fast window regardless of load.
+const RESOLUTION_NS: u64 = FAST_WINDOW_NS / 64;
 
 /// One service-level objective: a name and the target good fraction.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,27 +45,6 @@ pub struct Objective {
     pub name: String,
     /// Target good fraction in `(0, 1)`; the error budget is `1 - target`.
     pub target: f64,
-}
-
-/// The window pair and firing threshold for burn-rate evaluation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BurnWindows {
-    /// Fast window in nanoseconds (default 1 min): is it burning now?
-    pub fast_ns: u64,
-    /// Slow window in nanoseconds (default 30 min): has enough burned?
-    pub slow_ns: u64,
-    /// Both windows' burn rates must exceed this to fire.
-    pub max_burn: f64,
-}
-
-impl Default for BurnWindows {
-    fn default() -> Self {
-        BurnWindows {
-            fast_ns: 60 * 1_000_000_000,
-            slow_ns: 30 * 60 * 1_000_000_000,
-            max_burn: 2.0,
-        }
-    }
 }
 
 /// One cumulative snapshot: totals as of `t_ns`.
@@ -74,7 +66,7 @@ pub struct BurnReport {
     pub fast_burn: f64,
     /// Burn rate over the slow window (0 when the window saw nothing).
     pub slow_burn: f64,
-    /// The configured firing threshold.
+    /// The firing threshold ([`MAX_BURN`]).
     pub max_burn: f64,
     /// `true` when both windows exceed `max_burn`.
     pub firing: bool,
@@ -88,44 +80,16 @@ pub struct BurnReport {
 #[derive(Debug, Clone)]
 pub struct SloMonitor {
     objective: Objective,
-    windows: BurnWindows,
     /// Snapshot ring, oldest first; pruned to the slow window plus one
     /// baseline point at or before its left edge.
     points: VecDeque<Snapshot>,
-    /// Snapshots closer together than this coalesce in place, bounding
-    /// the ring at ~64 points per fast window regardless of load.
-    resolution_ns: u64,
 }
 
 impl SloMonitor {
-    /// Builds a monitor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SentinelError::SloConfig`] when `target` is outside
-    /// `(0, 1)`, a window is zero, the fast window is not shorter than
-    /// the slow one, or `max_burn` is not a positive finite number.
-    pub fn new(objective: Objective, windows: BurnWindows) -> Result<Self, SentinelError> {
-        if !(objective.target > 0.0 && objective.target < 1.0) {
-            return Err(SentinelError::SloConfig(format!(
-                "target must be in (0, 1), got {}",
-                objective.target
-            )));
-        }
-        if windows.fast_ns == 0 || windows.fast_ns >= windows.slow_ns {
-            return Err(SentinelError::SloConfig(format!(
-                "need 0 < fast window < slow window, got {} vs {} ns",
-                windows.fast_ns, windows.slow_ns
-            )));
-        }
-        if !(windows.max_burn > 0.0 && windows.max_burn.is_finite()) {
-            return Err(SentinelError::SloConfig(format!(
-                "max_burn must be positive and finite, got {}",
-                windows.max_burn
-            )));
-        }
-        let resolution_ns = (windows.fast_ns / 64).max(1);
-        Ok(SloMonitor { objective, windows, points: VecDeque::new(), resolution_ns })
+    /// Builds a monitor for `objective` over the module's burn windows.
+    #[must_use]
+    pub fn new(objective: Objective) -> Self {
+        SloMonitor { objective, points: VecDeque::new() }
     }
 
     /// The objective this monitor evaluates.
@@ -134,40 +98,36 @@ impl SloMonitor {
         &self.objective
     }
 
-    /// The window configuration this monitor evaluates with.
-    #[must_use]
-    pub fn windows(&self) -> BurnWindows {
-        self.windows
-    }
-
     /// Feeds one cumulative snapshot: `good`/`bad` are lifetime totals
-    /// as of `t_ns`. Snapshots must be fed in non-decreasing `t_ns`
-    /// order with non-decreasing totals; a regression in either (a
+    /// as of `t_ns`. Totals must not decrease; a regression (a
     /// restarted counter) resets the ring rather than reporting a
-    /// negative window delta.
+    /// negative window delta. A `t_ns` older than the newest point (two
+    /// concurrent requests stamped their clocks in one order and fed in
+    /// the other) coalesces into that point like a feed within the
+    /// resolution does, so the window baselines survive it.
     pub fn observe(&mut self, t_ns: u64, good: u64, bad: u64) {
-        let snap = Snapshot { t_ns, good, bad };
         if let Some(last) = self.points.back_mut() {
-            if t_ns < last.t_ns || good < last.good || bad < last.bad {
+            if good < last.good || bad < last.bad {
                 self.points.clear();
-            } else if t_ns - last.t_ns < self.resolution_ns {
+            } else if t_ns < last.t_ns.saturating_add(RESOLUTION_NS) {
                 // Coalesce: the newest totals at (almost) the same
                 // instant replace the previous point.
                 last.good = good;
                 last.bad = bad;
-                last.t_ns = t_ns;
-                self.prune(t_ns);
+                last.t_ns = last.t_ns.max(t_ns);
+                let now = last.t_ns;
+                self.prune(now);
                 return;
             }
         }
-        self.points.push_back(snap);
+        self.points.push_back(Snapshot { t_ns, good, bad });
         self.prune(t_ns);
     }
 
     /// Drops points older than the slow window, keeping one point at or
     /// before the window's left edge as the differencing baseline.
     fn prune(&mut self, now_ns: u64) {
-        let edge = now_ns.saturating_sub(self.windows.slow_ns);
+        let edge = now_ns.saturating_sub(SLOW_WINDOW_NS);
         while self.points.len() >= 2 {
             // Safe by the length guard; avoids a panic path for R1.
             let (Some(first), Some(second)) = (self.points.front(), self.points.get(1)) else {
@@ -220,16 +180,16 @@ impl SloMonitor {
     /// Evaluates both windows as of `now_ns`.
     #[must_use]
     pub fn report(&self, now_ns: u64) -> BurnReport {
-        let fast_burn = self.window_burn(now_ns, self.windows.fast_ns);
-        let slow_burn = self.window_burn(now_ns, self.windows.slow_ns);
+        let fast_burn = self.window_burn(now_ns, FAST_WINDOW_NS);
+        let slow_burn = self.window_burn(now_ns, SLOW_WINDOW_NS);
         let last = self.points.back().copied().unwrap_or_default();
         BurnReport {
             name: self.objective.name.clone(),
             target: self.objective.target,
             fast_burn,
             slow_burn,
-            max_burn: self.windows.max_burn,
-            firing: fast_burn > self.windows.max_burn && slow_burn > self.windows.max_burn,
+            max_burn: MAX_BURN,
+            firing: fast_burn > MAX_BURN && slow_burn > MAX_BURN,
             good: last.good,
             bad: last.bad,
         }
@@ -271,24 +231,6 @@ pub fn burn_rate(good: u64, bad: u64, target: f64) -> f64 {
     bad_fraction / budget
 }
 
-/// Renders a string as a quoted JSON literal (objective names are
-/// static identifiers, but the report must stay valid JSON for any).
-/// Shared with the federation layer's snapshot renderer.
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Shortest-roundtrip float rendering that stays valid JSON (never
 /// `NaN`/`inf`, which burn math cannot produce but belts and braces).
 /// Shared with the federation layer so fleet JSON round-trips floats
@@ -313,27 +255,7 @@ mod tests {
     const S: u64 = 1_000_000_000;
 
     fn monitor(target: f64) -> SloMonitor {
-        SloMonitor::new(
-            Objective { name: "latency_p99".to_string(), target },
-            BurnWindows { fast_ns: 60 * S, slow_ns: 1_800 * S, max_burn: 2.0 },
-        )
-        .expect("valid config")
-    }
-
-    #[test]
-    fn rejects_bad_configuration() {
-        let windows = BurnWindows::default();
-        let bad_target = |t| {
-            SloMonitor::new(Objective { name: "x".to_string(), target: t }, windows)
-        };
-        assert!(bad_target(0.0).is_err());
-        assert!(bad_target(1.0).is_err());
-        assert!(bad_target(1.5).is_err());
-        assert!(bad_target(0.99).is_ok());
-        let swapped = BurnWindows { fast_ns: 10 * S, slow_ns: 5 * S, max_burn: 2.0 };
-        assert!(SloMonitor::new(Objective { name: "x".to_string(), target: 0.99 }, swapped).is_err());
-        let no_burn = BurnWindows { max_burn: 0.0, ..BurnWindows::default() };
-        assert!(SloMonitor::new(Objective { name: "x".to_string(), target: 0.99 }, no_burn).is_err());
+        SloMonitor::new(Objective { name: "latency_p99".to_string(), target })
     }
 
     #[test]
@@ -376,8 +298,8 @@ mod tests {
             m.observe((1_700 + i) * S, good, bad);
         }
         let r = m.report(1_710 * S);
-        assert!(r.fast_burn > m.windows.max_burn, "fast {}", r.fast_burn);
-        assert!(r.slow_burn > m.windows.max_burn, "slow {}", r.slow_burn);
+        assert!(r.fast_burn > MAX_BURN, "fast {}", r.fast_burn);
+        assert!(r.slow_burn > MAX_BURN, "slow {}", r.slow_burn);
         assert!(r.firing, "sustained spike fires");
 
         // The same spike against a 30-minute flood of good traffic
@@ -390,8 +312,8 @@ mod tests {
         }
         m2.observe(1_799 * S, good, 200_000);
         let r2 = m2.report(1_800 * S);
-        assert!(r2.fast_burn > m2.windows.max_burn, "fast {}", r2.fast_burn);
-        assert!(r2.slow_burn < m2.windows.max_burn, "slow {}", r2.slow_burn);
+        assert!(r2.fast_burn > MAX_BURN, "fast {}", r2.fast_burn);
+        assert!(r2.slow_burn < MAX_BURN, "slow {}", r2.slow_burn);
         assert!(!r2.firing, "short blip must not fire");
     }
 
@@ -410,6 +332,22 @@ mod tests {
         assert_eq!(r.fast_burn, 0.0, "fast window is clean after recovery");
         assert!(r.slow_burn > 0.0, "slow window still remembers the incident");
         assert!(!r.firing);
+    }
+
+    #[test]
+    fn window_counts_survive_a_feed_stamped_one_ns_early() {
+        let mut m = monitor(0.99);
+        // A bad half minute, then 39 minutes of healthy traffic.
+        m.observe(30 * S, 0, 100);
+        for i in 60..=2_400u64 {
+            m.observe(i * S, (i - 59) * 10, 100);
+        }
+        // A concurrent request stamped its clock 1 ns before the newest
+        // point but fed after it, with the larger totals.
+        m.observe(2_400 * S - 1, 23_415, 100);
+        assert_eq!(m.window_counts(2_400 * S, FAST_WINDOW_NS), (605, 0));
+        assert_eq!(m.window_counts(2_400 * S, SLOW_WINDOW_NS), (18_005, 0));
+        assert!(!m.report(2_400 * S).firing);
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! [`nanocost_trace::request_scope`], so every captured record (span,
 //! events, and every Eq.-provenance record the evaluation or cache
 //! replay emitted) carries the request's `req_id`. The capture is
-//! stored under that id and replayable via `GET /v1/trace/<req-id>`
-//! (`/v1/provenance/<req-id>` remains as an alias). Every request —
-//! model or not — also produces one structured access-log record when
-//! the server was configured with `NANOCOST_SERVE_ACCESS_LOG`.
+//! stored under that id and replayable via `GET /v1/trace/<req-id>`.
+//! Every request — model or not — also produces one structured
+//! access-log record when the server was configured with
+//! `NANOCOST_SERVE_ACCESS_LOG`.
 
 use std::time::Instant;
 
@@ -109,10 +109,7 @@ fn route(state: &ServerState, req: &Request) -> (&'static str, Option<String>, R
             ("profile", None, profile_endpoint(state, path))
         }
         ("GET", path) if path.starts_with("/v1/trace/") => {
-            ("trace", None, trace_endpoint(state, path, "/v1/trace/"))
-        }
-        ("GET", path) if path.starts_with("/v1/provenance/") => {
-            ("trace", None, trace_endpoint(state, path, "/v1/provenance/"))
+            ("trace", None, trace_endpoint(state, path))
         }
         (_, "/v1/cost" | "/v1/yield" | "/v1/optimum" | "/v1/batch" | "/v1/chiplet") => {
             ("bad_method", None, Response::error(405, "use POST"))
@@ -123,7 +120,7 @@ fn route(state: &ServerState, req: &Request) -> (&'static str, Option<String>, R
         (_, path) if path == "/v1/profile" || path.starts_with("/v1/profile?") => {
             ("bad_method", None, Response::error(405, "use GET"))
         }
-        (_, path) if path.starts_with("/v1/trace/") || path.starts_with("/v1/provenance/") => {
+        (_, path) if path.starts_with("/v1/trace/") => {
             ("bad_method", None, Response::error(405, "use GET"))
         }
         _ => ("unknown", None, Response::error(404, "unknown endpoint")),
@@ -199,8 +196,8 @@ fn endpoint_span(endpoint: &'static str) -> Span {
     }
 }
 
-fn trace_endpoint(state: &ServerState, path: &str, prefix: &str) -> Response {
-    let id = path.trim_start_matches(prefix);
+fn trace_endpoint(state: &ServerState, path: &str) -> Response {
+    let id = path.trim_start_matches("/v1/trace/");
     match state.trace(id) {
         Some(text) => Response::jsonl(200, text),
         // Distinguish a capture that existed but aged out of the ring
@@ -565,7 +562,7 @@ mod tests {
         let state = ServerState::new();
         let r = handle(&state, &post("/v1/cost", COST_BODY));
         assert_eq!(r.status, 200);
-        let r = handle(&state, &get("/v1/provenance/r1"));
+        let r = handle(&state, &get("/v1/trace/r1"));
         assert_eq!(r.status, 200);
         let capture = body_str(&r);
         assert!(capture.contains("\"type\":\"provenance\""), "{capture}");
@@ -573,8 +570,10 @@ mod tests {
         for line in capture.lines() {
             json::parse(line).expect("each capture line is JSON");
         }
-        let r = handle(&state, &get("/v1/provenance/r999"));
+        // `/v1/trace/<id>` is the one route to a capture.
+        let r = handle(&state, &get("/v1/provenance/r1"));
         assert_eq!(r.status, 404);
+        assert!(body_str(&r).contains("unknown endpoint"), "{}", body_str(&r));
     }
 
     #[test]

@@ -31,14 +31,12 @@
 //!   --concurrency C         client threads (default 4)
 //!   --bench-out PATH        write a NANOCOST_BENCH_JSON format-2 capture
 //!                           (one record per endpoint) for bench_diff
-//!   --metrics-out PATH      fetch /v1/metrics afterwards and save it
-//!   --provenance-out PATH   fetch one /v1/provenance/<req-id> and save it
+//!   --provenance-out PATH   fetch one /v1/trace/<req-id> and save it
 //!
 //! Soak criteria (the SLO-aware pass/fail checks the CI soak gate uses):
 //!   --allow-shed            a 503 counts as shed load, not a failure
 //!   --max-shed-rate F       fail if shed/total exceeds F (requires --allow-shed)
 //!   --slo-p99-us N          fail if the client-observed overall p99 exceeds N us
-//!   --health-out PATH       fetch /v1/health afterwards, require 200, save it
 //!   --exemplar-traces PREFIX  fetch /v1/metrics, follow every endpoint's
 //!                           p99 exemplar to /v1/trace/<req-id>, and save
 //!                           each capture to PREFIX.<endpoint>.jsonl; fail
@@ -47,12 +45,13 @@
 //!                           410 (evicted from the trace ring under
 //!                           load) instead of failing the drill-down
 //!                           check (default 0)
-//!   --profile-out PATH      fetch /v1/profile?window_s=W afterwards and
+//!   --profile-out PATH      fetch /v1/profile?window_s=60 afterwards and
 //!                           save the sampling-profiler report JSON
-//!   --profile-window-s W    profile window for --profile-out (default 60)
 //!
 //! Exits non-zero on any non-2xx response (except shed 503s under
 //! --allow-shed) or any violated soak criterion, so CI can gate on it.
+//! Live server state after the run — quantiles, cache counters, the
+//! SLO verdict — is `fleet_report`'s to read, for one replica or many.
 //!
 //! The request grid deliberately overlaps (a handful of distinct design
 //! points cycled many times) — the paper's interactive exploration
@@ -80,16 +79,13 @@ struct Options {
     chiplet_provenance_out: Option<String>,
     concurrency: usize,
     bench_out: Option<String>,
-    metrics_out: Option<String>,
     provenance_out: Option<String>,
     allow_shed: bool,
     max_shed_rate: Option<f64>,
     slo_p99_us: Option<f64>,
-    health_out: Option<String>,
     exemplar_traces: Option<String>,
     max_evicted_exemplars: usize,
     profile_out: Option<String>,
-    profile_window_s: u64,
 }
 
 fn parse_options() -> Result<Options, Box<dyn std::error::Error>> {
@@ -104,16 +100,13 @@ fn parse_options() -> Result<Options, Box<dyn std::error::Error>> {
         chiplet_provenance_out: None,
         concurrency: 4,
         bench_out: None,
-        metrics_out: None,
         provenance_out: None,
         allow_shed: false,
         max_shed_rate: None,
         slo_p99_us: None,
-        health_out: None,
         exemplar_traces: None,
         max_evicted_exemplars: 0,
         profile_out: None,
-        profile_window_s: 60,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -145,9 +138,6 @@ fn parse_options() -> Result<Options, Box<dyn std::error::Error>> {
                 opts.concurrency = args.next().ok_or("--concurrency needs C")?.parse()?;
             }
             "--bench-out" => opts.bench_out = Some(args.next().ok_or("--bench-out needs PATH")?),
-            "--metrics-out" => {
-                opts.metrics_out = Some(args.next().ok_or("--metrics-out needs PATH")?);
-            }
             "--provenance-out" => {
                 opts.provenance_out = Some(args.next().ok_or("--provenance-out needs PATH")?);
             }
@@ -158,7 +148,6 @@ fn parse_options() -> Result<Options, Box<dyn std::error::Error>> {
             "--slo-p99-us" => {
                 opts.slo_p99_us = Some(args.next().ok_or("--slo-p99-us needs N")?.parse()?);
             }
-            "--health-out" => opts.health_out = Some(args.next().ok_or("--health-out needs PATH")?),
             "--exemplar-traces" => {
                 opts.exemplar_traces =
                     Some(args.next().ok_or("--exemplar-traces needs PREFIX")?);
@@ -170,12 +159,8 @@ fn parse_options() -> Result<Options, Box<dyn std::error::Error>> {
             "--profile-out" => {
                 opts.profile_out = Some(args.next().ok_or("--profile-out needs PATH")?);
             }
-            "--profile-window-s" => {
-                opts.profile_window_s =
-                    args.next().ok_or("--profile-window-s needs W")?.parse()?;
-            }
             "--help" | "-h" => {
-                println!("usage: loadgen (--addr HOST:PORT | --replica URL ...) [--requests N] [--mix cost,optimum,batch,chiplet] [--chiplet-share F] [--require-chiplet-hits] [--chiplet-provenance-out PATH] [--concurrency C] [--bench-out PATH] [--metrics-out PATH] [--provenance-out PATH] [--allow-shed] [--max-shed-rate F] [--slo-p99-us N] [--health-out PATH] [--exemplar-traces PREFIX] [--max-evicted-exemplars N] [--profile-out PATH] [--profile-window-s W]");
+                println!("usage: loadgen (--addr HOST:PORT | --replica URL ...) [--requests N] [--mix cost,optimum,batch,chiplet] [--chiplet-share F] [--require-chiplet-hits] [--chiplet-provenance-out PATH] [--concurrency C] [--bench-out PATH] [--provenance-out PATH] [--allow-shed] [--max-shed-rate F] [--slo-p99-us N] [--exemplar-traces PREFIX] [--max-evicted-exemplars N] [--profile-out PATH]");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument: {other}").into()),
@@ -556,22 +541,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         write_bench_capture(path, &opts.mix, &outcome.latencies)?;
         println!("loadgen: bench capture -> {path}");
     }
-    if let Some(path) = &opts.metrics_out {
-        let (status, body) = http_get(&addrs[0], "/v1/metrics")?;
-        if status != 200 || body.is_empty() {
-            return Err(format!("/v1/metrics -> {status}").into());
-        }
-        std::fs::write(path, &body)?;
-        println!("loadgen: metrics -> {path}");
-    }
     if let Some(path) = &opts.provenance_out {
         let (target, id) = outcome
             .req_id
             .clone()
             .ok_or("no req_id captured for provenance replay")?;
-        let (status, body) = http_get(&addrs[target], &format!("/v1/provenance/{id}"))?;
+        let (status, body) = http_get(&addrs[target], &format!("/v1/trace/{id}"))?;
         if status != 200 || body.is_empty() {
-            return Err(format!("/v1/provenance/{id} -> {status}").into());
+            return Err(format!("/v1/trace/{id} -> {status}").into());
         }
         std::fs::write(path, &body)?;
         println!("loadgen: provenance capture ({id}) -> {path}");
@@ -593,14 +570,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         std::fs::write(path, &body)?;
         println!("loadgen: chiplet provenance capture ({id}) -> {path}");
     }
-    if let Some(path) = &opts.health_out {
-        let (status, body) = http_get(&addrs[0], "/v1/health")?;
-        std::fs::write(path, &body)?;
-        println!("loadgen: health ({status}) -> {path}");
-        if status != 200 {
-            return Err(format!("/v1/health -> {status}: {body}").into());
-        }
-    }
     if let Some(prefix) = &opts.exemplar_traces {
         let fetched = fetch_exemplar_traces(&addrs[0], prefix, opts.max_evicted_exemplars)?;
         if fetched == 0 {
@@ -608,8 +577,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     if let Some(path) = &opts.profile_out {
-        let query = format!("/v1/profile?window_s={}", opts.profile_window_s);
-        let (status, body) = http_get(&addrs[0], &query)?;
+        let query = "/v1/profile?window_s=60";
+        let (status, body) = http_get(&addrs[0], query)?;
         if status != 200 || body.is_empty() {
             return Err(format!("{query} -> {status}").into());
         }

@@ -8,24 +8,22 @@
 //!   --workers N        worker thread count (default 4)
 //!
 //! Observability is configured through the environment (a typo'd value
-//! refuses to start rather than serving with the wrong SLO):
-//!   NANOCOST_SERVE_TRACE_RING       trace-capture ring capacity (256)
-//!   NANOCOST_SERVE_ACCESS_LOG       JSONL access-log path (off)
-//!   NANOCOST_SERVE_SLO_P99_US       latency objective threshold (250000)
-//!   NANOCOST_SERVE_SLO_TARGET      latency good fraction (0.99)
-//!   NANOCOST_SERVE_SLO_SHED_TARGET non-shed fraction (0.95)
-//!   NANOCOST_SERVE_SLO_FAST_S      fast burn window seconds (60)
-//!   NANOCOST_SERVE_SLO_SLOW_S      slow burn window seconds (1800)
-//!   NANOCOST_SERVE_SLO_MAX_BURN    firing threshold (2.0)
-//!   NANOCOST_PROFILE_HZ            span-stack sampling rate for the
-//!                                  continuous profiler (default 99;
-//!                                  0/off disables, on = default rate)
-//!   NANOCOST_SERVE_PROFILE_RING    profile sample-ring capacity (65536)
-//!   NANOCOST_REPLICA               this replica's fleet label (unset =
-//!                                  unlabeled); stamped onto trace
-//!                                  records, p99 exemplars, and the
-//!                                  /v1/metrics/raw envelope so
-//!                                  fleet_report can merge replicas
+//! refuses to start rather than serving with the wrong configuration):
+//!   NANOCOST_SERVE_TRACE_RING   trace-capture ring capacity (256)
+//!   NANOCOST_SERVE_ACCESS_LOG   JSONL access-log path (off)
+//!   NANOCOST_PROFILE_HZ         span-stack sampling rate for the
+//!                               continuous profiler (default 99;
+//!                               0/off disables, on = default rate)
+//!   NANOCOST_REPLICA            this replica's fleet label (unset =
+//!                               unlabeled); stamped onto trace
+//!                               records, p99 exemplars, and the
+//!                               /v1/metrics/raw envelope so
+//!                               fleet_report can merge replicas
+//!
+//! The SLO objectives are fixed: a request slower than 250 ms is bad
+//! for the latency objective (target 0.99), the shed objective targets
+//! 0.95, and `/v1/health` fires when both the 60 s and the 1,800 s
+//! burn rates exceed 2.0. The profile ring keeps 65,536 samples.
 //!
 //! The process exits cleanly (status 0) on SIGTERM or SIGINT; pair it
 //! with `loadgen` for a driven run, `fleet_report <host:port>...` for

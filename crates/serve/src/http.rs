@@ -285,7 +285,7 @@ impl Response {
         }
     }
 
-    /// A JSON-lines (JSONL) response, as `/v1/provenance/<id>` serves.
+    /// A JSON-lines (JSONL) response, as `/v1/trace/<id>` serves.
     #[must_use]
     pub fn jsonl(status: u16, body: String) -> Self {
         Response {

@@ -17,7 +17,6 @@
 //! | `/v1/metrics/raw` | GET | mergeable raw state (histogram buckets, windowed SLO counters) for federation |
 //! | `/v1/health` | GET | SLO burn-rate verdict (200 ok / 503 firing) |
 //! | `/v1/trace/<req-id>` | GET | the request's full trace capture (JSONL) |
-//! | `/v1/provenance/<req-id>` | GET | alias of `/v1/trace/<req-id>` |
 //!
 //! Every model request runs inside a `nanocost-trace` capture frame
 //! under an installed request scope, so every captured record carries
@@ -28,8 +27,8 @@
 //! exemplars let `/v1/metrics` link an anonymous p99 to a fetchable
 //! trace, and latency/shed events feed dual-window
 //! [`SloMonitor`](nanocost_sentinel::SloMonitor)s behind `/v1/health`.
-//! The `loadgen` bin drives concurrent request mixes, checks soak
-//! pass/fail criteria against those SLOs, and emits a
+//! The `loadgen` bin drives concurrent request mixes, checks
+//! client-side soak pass/fail criteria, and emits a
 //! `NANOCOST_BENCH_JSON` capture so `bench_diff` can gate server
 //! latency like any other benchmark. `/v1/metrics/raw` publishes a
 //! replica's *mergeable* state (raw histogram buckets with

@@ -12,7 +12,7 @@ use nanocost_chiplet::ChipletCache;
 use nanocost_core::ScenarioCache;
 use nanocost_sentinel::federate::{RawCache, RawSlo, RawSnapshot, RawWorker};
 use nanocost_sentinel::profile::{ProfileReport, StackSample};
-use nanocost_sentinel::slo::{BurnWindows, Objective};
+use nanocost_sentinel::slo::Objective;
 use nanocost_sentinel::{LogHistogram, SloMonitor};
 use nanocost_trace::export::{Exporter, JsonlExporter};
 use nanocost_trace::stack_registry::{ProfileHz, StackSnapshot, DEFAULT_PROFILE_HZ};
@@ -28,19 +28,19 @@ pub const TRACE_RING_DEFAULT: usize = 256;
 /// typo in the environment.
 pub const TRACE_RING_MAX: usize = 65_536;
 
-/// Default latency-SLO threshold: a request slower than this many
-/// microseconds is a "bad" event for the `latency` objective.
-pub const SLO_LATENCY_DEFAULT_US: f64 = 250_000.0;
+/// Latency-SLO threshold: a request slower than this many microseconds
+/// is a "bad" event for the `latency` objective.
+pub const SLO_LATENCY_US: f64 = 250_000.0;
 
-/// Default stack-sample ring capacity (see
-/// [`ServerStateConfig::profile_ring`]): at the default 99 Hz this
-/// holds roughly ten minutes of a busy 4-worker pool.
-pub const PROFILE_RING_DEFAULT: usize = 65_536;
+/// Target good fraction for the `latency` objective.
+pub const SLO_LATENCY_TARGET: f64 = 0.99;
 
-/// Upper bound on the configurable profile ring — each slot holds one
-/// stack snapshot, so this caps profiler memory at a few hundred MB
-/// even under a hostile environment value.
-pub const PROFILE_RING_MAX: usize = 1_048_576;
+/// Target non-shed fraction for the `shed_rate` objective.
+pub const SLO_SHED_TARGET: f64 = 0.95;
+
+/// Stack-sample ring capacity: at the default 99 Hz this holds roughly
+/// ten minutes of a busy 4-worker pool.
+pub const PROFILE_RING_CAPACITY: usize = 65_536;
 
 /// Upper bound accepted for `/v1/profile?window_s=N` (one hour).
 pub const PROFILE_WINDOW_MAX_S: u64 = 3_600;
@@ -55,26 +55,11 @@ pub struct ServerStateConfig {
     /// Structured JSONL access-log path (`NANOCOST_SERVE_ACCESS_LOG`);
     /// `None` disables access logging.
     pub access_log: Option<String>,
-    /// Latency threshold in microseconds above which a request counts
-    /// against the latency objective (`NANOCOST_SERVE_SLO_P99_US`).
-    pub latency_threshold_us: f64,
-    /// Target good fraction for the latency objective
-    /// (`NANOCOST_SERVE_SLO_TARGET`, default 0.99).
-    pub latency_target: f64,
-    /// Target non-shed fraction for the shed-rate objective
-    /// (`NANOCOST_SERVE_SLO_SHED_TARGET`, default 0.95).
-    pub shed_target: f64,
-    /// Burn-rate windows and firing threshold shared by both objectives
-    /// (`NANOCOST_SERVE_SLO_FAST_S` / `_SLOW_S` / `_MAX_BURN`).
-    pub windows: BurnWindows,
     /// Stack-profiler sample rate in Hz (`NANOCOST_PROFILE_HZ`); 0
     /// disables the sampler. Unlike the trace bins — which leave
     /// profiling off unless asked — the server profiles continuously by
     /// default, at [`DEFAULT_PROFILE_HZ`].
     pub profile_hz: u32,
-    /// Stack-sample ring capacity (`NANOCOST_SERVE_PROFILE_RING`,
-    /// default 65536, clamped to `1..=1048576`).
-    pub profile_ring: usize,
     /// This replica's fleet label (`NANOCOST_REPLICA`) — stamped onto
     /// exemplars and the `/v1/metrics/raw` envelope so federated merges
     /// can tell replicas apart. Empty means unlabeled; federators
@@ -87,26 +72,22 @@ impl Default for ServerStateConfig {
         ServerStateConfig {
             trace_ring: TRACE_RING_DEFAULT,
             access_log: None,
-            latency_threshold_us: SLO_LATENCY_DEFAULT_US,
-            latency_target: 0.99,
-            shed_target: 0.95,
-            windows: BurnWindows::default(),
             profile_hz: DEFAULT_PROFILE_HZ,
-            profile_ring: PROFILE_RING_DEFAULT,
             replica: String::new(),
         }
     }
 }
 
 impl ServerStateConfig {
-    /// Reads the `NANOCOST_SERVE_*` environment variables, falling back
-    /// to the defaults for anything unset.
+    /// Reads `NANOCOST_SERVE_TRACE_RING`, `NANOCOST_SERVE_ACCESS_LOG`,
+    /// `NANOCOST_PROFILE_HZ` and `NANOCOST_REPLICA`, falling back to
+    /// the defaults for anything unset.
     ///
     /// # Errors
     ///
     /// Returns a description of the first variable that is set but does
     /// not parse (a silently ignored typo would serve with the wrong
-    /// SLO, which is worse than refusing to start).
+    /// configuration, which is worse than refusing to start).
     pub fn from_env() -> Result<Self, String> {
         let mut cfg = ServerStateConfig::default();
         if let Some(ring) = env_parsed::<usize>("NANOCOST_SERVE_TRACE_RING")? {
@@ -117,30 +98,6 @@ impl ServerStateConfig {
                 cfg.access_log = Some(path);
             }
         }
-        if let Some(us) = env_parsed::<f64>("NANOCOST_SERVE_SLO_P99_US")? {
-            if us.is_finite() && us > 0.0 {
-                cfg.latency_threshold_us = us;
-            } else {
-                return Err(format!(
-                    "NANOCOST_SERVE_SLO_P99_US must be a positive finite number, got {us}"
-                ));
-            }
-        }
-        if let Some(t) = env_parsed::<f64>("NANOCOST_SERVE_SLO_TARGET")? {
-            cfg.latency_target = t;
-        }
-        if let Some(t) = env_parsed::<f64>("NANOCOST_SERVE_SLO_SHED_TARGET")? {
-            cfg.shed_target = t;
-        }
-        if let Some(s) = env_parsed::<u64>("NANOCOST_SERVE_SLO_FAST_S")? {
-            cfg.windows.fast_ns = s.saturating_mul(1_000_000_000);
-        }
-        if let Some(s) = env_parsed::<u64>("NANOCOST_SERVE_SLO_SLOW_S")? {
-            cfg.windows.slow_ns = s.saturating_mul(1_000_000_000);
-        }
-        if let Some(b) = env_parsed::<f64>("NANOCOST_SERVE_SLO_MAX_BURN")? {
-            cfg.windows.max_burn = b;
-        }
         // The shared trace-crate spelling, but with the server's
         // always-on default: unset keeps DEFAULT_PROFILE_HZ, an explicit
         // off-switch disables, and a typo refuses to start.
@@ -148,9 +105,6 @@ impl ServerStateConfig {
             ProfileHz::Unset => {}
             ProfileHz::Off => cfg.profile_hz = 0,
             ProfileHz::Hz(hz) => cfg.profile_hz = hz,
-        }
-        if let Some(cap) = env_parsed::<usize>("NANOCOST_SERVE_PROFILE_RING")? {
-            cfg.profile_ring = cap.clamp(1, PROFILE_RING_MAX);
         }
         // Shared with the trace crate's init_from_env: one variable
         // names the replica for traces, exemplars, and the raw envelope.
@@ -303,10 +257,10 @@ pub struct ServerState {
     latency_bad: AtomicU64,
     /// Connections shed with a 503 by the accept loop.
     shed: AtomicU64,
-    latency_threshold_us: f64,
-    /// `[latency, shed_rate]` monitors; empty when the configured
-    /// windows were rejected (then `/v1/health` is always 200).
-    slo: Mutex<Vec<SloMonitor>>,
+    /// The `[latency, shed_rate]` monitors. The three counters above
+    /// move only under this lock, so every feed's totals are
+    /// consistent and ordered like the feeds.
+    slo: Mutex<[SloMonitor; 2]>,
     /// The structured access log sink, when configured.
     access: Option<Mutex<std::io::BufWriter<std::fs::File>>>,
     /// Configured stack-profiler rate; 0 = sampler off.
@@ -348,18 +302,38 @@ impl Default for ServerState {
 
 impl ServerState {
     /// Fresh state over the paper-Figure-4 scenario cache with the
-    /// default configuration (no access log, default ring and SLOs).
+    /// default configuration (no access log, default trace ring).
     #[must_use]
     pub fn new() -> Self {
-        // The default config has no access log to open and statically
-        // valid SLO windows, so this cannot actually fail.
-        ServerState::with_config(ServerStateConfig::default())
-            .unwrap_or_else(|_| ServerState::bare(&ServerStateConfig::default()))
+        ServerState::build(&ServerStateConfig::default(), None)
     }
 
-    /// State without an access log or SLO monitors — the infallible
-    /// fallback behind [`ServerState::new`].
-    fn bare(cfg: &ServerStateConfig) -> Self {
+    /// Builds state from an explicit configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description when the access log cannot be opened;
+    /// refusing to start beats serving with silently absent logs.
+    pub fn with_config(cfg: ServerStateConfig) -> Result<Self, String> {
+        let access = match &cfg.access_log {
+            Some(path) => {
+                let file = std::fs::File::create(path)
+                    .map_err(|e| format!("cannot open access log {path}: {e}"))?;
+                Some(Mutex::new(std::io::BufWriter::new(file)))
+            }
+            None => None,
+        };
+        Ok(ServerState::build(&cfg, access))
+    }
+
+    /// State from `cfg` with an already-opened access-log sink.
+    fn build(
+        cfg: &ServerStateConfig,
+        access: Option<Mutex<std::io::BufWriter<std::fs::File>>>,
+    ) -> Self {
+        let objective = |name: &str, target| {
+            SloMonitor::new(Objective { name: name.to_string(), target })
+        };
         ServerState {
             cache: ScenarioCache::paper_figure4(),
             chiplet: ChipletCache::defaults()
@@ -373,11 +347,13 @@ impl ServerState {
             completed: AtomicU64::new(0),
             latency_bad: AtomicU64::new(0),
             shed: AtomicU64::new(0),
-            latency_threshold_us: cfg.latency_threshold_us,
-            slo: Mutex::new(Vec::new()),
-            access: None,
+            slo: Mutex::new([
+                objective("latency", SLO_LATENCY_TARGET),
+                objective("shed_rate", SLO_SHED_TARGET),
+            ]),
+            access,
             profile_hz: cfg.profile_hz,
-            profile: Arc::new(ProfileRing::new(cfg.profile_ring.clamp(1, PROFILE_RING_MAX))),
+            profile: Arc::new(ProfileRing::new(PROFILE_RING_CAPACITY)),
             workers: Mutex::new(Vec::new()),
             queue_depth: AtomicU64::new(0),
             accept_backlog: AtomicU64::new(0),
@@ -385,34 +361,6 @@ impl ServerState {
             replica: cfg.replica.clone(),
             started: Instant::now(),
         }
-    }
-
-    /// Builds state from an explicit configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when the access log cannot be opened or
-    /// the SLO windows are rejected by the sentinel validator; refusing
-    /// to start beats serving with silently absent observability.
-    pub fn with_config(cfg: ServerStateConfig) -> Result<Self, String> {
-        let mut state = ServerState::bare(&cfg);
-        let latency = SloMonitor::new(
-            Objective { name: "latency".to_string(), target: cfg.latency_target },
-            cfg.windows,
-        )
-        .map_err(|e| format!("latency objective: {e}"))?;
-        let shed = SloMonitor::new(
-            Objective { name: "shed_rate".to_string(), target: cfg.shed_target },
-            cfg.windows,
-        )
-        .map_err(|e| format!("shed_rate objective: {e}"))?;
-        state.slo = Mutex::new(vec![latency, shed]);
-        if let Some(path) = &cfg.access_log {
-            let file = std::fs::File::create(path)
-                .map_err(|e| format!("cannot open access log {path}: {e}"))?;
-            state.access = Some(Mutex::new(std::io::BufWriter::new(file)));
-        }
-        Ok(state)
     }
 
     /// The scenario cache all model endpoints evaluate through.
@@ -538,32 +486,35 @@ impl ServerState {
                 None => hist.record(latency_us),
             }
         }
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        if latency_us > self.latency_threshold_us {
-            self.latency_bad.fetch_add(1, Ordering::Relaxed);
-        }
-        self.feed_slo(t_ns);
+        self.feed_slo(t_ns, || {
+            self.completed.fetch_add(1, Ordering::Relaxed);
+            if latency_us > SLO_LATENCY_US {
+                self.latency_bad.fetch_add(1, Ordering::Relaxed);
+            }
+        });
     }
 
     /// Counts one connection shed with a 503 by the accept loop.
     pub fn note_shed(&self, t_ns: u64) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
         counter!("serve.shed", 1);
-        self.feed_slo(t_ns);
+        self.feed_slo(t_ns, || {
+            self.shed.fetch_add(1, Ordering::Relaxed);
+        });
     }
 
-    /// Pushes the current cumulative totals into both monitors.
-    fn feed_slo(&self, t_ns: u64) {
+    /// Runs `count` and pushes the resulting cumulative totals into
+    /// both monitors, all under the monitors lock: a feed that loaded
+    /// its totals outside the lock could reach a monitor after a later
+    /// feed and look like a restarted counter.
+    fn feed_slo(&self, t_ns: u64, count: impl FnOnce()) {
+        let mut monitors = lock(&self.slo);
+        count();
         let completed = self.completed.load(Ordering::Relaxed);
         let latency_bad = self.latency_bad.load(Ordering::Relaxed);
         let shed = self.shed.load(Ordering::Relaxed);
-        let mut monitors = lock(&self.slo);
-        if let Some(latency) = monitors.first_mut() {
-            latency.observe(t_ns, completed.saturating_sub(latency_bad), latency_bad);
-        }
-        if let Some(shed_rate) = monitors.get_mut(1) {
-            shed_rate.observe(t_ns, completed, shed);
-        }
+        let [latency, shed_rate] = &mut *monitors;
+        latency.observe(t_ns, completed.saturating_sub(latency_bad), latency_bad);
+        shed_rate.observe(t_ns, completed, shed);
     }
 
     /// Evaluates every SLO monitor as of `now_ns` and renders the
@@ -945,20 +896,20 @@ mod tests {
         assert_eq!(again.to_json(), snap.to_json());
     }
 
+    /// A latency past [`SLO_LATENCY_US`]: a bad event for the latency
+    /// objective.
+    const SLOW_US: f64 = 300_000.0;
+
     #[test]
     fn health_flips_to_503_under_sustained_burn() {
-        // A hair-trigger SLO: every request is slower than 0.001 us, so
-        // the latency objective burns at 100x budget immediately.
-        let cfg = ServerStateConfig {
-            latency_threshold_us: 0.001,
-            ..ServerStateConfig::default()
-        };
-        let state = ServerState::with_config(cfg).expect("valid config");
+        // Every request is slower than the threshold, so the latency
+        // objective burns at 100x budget immediately.
+        let state = ServerState::new();
         let (status, body) = state.health_json(10);
         assert_eq!(status, 200, "idle server is healthy: {body}");
         let minute = 60 * 1_000_000_000u64;
         for i in 0..200u64 {
-            state.observe("cost", 100.0, None, (i + 1) * minute / 4);
+            state.observe("cost", SLOW_US, None, (i + 1) * minute / 4);
         }
         let (status, body) = state.health_json(200 * minute / 4);
         assert_eq!(status, 503, "{body}");
@@ -966,6 +917,29 @@ mod tests {
         assert!(body.contains("\"status\":\"failing\""), "{body}");
         assert!(body.contains("\"name\":\"latency\""), "{body}");
         assert!(body.contains("\"name\":\"shed_rate\""), "{body}");
+    }
+
+    #[test]
+    fn one_early_stamped_feed_does_not_page_on_lifetime_totals() {
+        let state = ServerState::new();
+        let s = 1_000_000_000u64;
+        // 100 slow requests in minute 1, then 40 minutes of healthy
+        // traffic: the incident has left both burn windows.
+        for i in 0..100u64 {
+            state.observe("cost", SLOW_US, None, i * s * 6 / 10);
+        }
+        let end = 41 * 60 * s;
+        let mut t = 60 * s;
+        while t <= end {
+            state.observe("cost", 100.0, None, t);
+            t += 2 * s;
+        }
+        // A concurrent request stamped its clock just before the last
+        // one but reached the monitors after it.
+        state.observe("cost", 100.0, None, t - 2 * s - 1_000);
+        let (status, body) = state.health_json(end);
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"fast_burn\":0.0,"), "{body}");
     }
 
     #[test]

@@ -23,13 +23,14 @@ pub enum Format {
 }
 
 impl Format {
-    /// Parses an environment-variable value; `1`/`on` mean [`Format::Text`].
+    /// Parses a `NANOCOST_TRACE` value: `text`, `jsonl` or `chrome`;
+    /// `1`/`on`/`true` mean [`Format::Text`].
     #[must_use]
     pub fn parse(s: &str) -> Option<Format> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "text" | "tree" | "1" | "on" | "true" => Some(Format::Text),
-            "jsonl" | "json" | "ndjson" => Some(Format::Jsonl),
-            "chrome" | "trace-event" | "chrometrace" => Some(Format::Chrome),
+            "text" | "1" | "on" | "true" => Some(Format::Text),
+            "jsonl" => Some(Format::Jsonl),
+            "chrome" => Some(Format::Chrome),
             _ => None,
         }
     }
@@ -480,5 +481,8 @@ mod tests {
         assert_eq!(Format::parse("CHROME"), Some(Format::Chrome));
         assert_eq!(Format::parse("1"), Some(Format::Text));
         assert_eq!(Format::parse("bogus"), None);
+        for dropped in ["tree", "json", "ndjson", "trace-event", "chrometrace"] {
+            assert_eq!(Format::parse(dropped), None, "{dropped}");
+        }
     }
 }

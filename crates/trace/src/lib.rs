@@ -41,8 +41,7 @@
 //!
 //! | variable | meaning |
 //! |----------|---------|
-//! | `NANOCOST_TRACE` | enables tracing; value selects the format (`text`, `jsonl`, `chrome`; `1`/`on` mean `text`) |
-//! | `NANOCOST_TRACE_FORMAT` | overrides the format when `NANOCOST_TRACE` is just an on-switch |
+//! | `NANOCOST_TRACE` | enables tracing; value selects the format (`text`, `jsonl`, `chrome`; `1`/`on`/`true` mean `text`; `0`/`off`/`false`/empty leave it off; anything else is reported and leaves it off) |
 //! | `NANOCOST_TRACE_FILE` | writes the trace to this path instead of the default (stderr for `text`/`jsonl`, `nanocost_trace.chrome.json` for `chrome`) |
 //! | `NANOCOST_TRACE_SAMPLE` | on/off switch for metric timeline sampling (`1`/`on`/`true` or `0`/`off`/`false`; anything else is reported and leaves it off); samples are written when the trace flushes at exit |
 //! | `NANOCOST_PROFILE_HZ` | starts the stack-sampling profiler (see [`stack_registry`]) at this rate; `0`/`off` disables, `1`/`on` use the 99 Hz default |
@@ -386,7 +385,7 @@ pub fn with_collector<R>(f: impl FnOnce() -> R) -> (Vec<Record>, R) {
 /// outer frames), and while a frame is open the trace macros are
 /// enabled even with no subscriber installed — this is how the scenario
 /// cache records the provenance of a miss and how the query server
-/// snapshots a request for `/v1/provenance/<id>` replay.
+/// snapshots a request for `/v1/trace/<id>` replay.
 pub fn with_capture<R>(f: impl FnOnce() -> R) -> (Vec<Record>, R) {
     let installed = CAPTURE
         .try_with(|c| {
@@ -460,8 +459,8 @@ impl Drop for TraceGuard {
     }
 }
 
-/// Reads `NANOCOST_TRACE` / `NANOCOST_TRACE_FORMAT` /
-/// `NANOCOST_TRACE_FILE` and installs a [`WriterSubscriber`]
+/// Reads `NANOCOST_TRACE` / `NANOCOST_TRACE_FILE` and installs a
+/// [`WriterSubscriber`]
 /// accordingly; also adopts `NANOCOST_REPLICA` as the process's fleet
 /// label (see [`set_replica`]) whether or not a sink is configured.
 /// Call once near the top of `main` and keep the returned guard alive
@@ -485,15 +484,15 @@ pub fn init_from_env() -> TraceGuard {
     let Some(spec) = std::env::var_os("NANOCOST_TRACE") else {
         return TraceGuard::inactive();
     };
-    let spec = spec.to_string_lossy().trim().to_ascii_lowercase();
-    if spec.is_empty() || spec == "0" || spec == "off" || spec == "false" {
-        return TraceGuard::inactive();
-    }
-    let format = std::env::var("NANOCOST_TRACE_FORMAT")
-        .ok()
-        .and_then(|f| Format::parse(&f))
-        .or_else(|| Format::parse(&spec))
-        .unwrap_or(Format::Text);
+    let format = match parse_trace_format(&spec.to_string_lossy()) {
+        Ok(Some(format)) => format,
+        Ok(None) => return TraceGuard::inactive(),
+        Err(msg) => {
+            // nanocost-audit: allow(R6, reason = "env misconfiguration diagnostic during init; library has no other channel and must not abort the host's run")
+            eprintln!("nanocost-trace: {msg}; tracing stays off");
+            return TraceGuard::inactive();
+        }
+    };
     let exporter = format.exporter();
     let out: Box<dyn std::io::Write + Send> = match trace_output_path(format) {
         Some(path) => match std::fs::File::create(&path) {
@@ -530,6 +529,19 @@ pub fn init_from_env() -> TraceGuard {
         }
     }
     TraceGuard { active: installed }
+}
+
+/// Parses `NANOCOST_TRACE`: a [`Format`] name or on-switch selects that
+/// format, `0`/`off`/`false`/empty leave tracing off, and anything else
+/// is an error, so a typo like `jsnol` fails loudly instead of tracing
+/// the text tree to stderr.
+fn parse_trace_format(raw: &str) -> Result<Option<Format>, String> {
+    match raw.trim().to_ascii_lowercase().as_str() {
+        "" | "0" | "off" | "false" => Ok(None),
+        spec => Format::parse(spec)
+            .map(Some)
+            .ok_or_else(|| format!("NANOCOST_TRACE: not a format or on/off switch: {raw:?}")),
+    }
 }
 
 /// Parses the `NANOCOST_TRACE_SAMPLE` on/off switch: `1`/`on`/`true`
@@ -672,6 +684,27 @@ mod tests {
         for typo in ["yes", "8k", "4096", "2"] {
             let err = parse_trace_sample(typo).expect_err(typo);
             assert_eq!(err, format!("NANOCOST_TRACE_SAMPLE: not an on/off switch: {typo:?}"));
+        }
+    }
+
+    #[test]
+    fn trace_format_parses_strictly() {
+        for (spec, format) in [
+            ("text", Format::Text),
+            ("1", Format::Text),
+            ("On", Format::Text),
+            ("true", Format::Text),
+            (" jsonl ", Format::Jsonl),
+            ("CHROME", Format::Chrome),
+        ] {
+            assert_eq!(parse_trace_format(spec), Ok(Some(format)), "{spec:?}");
+        }
+        for off in ["", " ", "0", "off", "FALSE"] {
+            assert_eq!(parse_trace_format(off), Ok(None), "{off:?}");
+        }
+        for typo in ["jsnol", "json", "tree", "yes"] {
+            let err = parse_trace_format(typo).expect_err(typo);
+            assert_eq!(err, format!("NANOCOST_TRACE: not a format or on/off switch: {typo:?}"));
         }
     }
 

@@ -20,7 +20,22 @@ echo "==> benchmark unit tests: cargo test -q --manifest-path perfbench/Cargo.to
 # serve public APIs, so run them here.
 cargo test -q --manifest-path perfbench/Cargo.toml
 
-echo "==> nanocost-audit --deny --strict-pragmas (budget: ${NANOCOST_AUDIT_BUDGET_S:-90}s)"
+echo "==> knob inventory: every NANOCOST_* variable the code reads has a README row"
+# Each environment variable is one more configuration the gates must
+# cover, so the set the code and this script name must equal the set
+# README's "Environment variables" table documents: a new variable
+# needs a row (and a caller that sets it), a deleted one loses its row.
+KNOBS_CODE="$(grep -rhoE 'NANOCOST_[A-Z0-9_]+' crates/*/src crates/*/tests scripts/ci.sh | sort -u)"
+KNOBS_DOC="$(sed -n '/^## Environment variables/,/^## /p' README.md \
+    | grep -oE '^\| `NANOCOST_[A-Z0-9_]+`' | grep -oE 'NANOCOST_[A-Z0-9_]+' | sort -u)"
+if [[ "$KNOBS_CODE" != "$KNOBS_DOC" ]]; then
+    echo "ci: FAIL: NANOCOST_* variables in the code differ from README's table" \
+        "(< code only, > README only):" >&2
+    diff <(echo "$KNOBS_CODE") <(echo "$KNOBS_DOC") >&2 || true
+    exit 1
+fi
+
+echo "==> nanocost-audit --deny --strict-pragmas (budget: 90s)"
 # The analyzer is on the merge path, so its wall clock is a gate too:
 # a workspace-wide audit (lex, parse, symbol table, dataflow fixpoint)
 # that cannot finish inside the budget is a regression in its own right.
@@ -28,8 +43,8 @@ AUDIT_T0=$(date +%s)
 cargo run -q --release -p nanocost-audit -- --deny --strict-pragmas
 AUDIT_T1=$(date +%s)
 AUDIT_ELAPSED=$((AUDIT_T1 - AUDIT_T0))
-if (( AUDIT_ELAPSED > ${NANOCOST_AUDIT_BUDGET_S:-90} )); then
-    echo "ci: FAIL: nanocost-audit took ${AUDIT_ELAPSED}s (budget ${NANOCOST_AUDIT_BUDGET_S:-90}s)" >&2
+if (( AUDIT_ELAPSED > 90 )); then
+    echo "ci: FAIL: nanocost-audit took ${AUDIT_ELAPSED}s (budget 90s)" >&2
     exit 1
 fi
 
@@ -94,7 +109,7 @@ done
 
 echo "==> serve smoke gate: ephemeral server + loadgen mix"
 SERVE_LOG=target/ci-serve.log
-rm -f "$SERVE_LOG" target/ci-serve-metrics.json target/ci-serve-prov.jsonl target/ci-serve-bench.json
+rm -f "$SERVE_LOG" target/ci-serve-fleet.json target/ci-serve-prov.jsonl target/ci-serve-bench.json
 rm -f target/ci-serve-chiplet-prov.jsonl
 rm -f target/ci-serve-access.jsonl target/ci-serve-health.json target/ci-serve-exemplar.*.jsonl
 cargo build -q --release -p nanocost-serve
@@ -121,20 +136,22 @@ fi
     --mix cost,optimum,batch --concurrency 4 \
     --chiplet-share 0.25 --require-chiplet-hits \
     --chiplet-provenance-out target/ci-serve-chiplet-prov.jsonl \
-    --metrics-out target/ci-serve-metrics.json \
     --provenance-out target/ci-serve-prov.jsonl \
     --bench-out target/ci-serve-bench.json
-# The metrics document must carry real latency quantiles.
-if ! grep -q '"p50_us"' target/ci-serve-metrics.json \
-    || ! grep -q '"p99_us"' target/ci-serve-metrics.json; then
-    echo "ci: FAIL: /v1/metrics is missing latency quantiles" >&2
+# fleet_report reads the live state: it must carry real latency
+# quantiles.
+if ! cargo run -q --release -p nanocost-sentinel --bin fleet_report -- \
+    "$SERVE_ADDR" -o target/ci-serve-fleet.json \
+    || ! grep -q '"p50_us"' target/ci-serve-fleet.json \
+    || ! grep -q '"p99_us"' target/ci-serve-fleet.json; then
+    echo "ci: FAIL: fleet_report is missing latency quantiles" >&2
     kill "$SERVE_PID" 2>/dev/null || true
     exit 1
 fi
 # The overlapping grid must hit the scenario cache's mask, report or
 # optimum tables.
-if ! grep -q '"cache":{"hits":[1-9]' target/ci-serve-metrics.json; then
-    echo "ci: FAIL: /v1/metrics reports zero scenario-cache hits" >&2
+if ! grep -q '"cache":{"hits":[1-9]' target/ci-serve-fleet.json; then
+    echo "ci: FAIL: fleet_report shows zero scenario-cache hits" >&2
     kill "$SERVE_PID" 2>/dev/null || true
     exit 1
 fi
@@ -147,13 +164,19 @@ cargo run -q --release -p nanocost-trace --bin trace_check -- target/ci-serve-ch
 echo "==> serve soak gate: elevated concurrency + SLO criteria + exemplar round-trip"
 # A heavier burst against the same server: sheds are tolerated (bounded
 # queue doing its job) but the shed rate, the client-observed p99, and
-# the server's own /v1/health verdict must all hold, and every
-# endpoint's p99 exemplar must round-trip to a fetchable trace.
+# the server's own SLO verdict (fleet_report --health over the one
+# replica) must all hold, and every endpoint's p99 exemplar must
+# round-trip to a fetchable trace.
 ./target/release/loadgen --addr "$SERVE_ADDR" --requests 400 \
     --mix cost,optimum,batch,yield --concurrency 16 \
     --allow-shed --max-shed-rate 0.5 --slo-p99-us 1000000 \
-    --health-out target/ci-serve-health.json \
     --exemplar-traces target/ci-serve-exemplar
+if ! cargo run -q --release -p nanocost-sentinel --bin fleet_report -- \
+    "$SERVE_ADDR" --health -o target/ci-serve-health.json; then
+    echo "ci: FAIL: the server's SLO verdict is firing after the soak burst" >&2
+    kill "$SERVE_PID" 2>/dev/null || true
+    exit 1
+fi
 # Every fetched exemplar trace must be a trace_check-clean capture with
 # request attribution on each record.
 EXEMPLARS=0
@@ -217,7 +240,7 @@ fi
 ./target/release/loadgen --addr "$PROF_ADDR" --requests 300 \
     --mix cost,optimum,batch --concurrency 8 \
     --allow-shed --max-shed-rate 0.5 \
-    --profile-out target/ci-serve-profile.json --profile-window-s 60 \
+    --profile-out target/ci-serve-profile.json \
     --exemplar-traces target/ci-serve-prof-exemplar --max-evicted-exemplars 8
 if ! grep -q '"samples":' target/ci-serve-profile.json \
     || ! grep -q 'serve.request' target/ci-serve-profile.json; then
