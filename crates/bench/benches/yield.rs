@@ -36,7 +36,7 @@ fn bench_yield(c: &mut Criterion) {
     let n = TransistorCount::from_millions(10.0);
     let v = WaferCount::new(50_000).expect("valid");
     c.bench_function("yield/composite_surface", |b| {
-        b.iter(|| black_box(surface.evaluate(lambda, sd, n, v)))
+        b.iter(|| black_box(surface.evaluate(lambda, sd, n, v).expect("valid")))
     });
 
     let sim = WaferMapSimulator::new(WaferSpec::standard_200mm(), Area::from_cm2(1.5), 0.5)

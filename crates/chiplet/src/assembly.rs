@@ -15,6 +15,7 @@
 //! good: `Y_asm = y_bond^n · Y_sub(A_pkg)`.
 
 use crate::die::{ChipletWafer, CriticalLayerYield};
+use nanocost_fab::WaferSpec;
 use nanocost_trace::provenance;
 use nanocost_units::{Area, Dollars, UnitError, Yield};
 use nanocost_yield::DefectDensity;
@@ -53,7 +54,6 @@ impl AssemblyKind {
 /// economics plus per-chiplet bonding parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AssemblyTech {
-    kind: AssemblyKind,
     substrate_yield: CriticalLayerYield,
     substrate_wafer: ChipletWafer,
     bond_yield: Yield,
@@ -61,29 +61,6 @@ pub struct AssemblyTech {
 }
 
 impl AssemblyTech {
-    /// Creates an assembly technology from explicit parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnitError`] if the bond cost is negative.
-    pub fn new(
-        kind: AssemblyKind,
-        substrate_yield: CriticalLayerYield,
-        substrate_wafer: ChipletWafer,
-        bond_yield: Yield,
-        bond_cost: Dollars,
-    ) -> Result<Self, UnitError> {
-        if bond_cost.is_negative() {
-            return Err(UnitError::OutOfRange {
-                quantity: "bond cost",
-                value: bond_cost.amount(),
-                min: 0.0,
-                max: f64::INFINITY,
-            });
-        }
-        Ok(AssemblyTech { kind, substrate_yield, substrate_wafer, bond_yield, bond_cost })
-    }
-
     /// Default parameters for the given substrate kind: an organic RDL
     /// panel (D₀ = 0.05 /cm², c = 3, $500 per 300 mm panel-equivalent,
     /// 99% bond yield, $0.50 per bond) or a coarse-node silicon
@@ -99,19 +76,15 @@ impl AssemblyTech {
             AssemblyKind::Rdl => (0.05, 3.0, 500.0, 0.99, 0.5),
             AssemblyKind::SiliconInterposer => (0.07, 6.0, 3_000.0, 0.98, 1.0),
         };
-        AssemblyTech::new(
-            kind,
-            CriticalLayerYield::new(DefectDensity::per_cm2(d0)?, c)?,
-            ChipletWafer::new(300.0, 3.0, 0.2, Dollars::new(wafer_cost))?,
-            Yield::new(bond_yield)?,
-            Dollars::new(bond_cost),
-        )
-    }
-
-    /// The substrate kind.
-    #[must_use]
-    pub fn kind(&self) -> AssemblyKind {
-        self.kind
+        Ok(AssemblyTech {
+            substrate_yield: CriticalLayerYield::new(DefectDensity::per_cm2(d0)?, c)?,
+            substrate_wafer: ChipletWafer::new(
+                WaferSpec::new(300.0, 3.0, 0.2)?,
+                Dollars::new(wafer_cost),
+            )?,
+            bond_yield: Yield::new(bond_yield)?,
+            bond_cost: Dollars::new(bond_cost),
+        })
     }
 
     /// Eq. C4: assembly yield and assembly cost for bonding `chiplets`
@@ -121,9 +94,9 @@ impl AssemblyTech {
     ///
     /// # Errors
     ///
-    /// Returns [`UnitError`] if the package area is out of range for
-    /// the substrate yield model or panel geometry, or if `chiplets`
-    /// is zero.
+    /// Returns [`UnitError`] if the package does not fit the substrate
+    /// wafer (see [`ChipletWafer::gross_dice`]) or if `chiplets` is
+    /// zero.
     pub fn assemble(
         &self,
         chiplets: u32,
@@ -132,7 +105,7 @@ impl AssemblyTech {
         if chiplets == 0 {
             return Err(UnitError::NotPositive { quantity: "chiplet count", value: 0.0 });
         }
-        let substrate_yield = self.substrate_yield.die_yield(package_area)?;
+        let substrate_yield = self.substrate_yield.die_yield(package_area);
         let substrate_cost = self.substrate_wafer.die_cost(package_area)?;
         let n = f64::from(chiplets);
         let asm_yield = Yield::new(self.bond_yield.value().powf(n) * substrate_yield.value())?;
@@ -190,16 +163,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_chiplets_and_negative_bond_cost_are_rejected() {
+    fn zero_chiplets_are_rejected() {
         let tech = AssemblyTech::defaults(AssemblyKind::Rdl).unwrap();
         assert!(tech.assemble(0, Area::from_mm2(100.0)).is_err());
-        let bad = AssemblyTech::new(
-            AssemblyKind::Rdl,
-            CriticalLayerYield::new(DefectDensity::per_cm2(0.05).unwrap(), 3.0).unwrap(),
-            ChipletWafer::new(300.0, 3.0, 0.2, Dollars::new(500.0)).unwrap(),
-            Yield::new(0.99).unwrap(),
-            Dollars::new(-1.0),
-        );
-        assert!(bad.is_err());
     }
 }

@@ -72,19 +72,6 @@ impl ChipletCache {
     ///
     /// As [`ChipletModels::evaluate`].
     pub fn evaluate(&self, scenario: &ChipletScenario) -> Result<ChipletReport, UnitError> {
-        self.evaluate_traced(scenario).map(|(value, _hit)| value)
-    }
-
-    /// As [`ChipletCache::evaluate`], also reporting whether the point
-    /// was served from the cache.
-    ///
-    /// # Errors
-    ///
-    /// As [`ChipletModels::evaluate`].
-    pub fn evaluate_traced(
-        &self,
-        scenario: &ChipletScenario,
-    ) -> Result<(ChipletReport, bool), UnitError> {
         // Validate before keying so degenerate scenarios (chiplets = 0,
         // inconsistent distinct_designs) never touch the table.
         scenario.validate()?;
@@ -99,7 +86,9 @@ impl ChipletCache {
             scenario.distinct_designs,
             scenario.assembly,
         );
-        self.reports.get_or_compute(|m| m, key, || self.models.evaluate(scenario))
+        self.reports
+            .get_or_compute(|m| m, key, || self.models.evaluate(scenario))
+            .map(|(value, _hit)| value)
     }
 
     /// Snapshot of the lifetime hit/miss counters and occupancy.

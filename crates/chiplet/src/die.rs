@@ -1,30 +1,28 @@
-//! Per-chiplet die economics: negative-binomial yield per critical
-//! layer (eq. C1) and wafer dicing geometry → die cost (eq. C2).
+//! Per-chiplet die economics: negative-binomial yield over the
+//! critical levels (eq. C1) and die cost from wafer dicing (eq. C2).
 //!
-//! Both follow the Chiplet Actuary formulation (arXiv:2203.12268),
-//! whose `yield_area`/`cost_per_area` exemplar this module reproduces:
+//! Both are the Chiplet Actuary formulas (arXiv:2203.12268), and both
+//! are already owned by the monolithic substrates; this module adds
+//! only the Eq.-C provenance on top:
 //!
-//! * `Y = (1 + D₀ · A / c)^(−c)` — negative-binomial defect clustering
-//!   with `c` critical levels (one per yield-critical mask layer);
-//! * `A_chip = A + 2·s·√A + s²` (scribe-lane overhead),
-//!   `N_total = π(D/2 − e)² / A_chip − π(D − 2e) / √(2·A_chip)`
-//!   (edge-corrected gross dies per wafer);
-//! * die cost = wafer cost / `N_total`.
+//! * eq. C1 is `nanocost_yield`'s [`NegativeBinomialModel`] with the
+//!   clustering parameter α set to `c` critical levels,
+//!   `Y = (1 + D₀ · A / c)^(−c)`;
+//! * eq. C2 is `nanocost_fab`'s [`WaferSpec::gross_dice_analytic`]
+//!   (scribe-padded, edge-excluded dies per wafer) dividing a flat
+//!   wafer price.
 
+use nanocost_fab::WaferSpec;
 use nanocost_trace::provenance;
 use nanocost_units::{Area, Dollars, UnitError, Yield};
-use nanocost_yield::DefectDensity;
-
-/// mm² per cm² (the dicing formulas work in mm, the workspace
-/// [`Area`] newtype in cm²).
-const MM2_PER_CM2: f64 = 100.0;
+use nanocost_yield::{DefectDensity, NegativeBinomialModel, YieldModel};
 
 /// Negative-binomial die yield with per-critical-layer clustering
 /// (eq. C1, after Chiplet Actuary / the paper's eq.-3 yield axis).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CriticalLayerYield {
     defect_density: DefectDensity,
-    critical_levels: f64,
+    model: NegativeBinomialModel,
 }
 
 impl CriticalLayerYield {
@@ -37,120 +35,46 @@ impl CriticalLayerYield {
     /// Returns [`UnitError`] if `critical_levels` is non-finite or not
     /// strictly positive.
     pub fn new(defect_density: DefectDensity, critical_levels: f64) -> Result<Self, UnitError> {
-        if !critical_levels.is_finite() {
-            return Err(UnitError::NonFinite { quantity: "critical levels" });
-        }
-        if critical_levels <= 0.0 {
-            return Err(UnitError::NotPositive {
-                quantity: "critical levels",
-                value: critical_levels,
-            });
-        }
-        Ok(CriticalLayerYield { defect_density, critical_levels })
-    }
-
-    /// The defect density `D₀` this model clusters.
-    #[must_use]
-    pub fn defect_density(&self) -> DefectDensity {
-        self.defect_density
-    }
-
-    /// The clustering parameter `c`.
-    #[must_use]
-    pub fn critical_levels(&self) -> f64 {
-        self.critical_levels
+        Ok(CriticalLayerYield {
+            defect_density,
+            model: NegativeBinomialModel::new(critical_levels)?,
+        })
     }
 
     /// Eq. C1: die yield of one chiplet of the given area,
     /// `Y = (1 + D₀ · A / c)^(−c)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnitError`] if the area is non-finite (the formula
-    /// itself maps every non-negative area into `(0, 1]`).
-    pub fn die_yield(&self, area: Area) -> Result<Yield, UnitError> {
-        let a_cm2 = area.cm2();
-        if !a_cm2.is_finite() || a_cm2 < 0.0 {
-            return Err(UnitError::OutOfRange {
-                quantity: "die area",
-                value: a_cm2,
-                min: 0.0,
-                max: f64::INFINITY,
-            });
-        }
-        let defects_per_level = self.defect_density.value() * a_cm2 / self.critical_levels;
-        let y = (1.0 + defects_per_level).powf(-self.critical_levels);
-        let y = Yield::new(y)?;
+    #[must_use]
+    pub fn die_yield(&self, area: Area) -> Yield {
+        let y = self.model.die_yield(area, self.defect_density);
         provenance!(
             equation: EqC1,
             function: "nanocost_chiplet::die::CriticalLayerYield::die_yield",
             inputs: [
-                area_cm2 = a_cm2,
+                area_cm2 = area.cm2(),
                 d0_per_cm2 = self.defect_density.value(),
-                critical_levels = self.critical_levels,
+                critical_levels = self.model.alpha(),
             ],
             outputs: [die_yield = y.value()],
         );
-        Ok(y)
+        y
     }
 }
 
-/// Wafer dicing geometry and price for one chiplet fab technology
-/// (eq. C2): how many dies a wafer yields and what each costs.
+/// A wafer and its price for one chiplet fab technology (eq. C2): how
+/// many dies a wafer yields and what each costs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipletWafer {
-    diameter_mm: f64,
-    edge_loss_mm: f64,
-    scribe_lane_mm: f64,
+    wafer: WaferSpec,
     wafer_cost: Dollars,
 }
 
 impl ChipletWafer {
-    /// Creates a wafer spec.
+    /// Prices a wafer.
     ///
     /// # Errors
     ///
-    /// Returns [`UnitError`] if the diameter is not strictly positive,
-    /// the edge loss or scribe lane is negative or non-finite, the
-    /// edge loss consumes the whole radius, or the wafer cost is
-    /// negative.
-    pub fn new(
-        diameter_mm: f64,
-        edge_loss_mm: f64,
-        scribe_lane_mm: f64,
-        wafer_cost: Dollars,
-    ) -> Result<Self, UnitError> {
-        for (name, v) in [
-            ("wafer diameter", diameter_mm),
-            ("edge loss", edge_loss_mm),
-            ("scribe lane", scribe_lane_mm),
-        ] {
-            if !v.is_finite() {
-                return Err(UnitError::NonFinite { quantity: name });
-            }
-        }
-        if diameter_mm <= 0.0 {
-            return Err(UnitError::NotPositive {
-                quantity: "wafer diameter",
-                value: diameter_mm,
-            });
-        }
-        if edge_loss_mm < 0.0 || edge_loss_mm >= diameter_mm / 2.0 {
-            return Err(UnitError::OutOfRange {
-                quantity: "edge loss",
-                value: edge_loss_mm,
-                min: 0.0,
-                max: diameter_mm / 2.0,
-            });
-        }
-        if scribe_lane_mm < 0.0 {
-            return Err(UnitError::OutOfRange {
-                quantity: "scribe lane",
-                value: scribe_lane_mm,
-                min: 0.0,
-                max: f64::INFINITY,
-            });
-        }
+    /// Returns [`UnitError`] if the wafer cost is negative.
+    pub fn new(wafer: WaferSpec, wafer_cost: Dollars) -> Result<Self, UnitError> {
         if wafer_cost.is_negative() {
             return Err(UnitError::OutOfRange {
                 quantity: "wafer cost",
@@ -159,13 +83,7 @@ impl ChipletWafer {
                 max: f64::INFINITY,
             });
         }
-        Ok(ChipletWafer { diameter_mm, edge_loss_mm, scribe_lane_mm, wafer_cost })
-    }
-
-    /// The wafer price this spec amortizes over its dies.
-    #[must_use]
-    pub fn wafer_cost(&self) -> Dollars {
-        self.wafer_cost
+        Ok(ChipletWafer { wafer, wafer_cost })
     }
 
     /// Gross dies per wafer for a die of the given area, after scribe
@@ -173,19 +91,10 @@ impl ChipletWafer {
     ///
     /// # Errors
     ///
-    /// Returns [`UnitError`] if the area is not strictly positive,
-    /// non-finite, or so large the corrected count is not positive.
+    /// Returns [`UnitError`] if the count is not positive and finite:
+    /// a zero-area die, or one too large for the wafer.
     pub fn gross_dice(&self, die_area: Area) -> Result<f64, UnitError> {
-        let a_mm2 = die_area.cm2() * MM2_PER_CM2;
-        if !a_mm2.is_finite() || a_mm2 <= 0.0 {
-            return Err(UnitError::NotPositive { quantity: "die area", value: a_mm2 });
-        }
-        let s = self.scribe_lane_mm;
-        let a_chip = a_mm2 + 2.0 * s * a_mm2.sqrt() + s * s;
-        let usable_r = self.diameter_mm / 2.0 - self.edge_loss_mm;
-        let n = std::f64::consts::PI * usable_r * usable_r / a_chip
-            - std::f64::consts::PI * (self.diameter_mm - 2.0 * self.edge_loss_mm)
-                / (2.0 * a_chip).sqrt();
+        let n = self.wafer.gross_dice_analytic(die_area);
         if !(n.is_finite() && n > 0.0) {
             return Err(UnitError::OutOfRange {
                 quantity: "gross dies per wafer",
@@ -228,20 +137,24 @@ mod tests {
         DefectDensity::per_cm2(v).unwrap()
     }
 
+    fn wafer(cost: f64) -> ChipletWafer {
+        ChipletWafer::new(WaferSpec::new(300.0, 3.0, 0.2).unwrap(), Dollars::new(cost)).unwrap()
+    }
+
     #[test]
     fn yield_decreases_with_area_and_defect_density() {
         let model = CriticalLayerYield::new(dd(0.09), 10.0).unwrap();
-        let small = model.die_yield(Area::from_mm2(50.0)).unwrap();
-        let large = model.die_yield(Area::from_mm2(800.0)).unwrap();
+        let small = model.die_yield(Area::from_mm2(50.0));
+        let large = model.die_yield(Area::from_mm2(800.0));
         assert!(small.value() > large.value());
         let dirty = CriticalLayerYield::new(dd(0.25), 10.0).unwrap();
-        assert!(dirty.die_yield(Area::from_mm2(50.0)).unwrap().value() < small.value());
+        assert!(dirty.die_yield(Area::from_mm2(50.0)).value() < small.value());
     }
 
     #[test]
     fn zero_area_yields_one() {
         let model = CriticalLayerYield::new(dd(0.09), 10.0).unwrap();
-        let y = model.die_yield(Area::from_mm2(0.0)).unwrap();
+        let y = model.die_yield(Area::from_mm2(0.0));
         assert!((y.value() - 1.0).abs() < 1e-12);
     }
 
@@ -249,15 +162,17 @@ mod tests {
     fn invalid_parameters_are_rejected() {
         assert!(CriticalLayerYield::new(dd(0.1), 0.0).is_err());
         assert!(CriticalLayerYield::new(dd(0.1), f64::NAN).is_err());
-        assert!(ChipletWafer::new(0.0, 0.0, 0.1, Dollars::new(1.0)).is_err());
-        assert!(ChipletWafer::new(300.0, 151.0, 0.1, Dollars::new(1.0)).is_err());
-        assert!(ChipletWafer::new(300.0, 3.0, -0.1, Dollars::new(1.0)).is_err());
-        assert!(ChipletWafer::new(300.0, 3.0, 0.1, Dollars::new(-1.0)).is_err());
+        // The geometry checks are the wafer spec's own.
+        assert!(WaferSpec::new(0.0, 0.0, 0.1).is_err());
+        assert!(WaferSpec::new(300.0, 151.0, 0.1).is_err());
+        assert!(WaferSpec::new(300.0, 3.0, -0.1).is_err());
+        let spec = WaferSpec::new(300.0, 3.0, 0.1).unwrap();
+        assert!(ChipletWafer::new(spec, Dollars::new(-1.0)).is_err());
     }
 
     #[test]
     fn smaller_dies_pack_more_per_wafer_and_cost_less() {
-        let wafer = ChipletWafer::new(300.0, 3.0, 0.2, Dollars::new(9_500.0)).unwrap();
+        let wafer = wafer(9_500.0);
         let small = wafer.gross_dice(Area::from_mm2(25.0)).unwrap();
         let large = wafer.gross_dice(Area::from_mm2(400.0)).unwrap();
         assert!(small > 10.0 * large);
@@ -268,7 +183,7 @@ mod tests {
 
     #[test]
     fn die_too_large_for_the_wafer_is_an_error() {
-        let wafer = ChipletWafer::new(300.0, 3.0, 0.2, Dollars::new(9_500.0)).unwrap();
+        let wafer = wafer(9_500.0);
         assert!(wafer.die_cost(Area::from_mm2(80_000.0)).is_err());
         assert!(wafer.die_cost(Area::from_mm2(0.0)).is_err());
     }

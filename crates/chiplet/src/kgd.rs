@@ -18,18 +18,6 @@ pub struct KnownGoodDie {
 }
 
 impl KnownGoodDie {
-    /// Wraps a fab test-cost model for pre-assembly (wafer-sort) use.
-    #[must_use]
-    pub fn new(test: TestCostModel) -> Self {
-        KnownGoodDie { test }
-    }
-
-    /// The wrapped tester model.
-    #[must_use]
-    pub fn test_model(&self) -> &TestCostModel {
-        &self.test
-    }
-
     /// Eq. C3: tester cost per known-good die of the given complexity,
     /// `C_KGD = C_test(N_tr) / Y`.
     #[must_use]
@@ -55,8 +43,12 @@ impl KnownGoodDie {
 }
 
 impl Default for KnownGoodDie {
+    /// The fab's default tester, used for pre-assembly (wafer-sort)
+    /// test.
     fn default() -> Self {
-        KnownGoodDie::new(TestCostModel::default())
+        KnownGoodDie {
+            test: TestCostModel::default(),
+        }
     }
 }
 
@@ -68,7 +60,7 @@ mod tests {
     fn perfect_yield_charges_exactly_the_tester_time() {
         let kgd = KnownGoodDie::default();
         let t = TransistorCount::from_millions(10.0);
-        let per_die = kgd.test_model().cost_per_die(t);
+        let per_die = kgd.test.cost_per_die(t);
         let per_good = kgd.cost_per_good_die(t, Yield::new(1.0).unwrap());
         assert!((per_good.amount() - per_die.amount()).abs() < 1e-12);
     }

@@ -10,16 +10,16 @@
 //! model, following the Chiplet Actuary cost framework
 //! (arXiv:2203.12268; see also arXiv:2206.07308):
 //!
-//! * [`CriticalLayerYield`] — eq. C1, negative-binomial die yield per
-//!   critical layer;
-//! * [`ChipletWafer`] — eq. C2, scribe/edge-corrected dies per wafer
-//!   and die cost;
+//! * [`CriticalLayerYield`] — eq. C1, the `nanocost_yield`
+//!   negative-binomial die yield with α = critical levels;
+//! * [`ChipletWafer`] — eq. C2, a `nanocost_fab` wafer spec plus a
+//!   price: its analytic dies per wafer, and the die cost;
 //! * [`KnownGoodDie`] — eq. C3, KGD test cost per good die;
 //! * [`AssemblyTech`] — eq. C4, bonding × substrate assembly yield
 //!   and cost for [`AssemblyKind::Rdl`] or
 //!   [`AssemblyKind::SiliconInterposer`];
 //! * [`SipNre`] — mask sets (eq. 5) and design effort (eq. 6) per
-//!   distinct chiplet design, amortized across products;
+//!   distinct chiplet design, amortized over volume;
 //! * [`ChipletScenario`] / [`ChipletModels`] — eq. C5, the whole SiP
 //!   priced per shipped unit, with the monolithic build as the `n = 1`
 //!   degenerate case;

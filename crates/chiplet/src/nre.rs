@@ -1,11 +1,9 @@
 //! Non-recurring engineering for a SiP: mask sets and design effort
-//! per distinct chiplet design, amortized over volume and over the
-//! products that reuse each chiplet.
+//! per distinct chiplet design, amortized over volume.
 //!
 //! This is where disaggregation earns its keep on the paper's eq. 5-6
 //! axis: a SiP built from `n` chiplets of which only `k` are distinct
-//! designs pays `k` mask sets and `k` design efforts — and a chiplet
-//! reused across `p` products spreads that NRE over all of them.
+//! designs pays `k` mask sets and `k` design efforts.
 
 use nanocost_fab::MaskCostModel;
 use nanocost_flow::DesignEffortModel;
@@ -14,52 +12,26 @@ use nanocost_units::{
 };
 
 /// NRE model for one SiP: the fab's mask-set pricing plus the flow's
-/// design-effort curve, with cross-product reuse.
+/// design-effort curve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SipNre {
     masks: MaskCostModel,
     design: DesignEffortModel,
-    products_sharing: u32,
 }
 
 impl SipNre {
-    /// Creates an NRE model. `products_sharing` is the number of
-    /// products each distinct chiplet design ships in (≥ 1); the
-    /// monolithic baseline is 1.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnitError`] if `products_sharing` is zero.
-    pub fn new(
-        masks: MaskCostModel,
-        design: DesignEffortModel,
-        products_sharing: u32,
-    ) -> Result<Self, UnitError> {
-        if products_sharing == 0 {
-            return Err(UnitError::NotPositive { quantity: "products sharing", value: 0.0 });
-        }
-        Ok(SipNre { masks, design, products_sharing })
-    }
-
-    /// Paper-default mask and design-effort curves with no reuse.
+    /// Paper-default mask and design-effort curves.
     #[must_use]
     pub fn paper_defaults() -> Self {
         SipNre {
             masks: MaskCostModel::default(),
             design: DesignEffortModel::paper_defaults(),
-            products_sharing: 1,
         }
-    }
-
-    /// The number of products each chiplet design is reused across.
-    #[must_use]
-    pub fn products_sharing(&self) -> u32 {
-        self.products_sharing
     }
 
     /// Total NRE per shipped unit: `distinct_designs` mask sets plus
     /// `distinct_designs` design efforts (each chiplet sized at
-    /// `transistors_per_chiplet`), divided by `units · products`.
+    /// `transistors_per_chiplet`), divided by `units`.
     ///
     /// The mask-set and design-effort evaluations emit the paper's
     /// eq. 5 / eq. 6 provenance; the amortization itself is folded
@@ -84,9 +56,7 @@ impl SipNre {
         let mask_set = self.masks.mask_set_cost(lambda);
         let design = self.design.design_cost(transistors_per_chiplet, sd)?;
         let total = (mask_set + design) * f64::from(distinct_designs);
-        #[allow(clippy::cast_precision_loss)]
-        let amortized_over = units.count() as f64 * f64::from(self.products_sharing);
-        Ok(total / amortized_over)
+        Ok(total / units.as_f64())
     }
 }
 
@@ -99,22 +69,6 @@ mod tests {
     }
 
     #[test]
-    fn reuse_across_products_divides_the_nre() {
-        let lambda = FeatureSize::from_microns(0.1).unwrap();
-        let t = TransistorCount::from_millions(20.0);
-        let units = ChipCount::new(100_000);
-        let solo = SipNre::new(MaskCostModel::default(), DesignEffortModel::paper_defaults(), 1)
-            .unwrap()
-            .nre_per_unit(2, t, sd(300.0), lambda, units)
-            .unwrap();
-        let shared = SipNre::new(MaskCostModel::default(), DesignEffortModel::paper_defaults(), 4)
-            .unwrap()
-            .nre_per_unit(2, t, sd(300.0), lambda, units)
-            .unwrap();
-        assert!((solo.amount() / shared.amount() - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn more_distinct_designs_cost_more_nre() {
         let nre = SipNre::paper_defaults();
         let lambda = FeatureSize::from_microns(0.1).unwrap();
@@ -123,15 +77,5 @@ mod tests {
         let one = nre.nre_per_unit(1, t, sd(300.0), lambda, units).unwrap();
         let four = nre.nre_per_unit(4, t, sd(300.0), lambda, units).unwrap();
         assert!((four.amount() / one.amount() - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_products_sharing_is_rejected() {
-        assert!(SipNre::new(
-            MaskCostModel::default(),
-            DesignEffortModel::paper_defaults(),
-            0
-        )
-        .is_err());
     }
 }

@@ -8,18 +8,20 @@
 //! C_unit = Σᵢ (C_dieᵢ / Yᵢ + C_KGDᵢ)      silicon, per good chiplet
 //!        + C_asm / Y_asm                    substrate + bonding, yielded
 //!        + C_pkg                            final package
-//!        + (k·C_MA + k·C_DE) / (V·p)        NRE over volume and reuse
+//!        + (k·C_MA + k·C_DE) / V            NRE over volume
 //! ```
 //!
 //! For `n = 1` the assembly terms vanish and the expression collapses
-//! to the monolithic die cost — [`ChipletScenario::evaluate`] with one
-//! chiplet and [`ChipletModels::monolithic`] must agree, which the
-//! test suite pins.
+//! to one die's eq. C1–C3 silicon cost plus the eq.-5/6 NRE —
+//! [`ChipletModels::evaluate`] with one chiplet and
+//! [`ChipletModels::monolithic`] must agree, which the test suite
+//! pins.
 
 use crate::assembly::{AssemblyKind, AssemblyTech};
 use crate::die::{ChipletWafer, CriticalLayerYield};
 use crate::kgd::KnownGoodDie;
 use crate::nre::SipNre;
+use nanocost_fab::WaferSpec;
 use nanocost_trace::provenance;
 use nanocost_units::{
     Area, ChipCount, DecompressionIndex, Dollars, FeatureSize, TransistorCount, UnitError, Yield,
@@ -83,8 +85,7 @@ pub struct ChipletReport {
     /// Assembly share (substrate + bonding, divided by assembly
     /// yield); zero for a monolithic die.
     pub assembly_cost: Dollars,
-    /// Amortized NRE share (mask sets + design effort over volume and
-    /// reuse).
+    /// Amortized NRE share (mask sets + design effort over volume).
     pub nre_cost: Dollars,
     /// Active silicon area of the whole design (eq. 2).
     pub total_area: Area,
@@ -117,62 +118,6 @@ pub struct ChipletModels {
 }
 
 impl ChipletModels {
-    /// Creates a model stack from explicit parts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnitError`] if `d2d_overhead` is negative or
-    /// non-finite, `footprint_factor` is less than one, or the package
-    /// cost is negative.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        die_yield: CriticalLayerYield,
-        die_wafer: ChipletWafer,
-        kgd: KnownGoodDie,
-        rdl: AssemblyTech,
-        si: AssemblyTech,
-        nre: SipNre,
-        d2d_overhead: f64,
-        footprint_factor: f64,
-        package_cost: Dollars,
-    ) -> Result<Self, UnitError> {
-        if !d2d_overhead.is_finite() || d2d_overhead < 0.0 {
-            return Err(UnitError::OutOfRange {
-                quantity: "die-to-die overhead",
-                value: d2d_overhead,
-                min: 0.0,
-                max: f64::INFINITY,
-            });
-        }
-        if !footprint_factor.is_finite() || footprint_factor < 1.0 {
-            return Err(UnitError::OutOfRange {
-                quantity: "footprint factor",
-                value: footprint_factor,
-                min: 1.0,
-                max: f64::INFINITY,
-            });
-        }
-        if package_cost.is_negative() {
-            return Err(UnitError::OutOfRange {
-                quantity: "package cost",
-                value: package_cost.amount(),
-                min: 0.0,
-                max: f64::INFINITY,
-            });
-        }
-        Ok(ChipletModels {
-            die_yield,
-            die_wafer,
-            kgd,
-            rdl,
-            si,
-            nre,
-            d2d_overhead,
-            footprint_factor,
-            package_cost,
-        })
-    }
-
     /// Reference parameters: a 300 mm advanced-node line (D₀ =
     /// 0.09 /cm² over 10 critical levels, $9,500 wafers), default
     /// tester and NRE curves, the default RDL / interposer substrates,
@@ -184,24 +129,17 @@ impl ChipletModels {
     /// Returns [`UnitError`] only if the built-in constants are
     /// inconsistent, which the test suite pins against.
     pub fn defaults() -> Result<Self, UnitError> {
-        ChipletModels::new(
-            CriticalLayerYield::new(DefectDensity::per_cm2(0.09)?, 10.0)?,
-            ChipletWafer::new(300.0, 3.0, 0.2, Dollars::new(9_500.0))?,
-            KnownGoodDie::default(),
-            AssemblyTech::defaults(AssemblyKind::Rdl)?,
-            AssemblyTech::defaults(AssemblyKind::SiliconInterposer)?,
-            SipNre::paper_defaults(),
-            0.07,
-            1.2,
-            Dollars::new(2.0),
-        )
-    }
-
-    /// Replaces the NRE model (e.g. to set cross-product reuse).
-    #[must_use]
-    pub fn with_nre(mut self, nre: SipNre) -> Self {
-        self.nre = nre;
-        self
+        Ok(ChipletModels {
+            die_yield: CriticalLayerYield::new(DefectDensity::per_cm2(0.09)?, 10.0)?,
+            die_wafer: ChipletWafer::new(WaferSpec::new(300.0, 3.0, 0.2)?, Dollars::new(9_500.0))?,
+            kgd: KnownGoodDie::default(),
+            rdl: AssemblyTech::defaults(AssemblyKind::Rdl)?,
+            si: AssemblyTech::defaults(AssemblyKind::SiliconInterposer)?,
+            nre: SipNre::paper_defaults(),
+            d2d_overhead: 0.07,
+            footprint_factor: 1.2,
+            package_cost: Dollars::new(2.0),
+        })
     }
 
     fn assembly_tech(&self, kind: AssemblyKind) -> &AssemblyTech {
@@ -224,17 +162,19 @@ impl ChipletModels {
     }
 
     /// Prices the monolithic build of a scenario directly — one die,
-    /// no KGD sort, no assembly — as an independent straight-line
-    /// computation the SiP path is checked against.
+    /// no die-to-die overhead, no assembly — as an independent
+    /// straight-line computation the SiP path is checked against.
     ///
     /// # Errors
     ///
-    /// Returns [`UnitError`] if the die does not fit the wafer or the
-    /// NRE model rejects the density.
+    /// Returns [`UnitError`] if the eq.-2 area overflows, the die does
+    /// not fit the wafer, or the NRE model rejects the density.
     pub fn monolithic(&self, scenario: &ChipletScenario) -> Result<ChipletReport, UnitError> {
         scenario.validate()?;
-        let total_area = scenario.sd.chip_area(scenario.transistors, scenario.lambda);
-        let die_yield = self.die_yield.die_yield(total_area)?;
+        let total_area = scenario
+            .sd
+            .chip_area(scenario.transistors, scenario.lambda)?;
+        let die_yield = self.die_yield.die_yield(total_area);
         let die_cost = self.die_wafer.die_cost(total_area)?;
         let kgd_cost = self.kgd.cost_per_good_die(scenario.transistors, die_yield);
         let silicon = die_cost / die_yield.value() + kgd_cost;
@@ -277,18 +217,20 @@ impl ChipletModels {
     ///
     /// # Errors
     ///
-    /// Returns [`UnitError`] if the scenario is inconsistent, a die or
-    /// substrate does not fit its wafer, or the NRE model rejects the
-    /// density.
+    /// Returns [`UnitError`] if the scenario is inconsistent, the eq.-2
+    /// area overflows, a die or substrate does not fit its wafer, or
+    /// the NRE model rejects the density.
     pub fn evaluate(&self, scenario: &ChipletScenario) -> Result<ChipletReport, UnitError> {
         scenario.validate()?;
         let n = scenario.chiplets;
-        let total_area = scenario.sd.chip_area(scenario.transistors, scenario.lambda);
+        let total_area = scenario
+            .sd
+            .chip_area(scenario.transistors, scenario.lambda)?;
         let chiplet_area = self.chiplet_area(total_area, n);
         let per_chiplet_transistors =
             TransistorCount::new(scenario.transistors.count() / f64::from(n))?;
 
-        let die_yield = self.die_yield.die_yield(chiplet_area)?;
+        let die_yield = self.die_yield.die_yield(chiplet_area);
         let die_cost = self.die_wafer.die_cost(chiplet_area)?;
         let kgd_each = self.kgd.cost_per_good_die(per_chiplet_transistors, die_yield);
         let kgd_cost = kgd_each * f64::from(n);
@@ -334,42 +276,6 @@ impl ChipletModels {
             die_yield,
             assembly_yield,
         })
-    }
-
-    /// Evaluates the scenario at every chiplet count in `candidates`
-    /// and returns the cheapest `(chiplets, report)` pair. Candidates
-    /// that fail to evaluate (e.g. a monolithic die too large for the
-    /// wafer) are skipped; at least one must succeed.
-    ///
-    /// # Errors
-    ///
-    /// Returns the last [`UnitError`] if every candidate fails, or a
-    /// `NotPositive` error if `candidates` is empty.
-    pub fn best_split(
-        &self,
-        scenario: &ChipletScenario,
-        candidates: &[u32],
-    ) -> Result<(u32, ChipletReport), UnitError> {
-        let mut best: Option<(u32, ChipletReport)> = None;
-        let mut last_err =
-            UnitError::NotPositive { quantity: "chiplet candidates", value: 0.0 };
-        for &n in candidates {
-            let mut probe = *scenario;
-            probe.chiplets = n;
-            probe.distinct_designs = scenario.distinct_designs.min(n.max(1));
-            match self.evaluate(&probe) {
-                Ok(report) => {
-                    let better = best
-                        .as_ref()
-                        .is_none_or(|(_, b)| report.unit_cost.amount() < b.unit_cost.amount());
-                    if better {
-                        best = Some((n, report));
-                    }
-                }
-                Err(e) => last_err = e,
-            }
-        }
-        best.ok_or(last_err)
     }
 }
 
@@ -448,21 +354,6 @@ mod tests {
         s.distinct_designs = 4;
         let quad = models.evaluate(&s).unwrap();
         assert!(mono.unit_cost.amount() < quad.unit_cost.amount());
-    }
-
-    #[test]
-    fn best_split_picks_the_cheapest_candidate() {
-        let models = ChipletModels::defaults().unwrap();
-        let s = scenario(1);
-        let (n, report) = models.best_split(&s, &[1, 2, 4, 8]).unwrap();
-        for candidate in [1u32, 2, 4, 8] {
-            let mut probe = s;
-            probe.chiplets = candidate;
-            let r = models.evaluate(&probe).unwrap();
-            assert!(report.unit_cost.amount() <= r.unit_cost.amount() + 1e-12);
-        }
-        assert!(n > 1, "a 400M-transistor die should want splitting");
-        assert!(models.best_split(&s, &[]).is_err());
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! randomized parameter sweep pins the translation between the two.
 
 use nanocost_chiplet::{ChipletWafer, CriticalLayerYield};
+use nanocost_fab::WaferSpec;
 use nanocost_numeric::Rng64;
 use nanocost_units::{Area, Dollars};
 use nanocost_yield::DefectDensity;
@@ -60,7 +61,7 @@ fn die_yield_matches_the_reference_over_a_random_sweep() {
         let case = format!("area={area_mm2} d0={d0} c={c}");
 
         let model = CriticalLayerYield::new(DefectDensity::per_cm2(d0).unwrap(), c).unwrap();
-        let y = model.die_yield(Area::from_mm2(area_mm2)).unwrap().value();
+        let y = model.die_yield(Area::from_mm2(area_mm2)).value();
         close(y, oracle_die_yield(area_mm2, d0, c), "die_yield", &case);
     }
 }
@@ -75,8 +76,8 @@ fn gross_dice_match_the_reference_over_a_random_sweep() {
         let scribe = rng.random_range(0.1..0.3);
         let case = format!("area={area_mm2} D={diameter} e={edge_loss} s={scribe}");
 
-        let wafer =
-            ChipletWafer::new(diameter, edge_loss, scribe, Dollars::new(1.0)).unwrap();
+        let spec = WaferSpec::new(diameter, edge_loss, scribe).unwrap();
+        let wafer = ChipletWafer::new(spec, Dollars::new(1.0)).unwrap();
         let n = wafer.gross_dice(Area::from_mm2(area_mm2)).unwrap();
         close(n, oracle_n_total(area_mm2, diameter, edge_loss, scribe), "gross_dice", &case);
     }
@@ -97,13 +98,13 @@ fn cost_per_good_area_matches_the_reference_over_a_random_sweep() {
 
         // The oracle prices the wafer at $1 per mm² of wafer disc.
         let wafer_price = std::f64::consts::PI * (diameter / 2.0) * (diameter / 2.0);
-        let wafer =
-            ChipletWafer::new(diameter, edge_loss, scribe, Dollars::new(wafer_price)).unwrap();
+        let spec = WaferSpec::new(diameter, edge_loss, scribe).unwrap();
+        let wafer = ChipletWafer::new(spec, Dollars::new(wafer_price)).unwrap();
         let yield_model =
             CriticalLayerYield::new(DefectDensity::per_cm2(d0).unwrap(), c).unwrap();
 
         let die_cost = wafer.die_cost(Area::from_mm2(area_mm2)).unwrap().amount();
-        let y = yield_model.die_yield(Area::from_mm2(area_mm2)).unwrap().value();
+        let y = yield_model.die_yield(Area::from_mm2(area_mm2)).value();
         let cost_per_good_mm2 = die_cost / area_mm2 / y;
 
         close(

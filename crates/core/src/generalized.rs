@@ -147,7 +147,7 @@ impl GeneralizedCostModel {
         let design_cost = self.effort.design_cost(transistors, sd)?;
         let cd_sq =
             design_cost_per_cm2(mask_cost, design_cost, volume, self.wafer.total_area());
-        let fab_yield = self.yield_surface.evaluate(lambda, sd, transistors, volume);
+        let fab_yield = self.yield_surface.evaluate(lambda, sd, transistors, volume)?;
         let effective_yield = self.utilization * fab_yield;
         let geometric = sd.squares() * lambda.square().cm2() / effective_yield.value();
         let silicon_cost =

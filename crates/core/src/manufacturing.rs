@@ -98,7 +98,7 @@ impl ManufacturingCostModel {
         sd: DecompressionIndex,
         transistors: TransistorCount,
     ) -> Result<Dollars, UnitError> {
-        let die_area: Area = sd.chip_area(transistors, lambda);
+        let die_area: Area = sd.chip_area(transistors, lambda)?;
         let n_ch = wafer.gross_dice(die_area);
         if n_ch.is_zero() {
             return Err(UnitError::NotPositive {

@@ -44,7 +44,7 @@ fn evaluate_at(
     transistors: TransistorCount,
     demand_units: f64,
 ) -> Result<(Dollars, u64), UnitError> {
-    let die_area = sd.chip_area(transistors, lambda);
+    let die_area = sd.chip_area(transistors, lambda)?;
     let dice = model.wafer().gross_dice(die_area);
     if dice.is_zero() {
         return Err(UnitError::NotPositive {

@@ -128,7 +128,7 @@ impl ProfitModel {
         let t_weeks = self.schedule.time_to_market_weeks(iterations);
         let unit_price = self.market.unit_price(t_weeks);
 
-        let die_area = sd.chip_area(transistors, lambda);
+        let die_area = sd.chip_area(transistors, lambda)?;
         let dice = self.wafer.gross_dice(die_area);
         if dice.is_zero() {
             return Err(UnitError::NotPositive {

@@ -56,7 +56,7 @@ pub fn tradeoff_sweep(
         })?;
         out.push(TradeoffPoint {
             sd: s,
-            die_cm2: sd.chip_area(transistors, lambda).cm2(),
+            die_cm2: sd.chip_area(transistors, lambda)?.cm2(),
             fab_yield: report.fab_yield.value(),
             cost: report.transistor_cost.amount(),
         });

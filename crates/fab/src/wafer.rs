@@ -188,6 +188,10 @@ impl WaferSpec {
     /// `π·(d/2)²/S − π·d/√(2·S)` with `d` the usable diameter and `S` the
     /// scribe-padded die area. Good to a few percent for dice much smaller
     /// than the wafer; [`WaferSpec::gross_dice`] is the exact count.
+    ///
+    /// This is Chiplet Actuary's `N_total` (arXiv:2203.12268), and the
+    /// chiplet model's eq. C2 (`nanocost_chiplet::ChipletWafer`) prices
+    /// its dies with it.
     #[must_use]
     pub fn gross_dice_analytic(self, die_area: Area) -> f64 {
         if die_area.is_zero() {

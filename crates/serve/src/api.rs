@@ -529,6 +529,22 @@ mod tests {
     }
 
     #[test]
+    fn yield_endpoint_rejects_an_overflowing_die_area() {
+        // Finite inputs whose eq.-2 area `N_tr · s_d · λ²` overflows are
+        // a domain violation, not a panic.
+        let state = ServerState::new();
+        let r = handle(
+            &state,
+            &post(
+                "/v1/yield",
+                r#"{"lambda_um":0.07,"sd":1e300,"transistors":1e300,"volume":1000,"fab_yield":0.9}"#,
+            ),
+        );
+        assert_eq!(r.status, 422, "{}", body_str(&r));
+        assert!(body_str(&r).contains("domain violation"), "{}", body_str(&r));
+    }
+
+    #[test]
     fn optimum_endpoint_locates_sd_star() {
         let state = ServerState::new();
         let r = handle(
@@ -666,6 +682,15 @@ mod tests {
         // Non-finite model input is a domain violation, not a panic.
         let body = CHIPLET_BODY.replace("\"sd\":300", "\"sd\":1e400");
         assert_eq!(handle(&state, &post("/v1/chiplet", &body)).status, 422);
+        // So are finite inputs whose eq.-2 area overflows, and a die too
+        // large for the wafer.
+        for body in [
+            r#"{"lambda_um":0.07,"sd":1e300,"transistors":1e300,"units":1000,"chiplets":4}"#,
+            r#"{"lambda_um":0.07,"sd":300,"transistors":1e12,"units":1000,"chiplets":4}"#,
+        ] {
+            let r = handle(&state, &post("/v1/chiplet", body));
+            assert_eq!(r.status, 422, "{body}: {}", body_str(&r));
+        }
         // More distinct designs than chiplets is a 422 from validate().
         let body = CHIPLET_BODY.replace("\"chiplets\":4", "\"chiplets\":2,\"distinct_designs\":3");
         assert_eq!(handle(&state, &post("/v1/chiplet", &body)).status, 422);

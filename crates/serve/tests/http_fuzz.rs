@@ -162,6 +162,17 @@ fn mutated_requests_never_panic_and_keep_invariants() {
     }
 }
 
+/// Raises the shutdown flag when dropped, so an assertion that fails
+/// inside [`with_server`] stops the server instead of leaving the scope
+/// waiting on it forever.
+struct ShutdownOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for ShutdownOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
 /// Runs `f` against a live server bound to an ephemeral port with a
 /// short I/O deadline, then shuts the server down cleanly.
 fn with_server(io_timeout: Duration, f: impl FnOnce(std::net::SocketAddr)) {
@@ -175,8 +186,10 @@ fn with_server(io_timeout: Duration, f: impl FnOnce(std::net::SocketAddr)) {
     let shutdown = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let handle = scope.spawn(|| server.run(&shutdown));
-        f(addr);
-        shutdown.store(true, Ordering::SeqCst);
+        {
+            let _stop = ShutdownOnDrop(&shutdown);
+            f(addr);
+        }
         handle.join().expect("server thread").expect("server run");
     });
 }
@@ -254,23 +267,59 @@ fn slow_client_burst_is_shed_not_queued_without_bound() {
     });
 }
 
+/// A well-formed `/v1/cost` query.
+const COST_BODY: &str =
+    r#"{"lambda_um":0.18,"sd":300,"transistors":1e7,"volume":5000,"fab_yield":0.4}"#;
+
+/// Posts `body` to `path` on a fresh connection and returns the raw
+/// response (empty if the server closed without answering).
+fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    write!(
+        stream,
+        "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("write");
+    let mut response = Vec::new();
+    let _ = stream.read_to_end(&mut response);
+    String::from_utf8_lossy(&response).into_owned()
+}
+
 #[test]
 fn end_to_end_cost_request_round_trips() {
     with_server(Duration::from_secs(2), |addr| {
-        let body = "{\"lambda_um\":0.18,\"sd\":300,\"transistors\":1e7,\"volume\":5000,\"fab_yield\":0.4}";
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        write!(
-            stream,
-            "POST /v1/cost HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        )
-        .expect("write");
-        let mut response = Vec::new();
-        stream.read_to_end(&mut response).expect("read");
-        let text = String::from_utf8_lossy(&response);
+        let text = post(addr, "/v1/cost", COST_BODY);
         assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
         assert!(text.contains("\"req_id\":\"r1\""), "{text}");
         assert!(text.contains("\"total\":"), "{text}");
+    });
+}
+
+#[test]
+fn overflowing_die_areas_answer_422_and_keep_both_workers() {
+    // Two bodies for the two workers: if each killed the worker that
+    // took it, none would be left to answer the cost request.
+    with_server(Duration::from_secs(2), |addr| {
+        for (path, body) in [
+            (
+                "/v1/yield",
+                r#"{"lambda_um":0.07,"sd":1e300,"transistors":1e300,"volume":1000,"fab_yield":0.9}"#,
+            ),
+            (
+                "/v1/chiplet",
+                r#"{"lambda_um":0.07,"sd":1e300,"transistors":1e300,"units":1000,"chiplets":4}"#,
+            ),
+        ] {
+            let text = post(addr, path, body);
+            assert!(text.starts_with("HTTP/1.1 422"), "{path}: {text}");
+            assert!(text.contains("domain violation"), "{path}: {text}");
+        }
+        let text = post(addr, "/v1/cost", COST_BODY);
+        assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
     });
 }
 

@@ -80,9 +80,17 @@ impl DecompressionIndex {
 
     /// The silicon area occupied by `transistors` drawn at this density on a
     /// `lambda` process: `A_ch = N_tr · s_d · λ²` (eq. 2 rearranged).
-    #[must_use]
-    pub fn chip_area(self, transistors: TransistorCount, lambda: FeatureSize) -> Area {
-        Area::from_cm2(transistors.count() * self.0 * lambda.square().cm2())
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnitError`] if the product overflows to infinity (finite
+    /// but huge `N_tr` and `s_d`, e.g. `1e300` each).
+    pub fn chip_area(
+        self,
+        transistors: TransistorCount,
+        lambda: FeatureSize,
+    ) -> Result<Area, UnitError> {
+        Area::try_from_cm2(transistors.count() * self.0 * lambda.square().cm2())
     }
 }
 
@@ -215,7 +223,7 @@ mod tests {
         let sd = DecompressionIndex::new(320.0).unwrap();
         let n = TransistorCount::from_millions(10.0);
         let lambda = um(0.13);
-        let area = sd.chip_area(n, lambda);
+        let area = sd.chip_area(n, lambda).unwrap();
         let back = DecompressionIndex::from_layout(area, n, lambda);
         assert!((back.squares() - 320.0).abs() < 1e-6);
     }

@@ -173,8 +173,12 @@ mod proptests {
             let m = r.random_range(0.1f64..100.0);
             let sd = DecompressionIndex::new(s).unwrap();
             let lambda = FeatureSize::from_microns(um).unwrap();
-            let a1 = sd.chip_area(TransistorCount::from_millions(m), lambda);
-            let a2 = sd.chip_area(TransistorCount::from_millions(2.0 * m), lambda);
+            let a1 = sd
+                .chip_area(TransistorCount::from_millions(m), lambda)
+                .unwrap();
+            let a2 = sd
+                .chip_area(TransistorCount::from_millions(2.0 * m), lambda)
+                .unwrap();
             assert!((a2.cm2() / a1.cm2() - 2.0).abs() < 1e-9);
         }
     }

@@ -13,7 +13,7 @@
 //! 6. multiplied by the volume-driven [`SystematicRamp`].
 
 use nanocost_units::{
-    Area, DecompressionIndex, FeatureSize, TransistorCount, WaferCount, Yield,
+    Area, DecompressionIndex, FeatureSize, TransistorCount, UnitError, WaferCount, Yield,
 };
 
 use crate::critical_area::CriticalAreaModel;
@@ -36,7 +36,7 @@ use crate::models::{NegativeBinomialModel, YieldModel};
 ///     DecompressionIndex::new(250.0)?,
 ///     TransistorCount::from_millions(10.0),
 ///     WaferCount::new(50_000)?,
-/// );
+/// )?;
 /// assert!(y.value() > 0.0 && y.value() <= 1.0);
 /// # Ok::<(), nanocost_units::UnitError>(())
 /// ```
@@ -107,16 +107,20 @@ impl YieldSurface {
     /// Evaluates the surface — eq. 7's `Y(λ, s_d, N_tr, N_w)`: the yield
     /// of a die with `n_tr` transistors drawn at density `sd` on node
     /// `lambda`, for a production run of `volume` wafers.
-    #[must_use]
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnitError`] if the eq.-2 die area overflows (see
+    /// [`DecompressionIndex::chip_area`]).
     pub fn evaluate(
         &self,
         lambda: FeatureSize,
         sd: DecompressionIndex,
         n_tr: TransistorCount,
         volume: WaferCount,
-    ) -> Yield {
-        let die_area = sd.chip_area(n_tr, lambda);
-        self.evaluate_area(lambda, sd, die_area, volume)
+    ) -> Result<Yield, UnitError> {
+        let die_area = sd.chip_area(n_tr, lambda)?;
+        Ok(self.evaluate_area(lambda, sd, die_area, volume))
     }
 
     /// Like [`YieldSurface::evaluate`] but for an explicitly given die area
@@ -179,16 +183,24 @@ mod tests {
     #[test]
     fn yield_improves_with_volume() {
         let s = YieldSurface::nanometer_default();
-        let early = s.evaluate(um(0.25), sd(250.0), mt(10.0), wafers(500));
-        let late = s.evaluate(um(0.25), sd(250.0), mt(10.0), wafers(200_000));
+        let early = s
+            .evaluate(um(0.25), sd(250.0), mt(10.0), wafers(500))
+            .unwrap();
+        let late = s
+            .evaluate(um(0.25), sd(250.0), mt(10.0), wafers(200_000))
+            .unwrap();
         assert!(late.value() > early.value());
     }
 
     #[test]
     fn yield_falls_with_transistor_count() {
         let s = YieldSurface::nanometer_default();
-        let small = s.evaluate(um(0.25), sd(250.0), mt(5.0), wafers(50_000));
-        let big = s.evaluate(um(0.25), sd(250.0), mt(50.0), wafers(50_000));
+        let small = s
+            .evaluate(um(0.25), sd(250.0), mt(5.0), wafers(50_000))
+            .unwrap();
+        let big = s
+            .evaluate(um(0.25), sd(250.0), mt(50.0), wafers(50_000))
+            .unwrap();
         assert!(small.value() > big.value());
     }
 
@@ -198,8 +210,12 @@ mod tests {
         // With the default calibration the area term dominates, so yield
         // falls with s_d — the effect the paper's Fig. 4 denominator needs.
         let s = YieldSurface::nanometer_default();
-        let dense = s.evaluate(um(0.25), sd(120.0), mt(10.0), wafers(50_000));
-        let sparse = s.evaluate(um(0.25), sd(600.0), mt(10.0), wafers(50_000));
+        let dense = s
+            .evaluate(um(0.25), sd(120.0), mt(10.0), wafers(50_000))
+            .unwrap();
+        let sparse = s
+            .evaluate(um(0.25), sd(600.0), mt(10.0), wafers(50_000))
+            .unwrap();
         assert!(
             dense.value() > sparse.value(),
             "dense {} sparse {}",
@@ -214,8 +230,12 @@ mod tests {
         // λ²; even with the higher defect sensitivity (exponent 1.8 < 2 the
         // area win dominates), yield should not collapse.
         let s = YieldSurface::nanometer_default();
-        let old = s.evaluate(um(0.35), sd(250.0), mt(10.0), wafers(50_000));
-        let new = s.evaluate(um(0.25), sd(250.0), mt(10.0), wafers(50_000));
+        let old = s
+            .evaluate(um(0.35), sd(250.0), mt(10.0), wafers(50_000))
+            .unwrap();
+        let new = s
+            .evaluate(um(0.25), sd(250.0), mt(10.0), wafers(50_000))
+            .unwrap();
         assert!(new.value() >= old.value() * 0.9, "old {} new {}", old, new);
     }
 
@@ -225,8 +245,10 @@ mod tests {
         let lambda = um(0.18);
         let d = sd(300.0);
         let n = mt(20.0);
-        let via_count = s.evaluate(lambda, d, n, wafers(10_000));
-        let via_area = s.evaluate_area(lambda, d, d.chip_area(n, lambda), wafers(10_000));
+        let via_count = s
+            .evaluate(lambda, d, n, wafers(10_000))
+            .unwrap();
+        let via_area = s.evaluate_area(lambda, d, d.chip_area(n, lambda).unwrap(), wafers(10_000));
         assert!((via_count.value() - via_area.value()).abs() < 1e-12);
     }
 
@@ -236,7 +258,9 @@ mod tests {
         for &l in &[1.5, 0.8, 0.35, 0.18, 0.1, 0.05] {
             for &d in &[30.0, 100.0, 500.0, 1000.0] {
                 for &m in &[0.2, 10.0, 200.0] {
-                    let y = s.evaluate(um(l), sd(d), mt(m), wafers(5_000));
+                    let y = s
+                        .evaluate(um(l), sd(d), mt(m), wafers(5_000))
+                        .unwrap();
                     assert!(y.value() > 0.0 && y.value() <= 1.0);
                 }
             }

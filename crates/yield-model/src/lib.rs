@@ -137,12 +137,14 @@ mod proptests {
             let m = r.random_range(0.1f64..500.0);
             let v = r.random_range(1u64..500_000);
             let surface = YieldSurface::nanometer_default();
-            let y = surface.evaluate(
-                FeatureSize::from_microns(l).unwrap(),
-                DecompressionIndex::new(s).unwrap(),
-                TransistorCount::from_millions(m),
-                WaferCount::new(v).unwrap(),
-            );
+            let y = surface
+                .evaluate(
+                    FeatureSize::from_microns(l).unwrap(),
+                    DecompressionIndex::new(s).unwrap(),
+                    TransistorCount::from_millions(m),
+                    WaferCount::new(v).unwrap(),
+                )
+                .unwrap();
             assert!(y.value() > 0.0 && y.value() <= 1.0);
         }
     }
@@ -208,8 +210,12 @@ mod proptests {
             let l = FeatureSize::from_microns(0.18).unwrap();
             let s = DecompressionIndex::new(250.0).unwrap();
             let n = TransistorCount::from_millions(10.0);
-            let y1 = surface.evaluate(l, s, n, WaferCount::new(v1).unwrap());
-            let y2 = surface.evaluate(l, s, n, WaferCount::new(v1 + extra).unwrap());
+            let y1 = surface
+                .evaluate(l, s, n, WaferCount::new(v1).unwrap())
+                .unwrap();
+            let y2 = surface
+                .evaluate(l, s, n, WaferCount::new(v1 + extra).unwrap())
+                .unwrap();
             assert!(y2.value() >= y1.value() - 1e-12);
         }
     }

@@ -284,7 +284,7 @@ impl WaferMapSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::{PoissonModel, YieldModel};
+    use crate::models::{NegativeBinomialModel, PoissonModel, YieldModel};
 
     fn simulator() -> WaferMapSimulator {
         WaferMapSimulator::new(WaferSpec::standard_200mm(), Area::from_cm2(1.5), 0.5)
@@ -362,7 +362,10 @@ mod tests {
         // moment-matched negative binomial is approximate — but it must be
         // close, and far better than Poisson at the same mean.
         let ad = result.mean_defects_per_die;
-        let negbin = (1.0 + ad / alpha).powf(-alpha);
+        let negbin = NegativeBinomialModel::new(alpha)
+            .unwrap()
+            .die_yield(Area::from_cm2(ad), d0(1.0))
+            .value();
         let poisson = (-ad).exp();
         let empirical = result.empirical_yield.value();
         assert!(
