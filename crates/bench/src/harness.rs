@@ -9,10 +9,11 @@
 //!
 //! It is intentionally small: warmup, N timed samples, median + min/max.
 //! The statistical machinery lives downstream: with `NANOCOST_BENCH_JSON`
-//! set, every benchmark appends a format-2 record carrying the full
-//! sorted per-iteration sample array (plus a once-per-run manifest
-//! header), and `nanocost-sentinel`'s `bench_diff` bin turns two such
-//! captures into a rank-tested regression verdict.
+//! set, every benchmark appends a record carrying the full sorted
+//! per-iteration sample array (plus a once-per-run manifest header).
+//! Runs appended to one file pool per benchmark, and
+//! `nanocost-sentinel`'s `bench_diff` bin turns a parent capture and a
+//! candidate capture into a rank-tested regression verdict.
 
 use std::hint::black_box as std_black_box;
 use std::sync::Once;

@@ -1,24 +1,26 @@
 //! Parsing and statistical diffing of `NANOCOST_BENCH_JSON` captures.
 //!
-//! The bench harness appends one JSON object per line: an optional
-//! run-manifest header (`{"manifest":{...}}`, format 2) followed by one
-//! record per benchmark. Format-2 records carry the full sorted
-//! per-iteration sample array (`samples_s`), which lets
-//! [`diff`] run a rank-based Mann–Whitney test instead of eyeballing
-//! medians — exactly the discipline Maly's Figures 1–4 apply to `s_d`
-//! scatter. Format-1 files (median/min/max only) still parse, and the
-//! diff falls back to a median-only comparison for them.
+//! The bench harness appends one JSON object per line: a run-manifest
+//! header (`{"manifest":{...}}`) followed by one record per benchmark,
+//! each carrying the full sorted per-iteration sample array
+//! (`samples_s`). That lets [`diff`] run a rank-based Mann–Whitney test
+//! instead of eyeballing medians — exactly the discipline Maly's
+//! Figures 1–4 apply to `s_d` scatter.
+//!
+//! Several suite runs appended to one file are one capture: a name that
+//! repeats pools its samples into a single record, so the paired perf
+//! gate diffs the parent's concatenated rounds against the change's.
 
 use std::collections::BTreeMap;
 
 use crate::json::{self, JsonValue};
-use crate::stats::{mann_whitney, MIN_SAMPLES};
+use crate::stats::mann_whitney;
 use crate::{schema, SentinelError};
 
-/// The run-manifest header of a format-2 capture.
+/// The run-manifest header of a capture.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
-    /// Capture format version (2 for per-sample captures).
+    /// Capture format version.
     pub format: u64,
     /// `rustc --version` of the producing toolchain.
     pub rustc: String,
@@ -28,37 +30,30 @@ pub struct Manifest {
     pub sample_size: u64,
 }
 
-/// One benchmark record from a capture file.
+/// One benchmark's samples, pooled over every record of its name.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
     /// Benchmark name, `suite/case`.
     pub name: String,
-    /// Median per-iteration time in seconds.
+    /// Median of `samples_s`, in seconds.
     pub median_s: f64,
-    /// Fastest per-iteration time in seconds.
-    pub min_s: f64,
-    /// Slowest per-iteration time in seconds.
-    pub max_s: f64,
-    /// Number of samples collected.
-    pub samples: u64,
-    /// Iterations per sample.
-    pub iters: u64,
-    /// Sorted per-iteration sample times in seconds (empty in format-1
-    /// captures).
+    /// Sorted per-iteration sample times in seconds (never empty).
     pub samples_s: Vec<f64>,
 }
 
-/// A parsed capture file: optional manifest plus records in file order.
+/// A parsed capture file: the first manifest plus one record per
+/// benchmark name, in first-seen order.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BenchFile {
-    /// The run manifest, when the capture is format 2.
+    /// The first run manifest in the file, if any.
     pub manifest: Option<Manifest>,
-    /// Benchmark records in file order.
+    /// Benchmark records, one per name.
     pub records: Vec<BenchRecord>,
 }
 
 /// Parses a `NANOCOST_BENCH_JSON` capture (one JSON object per line;
-/// blank lines ignored).
+/// blank lines ignored). Records that repeat a name — one per appended
+/// suite run — pool their samples into one record.
 ///
 /// # Errors
 ///
@@ -66,6 +61,7 @@ pub struct BenchFile {
 /// when a line is valid JSON but not a manifest or benchmark record.
 pub fn parse_bench_file(text: &str) -> Result<BenchFile, SentinelError> {
     let mut out = BenchFile::default();
+    let mut index: BTreeMap<String, usize> = BTreeMap::new();
     for (i, line) in text.lines().enumerate() {
         let lineno = i + 1;
         if line.trim().is_empty() {
@@ -73,10 +69,22 @@ pub fn parse_bench_file(text: &str) -> Result<BenchFile, SentinelError> {
         }
         let v = json::parse(line).map_err(|error| SentinelError::Parse { line: lineno, error })?;
         if let Some(m) = v.get("manifest") {
-            out.manifest = Some(parse_manifest(m, lineno)?);
+            let m = parse_manifest(m, lineno)?;
+            out.manifest.get_or_insert(m);
             continue;
         }
-        out.records.push(parse_record(&v, lineno)?);
+        let (name, samples_s) = parse_record(&v, lineno)?;
+        match index.get(&name) {
+            Some(&at) => out.records[at].samples_s.extend_from_slice(&samples_s),
+            None => {
+                index.insert(name.clone(), out.records.len());
+                out.records.push(BenchRecord { name, median_s: 0.0, samples_s });
+            }
+        }
+    }
+    for r in &mut out.records {
+        r.samples_s.sort_by(f64::total_cmp);
+        r.median_s = r.samples_s[r.samples_s.len() / 2];
     }
     Ok(out)
 }
@@ -104,98 +112,22 @@ fn parse_manifest(v: &JsonValue, line: usize) -> Result<Manifest, SentinelError>
     })
 }
 
-fn parse_record(v: &JsonValue, line: usize) -> Result<BenchRecord, SentinelError> {
-    let num = |key: &str| -> Result<f64, SentinelError> {
-        v.get(key)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| schema(line, &format!("record missing numeric `{key}`")))
-    };
-    let samples_s = match v.get("samples_s") {
-        None => Vec::new(),
-        Some(arr) => arr
-            .as_arr()
-            .ok_or_else(|| schema(line, "`samples_s` must be an array"))?
-            .iter()
-            .map(|s| s.as_f64().ok_or_else(|| schema(line, "`samples_s` holds a non-number")))
-            .collect::<Result<Vec<f64>, SentinelError>>()?,
-    };
-    Ok(BenchRecord {
-        name: v
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| schema(line, "record missing string `name`"))?
-            .to_string(),
-        median_s: num("median_s")?,
-        min_s: num("min_s")?,
-        max_s: num("max_s")?,
-        samples: v
-            .get("samples")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| schema(line, "record missing numeric `samples`"))?,
-        iters: v
-            .get("iters")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| schema(line, "record missing numeric `iters`"))?,
-        samples_s,
-    })
-}
-
-/// Pools several captures into one reference distribution per
-/// benchmark: per-sample arrays are concatenated and re-sorted (so a
-/// downstream Mann–Whitney test runs against the merged scatter, with
-/// tie correction handling the duplicates), `min_s`/`max_s` are the
-/// extremes over all runs, `samples` is the total, and `median_s` is
-/// the median of the pooled samples — or, for format-1 captures with
-/// no per-sample data, the sample-count-weighted mean of the per-run
-/// medians. The first manifest seen (if any) is kept. Pooling several
-/// baseline runs this way damps single-run machine noise in the perf
-/// gate.
-#[must_use]
-pub fn pool(files: &[BenchFile]) -> BenchFile {
-    let mut manifest: Option<Manifest> = None;
-    // name -> (pooled record, Σ(median·samples), Σ samples) — the
-    // accumulators back the format-1 weighted-median fallback.
-    let mut by_name: BTreeMap<String, (BenchRecord, f64, u64)> = BTreeMap::new();
-    let mut order: Vec<String> = Vec::new();
-    for f in files {
-        if manifest.is_none() {
-            manifest.clone_from(&f.manifest);
-        }
-        for r in &f.records {
-            let weight = r.samples.max(1);
-            match by_name.get_mut(&r.name) {
-                None => {
-                    order.push(r.name.clone());
-                    by_name.insert(
-                        r.name.clone(),
-                        (r.clone(), r.median_s * weight as f64, weight),
-                    );
-                }
-                Some((acc, median_weighted, total_weight)) => {
-                    acc.min_s = acc.min_s.min(r.min_s);
-                    acc.max_s = acc.max_s.max(r.max_s);
-                    acc.samples += r.samples;
-                    acc.samples_s.extend_from_slice(&r.samples_s);
-                    *median_weighted += r.median_s * weight as f64;
-                    *total_weight += weight;
-                }
-            }
-        }
-    }
-    let records = order
-        .into_iter()
-        .filter_map(|name| by_name.remove(&name))
-        .map(|(mut r, median_weighted, total_weight)| {
-            r.samples_s.sort_by(f64::total_cmp);
-            r.median_s = if r.samples_s.is_empty() {
-                median_weighted / total_weight as f64
-            } else {
-                r.samples_s[r.samples_s.len() / 2]
-            };
-            r
-        })
-        .collect();
-    BenchFile { manifest, records }
+/// A record's name and its samples (non-empty, in file order).
+fn parse_record(v: &JsonValue, line: usize) -> Result<(String, Vec<f64>), SentinelError> {
+    let name = v
+        .get("name")
+        .and_then(JsonValue::as_str)
+        .ok_or_else(|| schema(line, "record missing string `name`"))?
+        .to_string();
+    let samples_s = v
+        .get("samples_s")
+        .and_then(JsonValue::as_arr)
+        .filter(|arr| !arr.is_empty())
+        .ok_or_else(|| schema(line, "record missing non-empty array `samples_s`"))?
+        .iter()
+        .map(|s| s.as_f64().ok_or_else(|| schema(line, "`samples_s` holds a non-number")))
+        .collect::<Result<Vec<f64>, SentinelError>>()?;
+    Ok((name, samples_s))
 }
 
 /// Knobs for [`diff`].
@@ -339,7 +271,7 @@ impl DiffReport {
             }
             out.push_str(&format!(
                 "{{\"name\":{},\"verdict\":\"{}\"",
-                json_escape(&e.name),
+                crate::escape_json(&e.name),
                 e.verdict.label()
             ));
             if let Some(v) = e.base_median_s {
@@ -361,23 +293,6 @@ impl DiffReport {
     }
 }
 
-/// Renders a JSON string literal (the subset of escapes bench names can
-/// contain; control chars are escaped numerically for safety).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// `1.234 ms`-style rendering for a duration in seconds.
 fn format_seconds(s: f64) -> String {
     if s >= 1.0 {
@@ -396,9 +311,9 @@ fn format_seconds(s: f64) -> String {
 /// A benchmark is `Regressed`/`Improved` only when **both** the
 /// relative-median shift exceeds `config.threshold` **and** the
 /// Mann–Whitney test on the per-sample arrays rejects at
-/// `config.alpha`. When either side lacks per-sample data (format-1
-/// captures, or fewer than [`MIN_SAMPLES`] samples) the verdict falls
-/// back to the median threshold alone — noisier, but never silent.
+/// `config.alpha`. A side with fewer than
+/// [`MIN_SAMPLES`](crate::stats::MIN_SAMPLES) samples cannot be told
+/// from noise, so its benchmark stays `Unchanged`.
 #[must_use]
 pub fn diff(base: &BenchFile, cand: &BenchFile, config: DiffConfig) -> DiffReport {
     let base_by_name: BTreeMap<&str, &BenchRecord> =
@@ -445,16 +360,8 @@ fn classify(base: &BenchRecord, cand: &BenchRecord, config: DiffConfig) -> DiffE
     // such a record is already garbage, so treat the shift as absent.
     let rel_change =
         (base.median_s > 0.0).then(|| (cand.median_s - base.median_s) / base.median_s);
-    let test = if base.samples_s.len() >= MIN_SAMPLES && cand.samples_s.len() >= MIN_SAMPLES {
-        mann_whitney(&base.samples_s, &cand.samples_s)
-    } else {
-        None
-    };
-    let p_value = test.map(|t| t.p);
-    // Significant unless the rank test ran and says otherwise: with
-    // per-sample data the p-value must clear alpha; without it the
-    // median threshold alone decides.
-    let significant = p_value.is_none_or(|p| p < config.alpha);
+    let p_value = mann_whitney(&base.samples_s, &cand.samples_s).map(|t| t.p);
+    let significant = p_value.is_some_and(|p| p < config.alpha);
     let verdict = match rel_change {
         Some(r) if r > config.threshold && significant => Verdict::Regressed,
         Some(r) if r < -config.threshold && significant => Verdict::Improved,
@@ -475,18 +382,9 @@ mod tests {
     use super::*;
 
     fn record(name: &str, samples_s: Vec<f64>) -> BenchRecord {
-        let mut sorted = samples_s.clone();
+        let mut sorted = samples_s;
         sorted.sort_by(f64::total_cmp);
-        let median = sorted[sorted.len() / 2];
-        BenchRecord {
-            name: name.to_string(),
-            median_s: median,
-            min_s: sorted[0],
-            max_s: sorted[sorted.len() - 1],
-            samples: sorted.len() as u64,
-            iters: 64,
-            samples_s: sorted,
-        }
+        BenchRecord { name: name.to_string(), median_s: sorted[sorted.len() / 2], samples_s: sorted }
     }
 
     fn file(records: Vec<BenchRecord>) -> BenchFile {
@@ -507,15 +405,6 @@ mod tests {
         assert_eq!(m.opt_level, "release");
         assert_eq!(f.records.len(), 1);
         assert_eq!(f.records[0].samples_s.len(), 3);
-    }
-
-    #[test]
-    fn parses_format1_capture_without_samples() {
-        let text = "{\"name\":\"a/b\",\"median_s\":1e-5,\"min_s\":9e-6,\
-                    \"max_s\":2e-5,\"samples\":30,\"iters\":64}\n";
-        let f = parse_bench_file(text).expect("parses");
-        assert!(f.manifest.is_none());
-        assert!(f.records[0].samples_s.is_empty());
     }
 
     #[test]
@@ -580,74 +469,40 @@ mod tests {
     }
 
     #[test]
-    fn format1_fallback_uses_the_median_threshold_alone() {
-        let mut b = record("s/x", vec![1e-5; 30]);
-        let mut c = record("s/x", vec![3e-5; 30]);
-        b.samples_s.clear();
-        c.samples_s.clear();
-        let report = diff(&file(vec![b]), &file(vec![c]), DiffConfig::default());
-        assert_eq!(report.entries[0].verdict, Verdict::Regressed);
-        assert_eq!(report.entries[0].p_value, None);
-    }
-
-    #[test]
-    fn pooling_merges_samples_and_damps_an_outlier_run() {
-        let steady: Vec<f64> = (0..30).map(|i| 1e-5 * (1.0 + 0.001 * f64::from(i))).collect();
-        let noisy: Vec<f64> = steady.iter().map(|v| v * 1.8).collect();
-        let pooled = pool(&[
-            file(vec![record("s/x", steady.clone())]),
-            file(vec![record("s/x", steady.clone())]),
-            file(vec![record("s/x", noisy)]),
-        ]);
-        assert_eq!(pooled.records.len(), 1);
-        let r = &pooled.records[0];
-        assert_eq!(r.samples_s.len(), 90);
-        assert_eq!(r.samples, 90);
-        assert!(r.samples_s.windows(2).all(|w| w[0] <= w[1]), "re-sorted");
-        // Two steady runs outvote the 1.8x outlier: the pooled median
-        // stays near the steady median, not the 3-run mean.
-        let steady_median = record("s/x", steady.clone()).median_s;
-        assert!(
-            (r.median_s - steady_median) / steady_median < 0.1,
-            "pooled median {} vs steady {}",
-            r.median_s,
-            steady_median
-        );
-        // Diffing the steady run against the pooled reference is quiet.
-        let report =
-            diff(&pooled, &file(vec![record("s/x", steady)]), DiffConfig::default());
-        assert_eq!(report.entries[0].verdict, Verdict::Unchanged);
-    }
-
-    #[test]
-    fn pooling_format1_records_weights_medians_by_sample_count() {
-        let mut a = record("s/x", vec![1e-5; 10]);
-        let mut b = record("s/x", vec![2e-5; 30]);
-        a.samples_s.clear();
-        b.samples_s.clear();
-        let pooled = pool(&[file(vec![a]), file(vec![b])]);
-        let r = &pooled.records[0];
-        // (1e-5·10 + 2e-5·30) / 40 = 1.75e-5.
-        assert!((r.median_s - 1.75e-5).abs() < 1e-12, "{}", r.median_s);
-        assert_eq!(r.samples, 40);
-    }
-
-    #[test]
-    fn pooling_keeps_benchmarks_distinct_and_the_first_manifest() {
-        let m = Manifest {
-            format: 2,
-            rustc: "rustc 1.80.0".to_string(),
-            opt_level: "release".to_string(),
-            sample_size: 30,
+    fn a_capture_that_repeats_a_name_parses_to_one_pooled_record() {
+        // Three appended suite runs, the last 1.8x slower: one record
+        // holding all 9 samples, sorted, with the median over the pool.
+        let run = |scale: f64| {
+            format!(
+                "{{\"manifest\":{{\"format\":2,\"rustc\":\"rustc {scale}\",\
+                 \"opt_level\":\"release\",\"sample_size\":3}}}}\n\
+                 {{\"name\":\"s/x\",\"samples_s\":[{:e},{:e},{:e}]}}\n\
+                 {{\"name\":\"s/y\",\"samples_s\":[1e-3,1e-3,1e-3]}}\n",
+                1.0e-5 * scale,
+                1.1e-5 * scale,
+                1.2e-5 * scale
+            )
         };
-        let one = BenchFile {
-            manifest: Some(m.clone()),
-            records: vec![record("s/a", vec![1e-5; 10])],
-        };
-        let two = BenchFile { manifest: None, records: vec![record("s/b", vec![2e-5; 10])] };
-        let pooled = pool(&[one, two]);
-        assert_eq!(pooled.manifest, Some(m));
-        assert_eq!(pooled.records.len(), 2);
+        let text = [run(1.0), run(1.0), run(1.8)].concat();
+        let f = parse_bench_file(&text).expect("parses");
+        assert_eq!(f.manifest.map(|m| m.rustc), Some("rustc 1".to_string()), "first manifest");
+        let names: Vec<&str> = f.records.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["s/x", "s/y"]);
+        let x = &f.records[0];
+        assert_eq!(x.samples_s.len(), 9);
+        assert!(x.samples_s.windows(2).all(|w| w[0] <= w[1]), "re-sorted");
+        // Two steady runs outvote the 1.8x one: the pooled median is the
+        // steady runs' 1.2e-5 (the 5th of 9), not a slow sample.
+        assert!((x.median_s - 1.2e-5).abs() < 1e-18, "{}", x.median_s);
+    }
+
+    #[test]
+    fn a_record_without_samples_is_a_schema_error() {
+        let text = "{\"name\":\"a/b\",\"median_s\":1e-5,\"samples_s\":[]}\n";
+        match parse_bench_file(text) {
+            Err(SentinelError::Schema { line: 1, .. }) => {}
+            other => panic!("unexpected result: {other:?}"),
+        }
     }
 
     #[test]

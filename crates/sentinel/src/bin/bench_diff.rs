@@ -1,17 +1,14 @@
-//! Compares a `NANOCOST_BENCH_JSON` capture against one or more
-//! baseline captures and gates on regressions.
+//! Compares a candidate `NANOCOST_BENCH_JSON` capture against its
+//! parent's and gates on regressions.
 //!
 //! ```text
-//! bench_diff <baseline.json> <candidate.json> [--threshold 0.25]
+//! bench_diff <parent.json> <candidate.json> [--threshold 0.25]
 //!            [--alpha 0.01] [--json]
-//! bench_diff --against <baseline.json> <candidate.json> [...]
-//! bench_diff --against a.json --against b.json <candidate.json> [...]
 //! ```
 //!
-//! Several `--against` captures are pooled into one reference
-//! distribution per benchmark (samples concatenated, median over the
-//! pooled scatter) before the tie-corrected Mann–Whitney test runs —
-//! one noisy baseline run no longer decides the gate.
+//! Each file may hold several appended suite runs; a benchmark's
+//! records pool into one sample set per side before the tie-corrected
+//! Mann–Whitney test runs.
 //!
 //! Exit code 0 when no benchmark regressed, 1 when at least one did,
 //! 2 on usage or I/O errors. `--json` swaps the text table for the
@@ -19,43 +16,37 @@
 
 use std::process::ExitCode;
 
-use nanocost_sentinel::bench::{diff, parse_bench_file, pool, DiffConfig};
+use nanocost_sentinel::bench::{diff, parse_bench_file, BenchFile, DiffConfig};
 use nanocost_sentinel::SentinelError;
 
 struct Args {
-    baselines: Vec<String>,
+    parent: String,
     candidate: String,
     config: DiffConfig,
     json: bool,
 }
 
 fn usage() -> String {
-    "usage: bench_diff [--against <baseline.json>]... [<baseline.json>...] \
-     <candidate.json> [--threshold REL] [--alpha P] [--json]"
+    "usage: bench_diff <parent.json> <candidate.json> [--threshold REL] [--alpha P] [--json]"
         .to_string()
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut positional: Vec<String> = Vec::new();
-    let mut against: Vec<String> = Vec::new();
     let mut config = DiffConfig::default();
     let mut json = false;
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
             "--json" => json = true,
-            "--against" | "--threshold" | "--alpha" => {
-                let flag = argv[i].clone();
+            flag @ ("--threshold" | "--alpha") => {
                 i += 1;
                 let v = argv.get(i).ok_or_else(|| format!("{flag} needs a value\n{}", usage()))?;
-                match flag.as_str() {
-                    // --against names a baseline explicitly; repeatable.
-                    "--against" => against.push(v.clone()),
-                    "--threshold" => {
-                        config.threshold =
-                            v.parse().map_err(|_| format!("bad --threshold `{v}`"))?;
-                    }
-                    _ => config.alpha = v.parse().map_err(|_| format!("bad --alpha `{v}`"))?,
+                let parsed = v.parse().map_err(|_| format!("bad {flag} `{v}`"))?;
+                if flag == "--threshold" {
+                    config.threshold = parsed;
+                } else {
+                    config.alpha = parsed;
                 }
             }
             "--help" | "-h" => return Err(usage()),
@@ -66,18 +57,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         }
         i += 1;
     }
-    // The last positional is the candidate; every other positional is
-    // one more baseline, pooled together with the --against captures.
-    let candidate = positional.pop().ok_or_else(usage)?;
-    let mut baselines = against;
-    baselines.append(&mut positional);
-    if baselines.is_empty() {
-        return Err(usage());
+    match <[String; 2]>::try_from(positional) {
+        Ok([parent, candidate]) => Ok(Args { parent, candidate, config, json }),
+        Err(_) => Err(usage()),
     }
-    Ok(Args { baselines, candidate, config, json })
 }
 
-fn load(path: &str) -> Result<nanocost_sentinel::bench::BenchFile, SentinelError> {
+fn load(path: &str) -> Result<BenchFile, SentinelError> {
     let text = std::fs::read_to_string(path).map_err(|e| SentinelError::io(path, &e))?;
     parse_bench_file(&text)
 }
@@ -91,24 +77,13 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut baseline_files = Vec::new();
-    for path in &args.baselines {
-        match load(path) {
-            Ok(f) => baseline_files.push(f),
-            Err(e) => {
-                eprintln!("bench_diff: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let cand = match load(&args.candidate) {
-        Ok(c) => c,
-        Err(e) => {
+    let (base, cand) = match (load(&args.parent), load(&args.candidate)) {
+        (Ok(b), Ok(c)) => (b, c),
+        (Err(e), _) | (_, Err(e)) => {
             eprintln!("bench_diff: {e}");
             return ExitCode::from(2);
         }
     };
-    let base = pool(&baseline_files);
     let report = diff(&base, &cand, args.config);
     if args.json {
         println!("{}", report.json_report());

@@ -19,7 +19,9 @@
 //! - [`stats::mann_whitney`] — rank-based two-sample test used by the
 //!   `bench_diff` bin to separate real latency shifts from noise.
 //! - [`bench`] — parsing and statistical diffing of
-//!   `NANOCOST_BENCH_JSON` capture files against `BENCH_baseline.json`.
+//!   `NANOCOST_BENCH_JSON` capture files: the parent commit's pooled
+//!   suite runs against the change's, in `scripts/ci.sh`'s paired
+//!   perf gate.
 //! - [`profile`] — times the spans of a parsed capture into
 //!   folded-stack flamegraph lines and a self/total-time hotspot table
 //!   (the `trace_profile` bin), with optional time-windowing; also

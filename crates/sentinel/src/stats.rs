@@ -4,7 +4,7 @@
 //! noise, so comparing means (or even medians alone) misclassifies
 //! runs. The Mann–Whitney U test asks the distribution-free question
 //! that matters for drift detection: *do samples from the candidate run
-//! systematically rank above samples from the baseline run?* The
+//! systematically rank above samples from the parent run?* The
 //! `bench_diff` gate combines this p-value with a relative-median noise
 //! threshold, mirroring how Maly's Figures 1–4 separate a real `s_d`
 //! trend from scatter.
@@ -28,8 +28,8 @@ pub const MIN_SAMPLES: usize = 5;
 /// handling, tie-corrected variance, and continuity correction.
 ///
 /// Returns `None` when either side has fewer than [`MIN_SAMPLES`]
-/// samples or a non-finite value (the caller should then fall back to a
-/// median-only comparison). When every observation is tied the variance
+/// samples or a non-finite value: no shift between such samples counts
+/// as significant. When every observation is tied the variance
 /// collapses; the test reports `z = 0`, `p = 1`.
 #[must_use]
 pub fn mann_whitney(a: &[f64], b: &[f64]) -> Option<MannWhitney> {

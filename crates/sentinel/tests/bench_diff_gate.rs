@@ -1,7 +1,8 @@
 //! End-to-end test of the `bench_diff` CI gate: a deliberately slowed
 //! benchmark in the candidate capture must be flagged `regressed` and
 //! fail the process with a nonzero exit code, while a same-distribution
-//! candidate passes with exit 0.
+//! candidate passes with exit 0. The gate compares exactly one parent
+//! capture with one candidate capture.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -66,7 +67,7 @@ fn a_slowed_benchmark_is_regressed_and_fails_the_gate() {
     let base_path = write_temp("base", &baseline);
     let cand_path = write_temp("cand", &candidate);
     let out = Command::new(env!("CARGO_BIN_EXE_bench_diff"))
-        .args(["--against", base_path.to_str().expect("utf8 path")])
+        .arg(&base_path)
         .arg(&cand_path)
         .output()
         .expect("bench_diff runs");
@@ -111,4 +112,18 @@ fn an_improvement_is_reported_but_does_not_fail() {
     assert!(stdout.contains("\"verdict\":\"improved\""), "{stdout}");
     let _ = std::fs::remove_file(base_path);
     let _ = std::fs::remove_file(cand_path);
+}
+
+#[test]
+fn three_captures_are_a_usage_error() {
+    let text = capture(&[("suite/a", 5.0e-4)]);
+    let path = write_temp("three", &text);
+    let out = Command::new(env!("CARGO_BIN_EXE_bench_diff"))
+        .args([&path, &path, &path])
+        .output()
+        .expect("bench_diff runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("usage: bench_diff <parent.json> <candidate.json>"), "{stderr}");
+    let _ = std::fs::remove_file(path);
 }

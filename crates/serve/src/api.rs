@@ -529,19 +529,28 @@ mod tests {
     }
 
     #[test]
-    fn yield_endpoint_rejects_an_overflowing_die_area() {
-        // Finite inputs whose eq.-2 area `N_tr · s_d · λ²` overflows are
-        // a domain violation, not a panic.
+    fn an_overflowing_die_area_is_a_domain_violation() {
+        // Finite inputs whose eq.-2 area `N_tr · s_d · λ²` overflows, or
+        // whose λ² alone does, are a domain violation, not a panic.
         let state = ServerState::new();
-        let r = handle(
-            &state,
-            &post(
+        for (path, body) in [
+            (
                 "/v1/yield",
                 r#"{"lambda_um":0.07,"sd":1e300,"transistors":1e300,"volume":1000,"fab_yield":0.9}"#,
             ),
-        );
-        assert_eq!(r.status, 422, "{}", body_str(&r));
-        assert!(body_str(&r).contains("domain violation"), "{}", body_str(&r));
+            (
+                "/v1/yield",
+                r#"{"lambda_um":1e200,"sd":300,"transistors":1e7,"volume":1000,"fab_yield":0.9}"#,
+            ),
+            (
+                "/v1/cost",
+                r#"{"lambda_um":1e200,"sd":300,"transistors":1e7,"volume":5000,"fab_yield":0.4}"#,
+            ),
+        ] {
+            let r = handle(&state, &post(path, body));
+            assert_eq!(r.status, 422, "{path}: {}", body_str(&r));
+            assert!(body_str(&r).contains("domain violation"), "{path}: {}", body_str(&r));
+        }
     }
 
     #[test]

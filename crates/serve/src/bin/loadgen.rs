@@ -29,8 +29,6 @@
 //!                           chiplet request, require Eq.C provenance in
 //!                           it, and save it
 //!   --concurrency C         client threads (default 4)
-//!   --bench-out PATH        write a NANOCOST_BENCH_JSON format-2 capture
-//!                           (one record per endpoint) for bench_diff
 //!   --provenance-out PATH   fetch one /v1/trace/<req-id> and save it
 //!
 //! Soak criteria (the SLO-aware pass/fail checks the CI soak gate uses):
@@ -61,7 +59,6 @@ use std::time::Instant;
 
 use nanocost_sentinel::attach::{http_get, request};
 use nanocost_sentinel::json::{self, JsonValue};
-use nanocost_trace::value::json_string;
 
 struct Options {
     addr: String,
@@ -78,7 +75,6 @@ struct Options {
     require_chiplet_hits: bool,
     chiplet_provenance_out: Option<String>,
     concurrency: usize,
-    bench_out: Option<String>,
     provenance_out: Option<String>,
     allow_shed: bool,
     max_shed_rate: Option<f64>,
@@ -99,7 +95,6 @@ fn parse_options() -> Result<Options, Box<dyn std::error::Error>> {
         require_chiplet_hits: false,
         chiplet_provenance_out: None,
         concurrency: 4,
-        bench_out: None,
         provenance_out: None,
         allow_shed: false,
         max_shed_rate: None,
@@ -137,7 +132,6 @@ fn parse_options() -> Result<Options, Box<dyn std::error::Error>> {
             "--concurrency" => {
                 opts.concurrency = args.next().ok_or("--concurrency needs C")?.parse()?;
             }
-            "--bench-out" => opts.bench_out = Some(args.next().ok_or("--bench-out needs PATH")?),
             "--provenance-out" => {
                 opts.provenance_out = Some(args.next().ok_or("--provenance-out needs PATH")?);
             }
@@ -160,7 +154,7 @@ fn parse_options() -> Result<Options, Box<dyn std::error::Error>> {
                 opts.profile_out = Some(args.next().ok_or("--profile-out needs PATH")?);
             }
             "--help" | "-h" => {
-                println!("usage: loadgen (--addr HOST:PORT | --replica URL ...) [--requests N] [--mix cost,optimum,batch,chiplet] [--chiplet-share F] [--require-chiplet-hits] [--chiplet-provenance-out PATH] [--concurrency C] [--bench-out PATH] [--provenance-out PATH] [--allow-shed] [--max-shed-rate F] [--slo-p99-us N] [--exemplar-traces PREFIX] [--max-evicted-exemplars N] [--profile-out PATH]");
+                println!("usage: loadgen (--addr HOST:PORT | --replica URL ...) [--requests N] [--mix cost,optimum,batch,chiplet] [--chiplet-share F] [--require-chiplet-hits] [--chiplet-provenance-out PATH] [--concurrency C] [--provenance-out PATH] [--allow-shed] [--max-shed-rate F] [--slo-p99-us N] [--exemplar-traces PREFIX] [--max-evicted-exemplars N] [--profile-out PATH]");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument: {other}").into()),
@@ -460,48 +454,6 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-fn write_bench_capture(
-    path: &str,
-    mix: &[String],
-    latencies: &[(usize, f64)],
-) -> std::io::Result<()> {
-    let rustc = std::process::Command::new("rustc")
-        .arg("--version")
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string());
-    let mut out = format!(
-        "{{\"manifest\":{{\"format\":2,\"rustc\":{},\"opt_level\":\"{}\",\"sample_size\":{}}}}}\n",
-        json_string(&rustc),
-        if cfg!(debug_assertions) { "debug" } else { "release" },
-        latencies.len().max(1),
-    );
-    for (e, name) in mix.iter().enumerate() {
-        let mut samples: Vec<f64> = latencies
-            .iter()
-            .filter(|(idx, _)| *idx == e)
-            .map(|(_, s)| *s)
-            .collect();
-        if samples.is_empty() {
-            continue;
-        }
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let rendered: Vec<String> = samples.iter().map(|s| format!("{s:e}")).collect();
-        out.push_str(&format!(
-            "{{\"name\":{},\"median_s\":{:e},\"min_s\":{:e},\"max_s\":{:e},\"samples\":{},\"iters\":1,\"samples_s\":[{}]}}\n",
-            json_string(&format!("serve/{name}")),
-            percentile(&samples, 0.5),
-            samples[0],
-            samples[samples.len() - 1],
-            samples.len(),
-            rendered.join(","),
-        ));
-    }
-    std::fs::write(path, out)
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let opts = parse_options()?;
     let outcome = drive(&opts);
@@ -536,10 +488,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             percentile(&samples, 0.5) * 1e6,
             percentile(&samples, 0.99) * 1e6,
         );
-    }
-    if let Some(path) = &opts.bench_out {
-        write_bench_capture(path, &opts.mix, &outcome.latencies)?;
-        println!("loadgen: bench capture -> {path}");
     }
     if let Some(path) = &opts.provenance_out {
         let (target, id) = outcome

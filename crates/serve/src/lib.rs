@@ -27,10 +27,9 @@
 //! exemplars let `/v1/metrics` link an anonymous p99 to a fetchable
 //! trace, and latency/shed events feed dual-window
 //! [`SloMonitor`](nanocost_sentinel::SloMonitor)s behind `/v1/health`.
-//! The `loadgen` bin drives concurrent request mixes, checks
-//! client-side soak pass/fail criteria, and emits a
-//! `NANOCOST_BENCH_JSON` capture so `bench_diff` can gate server
-//! latency like any other benchmark. `/v1/metrics/raw` publishes a
+//! The `loadgen` bin drives concurrent request mixes and checks
+//! client-side soak pass/fail criteria; end-to-end serve latency is
+//! measured by the `perfbench` benchmark. `/v1/metrics/raw` publishes a
 //! replica's *mergeable* state (raw histogram buckets with
 //! replica-tagged exemplars, summable windowed SLO counters) in the
 //! [`nanocost_sentinel::federate`] wire format; each replica of a

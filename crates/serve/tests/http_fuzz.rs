@@ -301,8 +301,10 @@ fn end_to_end_cost_request_round_trips() {
 
 #[test]
 fn overflowing_die_areas_answer_422_and_keep_both_workers() {
-    // Two bodies for the two workers: if each killed the worker that
-    // took it, none would be left to answer the cost request.
+    // At least two bodies for the two workers: if each killed the
+    // worker that took it, none would be left to answer the cost
+    // request. A finite `lambda_um` whose λ² overflows is the same
+    // domain violation as an overflowing `N_tr · s_d`.
     with_server(Duration::from_secs(2), |addr| {
         for (path, body) in [
             (
@@ -312,6 +314,14 @@ fn overflowing_die_areas_answer_422_and_keep_both_workers() {
             (
                 "/v1/chiplet",
                 r#"{"lambda_um":0.07,"sd":1e300,"transistors":1e300,"units":1000,"chiplets":4}"#,
+            ),
+            (
+                "/v1/cost",
+                r#"{"lambda_um":1e200,"sd":300,"transistors":1e7,"volume":5000,"fab_yield":0.4}"#,
+            ),
+            (
+                "/v1/yield",
+                r#"{"lambda_um":1e200,"sd":300,"transistors":1e7,"volume":1000,"fab_yield":0.9}"#,
             ),
         ] {
             let text = post(addr, path, body);

@@ -31,11 +31,21 @@ impl FeatureSize {
     /// # Errors
     ///
     /// Returns [`UnitError`] if `microns` is non-finite or not strictly
-    /// positive.
+    /// positive, or if λ² overflows an [`Area`] (λ above about 1.3e158 µm),
+    /// so that [`FeatureSize::square`] never panics.
     pub fn from_microns(microns: f64) -> Result<Self, UnitError> {
-        Ok(FeatureSize {
+        let size = FeatureSize {
             microns: ensure_positive("feature size (µm)", microns)?,
-        })
+        };
+        if !(size.centimeters() * size.centimeters()).is_finite() {
+            return Err(UnitError::OutOfRange {
+                quantity: "feature size (µm)",
+                value: microns,
+                min: 0.0,
+                max: f64::MAX.sqrt() * 1.0e4,
+            });
+        }
+        Ok(size)
     }
 
     /// Creates a feature size from nanometers.
@@ -114,7 +124,8 @@ impl Mul<f64> for FeatureSize {
     ///
     /// # Panics
     ///
-    /// Panics if the resulting length would be non-positive or non-finite.
+    /// Panics if the resulting length would be non-positive, non-finite
+    /// or too large for [`FeatureSize::from_microns`].
     fn mul(self, rhs: f64) -> FeatureSize {
         // nanocost-audit: allow(R1, reason = "documented panic contract on the Mul impl; shrink factors are positive")
         FeatureSize::from_microns(self.microns * rhs).expect("scaled feature size must be positive")
@@ -157,6 +168,9 @@ mod tests {
         assert!(FeatureSize::from_microns(0.0).is_err());
         assert!(FeatureSize::from_microns(-0.1).is_err());
         assert!(FeatureSize::from_microns(f64::NAN).is_err());
+        // Finite, but its cm² square is not: `square` would have to panic.
+        assert!(FeatureSize::from_microns(1.0e200).is_err());
+        assert!(FeatureSize::from_microns(1.0e158).unwrap().square().cm2().is_finite());
     }
 
     #[test]

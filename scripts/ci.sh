@@ -109,7 +109,7 @@ done
 
 echo "==> serve smoke gate: ephemeral server + loadgen mix"
 SERVE_LOG=target/ci-serve.log
-rm -f "$SERVE_LOG" target/ci-serve-fleet.json target/ci-serve-prov.jsonl target/ci-serve-bench.json
+rm -f "$SERVE_LOG" target/ci-serve-fleet.json target/ci-serve-prov.jsonl
 rm -f target/ci-serve-chiplet-prov.jsonl
 rm -f target/ci-serve-access.jsonl target/ci-serve-health.json target/ci-serve-exemplar.*.jsonl
 cargo build -q --release -p nanocost-serve
@@ -136,8 +136,7 @@ fi
     --mix cost,optimum,batch --concurrency 4 \
     --chiplet-share 0.25 --require-chiplet-hits \
     --chiplet-provenance-out target/ci-serve-chiplet-prov.jsonl \
-    --provenance-out target/ci-serve-prov.jsonl \
-    --bench-out target/ci-serve-bench.json
+    --provenance-out target/ci-serve-prov.jsonl
 # fleet_report reads the live state: it must carry real latency
 # quantiles.
 if ! cargo run -q --release -p nanocost-sentinel --bin fleet_report -- \
@@ -358,41 +357,75 @@ kill -TERM "$FLEET_A_PID" "$FLEET_B_PID"
 wait "$FLEET_A_PID" || fleet_fail "replica a did not exit cleanly on SIGTERM"
 wait "$FLEET_B_PID" || fleet_fail "replica b did not exit cleanly on SIGTERM"
 
-# One bench capture + diff; prints the names of regressed benchmarks
-# (empty = clean). Absolute capture path: cargo runs bench targets with
-# cwd = the package dir. Both checked-in baselines (captured under
-# different machine conditions) pool into one reference distribution,
-# so neither environment's scatter alone decides the verdict.
-perf_regressions() {
-    local out="$PWD/target/$1"
-    rm -f "$out"
-    NANOCOST_BENCH_JSON="$out" cargo bench -q -p nanocost-bench >/dev/null
-    # bench_diff exits 1 on regression; the retry logic below decides.
-    cargo run -q --release -p nanocost-sentinel --bin bench_diff -- \
-        --against BENCH_baseline.json --against BENCH_baseline_2.json \
-        "$out" --threshold 0.5 \
-        | awk '$NF == "regressed" {print $1}' || true
-}
-
 if [[ "${NANOCOST_SKIP_PERF_GATE:-0}" != "1" ]]; then
-    echo "==> perf gate: bench capture vs BENCH_baseline.json"
-    # Shared-runner noise swamps small shifts (single benchmarks are
-    # routinely 60-80% off in one run), so the gate is generous twice
-    # over: a benchmark fails only on a rank-significant slowdown of
-    # 50%+ that reproduces in a second independent capture.
+    echo "==> perf gate: microbench suite, paired with the parent commit"
+    # The change is judged against its parent on the same host, so host
+    # speed cancels out. The parent is HEAD when the tree has uncommitted
+    # changes (they are the change), else HEAD^. A third copy, the
+    # parent plus a seeded eq.-4 slowdown, runs in the same interleaved
+    # loop and must be flagged, or the gate has gone blind. Each side's
+    # rounds append to one capture, which bench_diff pools per bench.
     # NANOCOST_SKIP_PERF_GATE=1 skips this block entirely.
-    FIRST="$(perf_regressions ci-bench.json)"
-    if [[ -n "$FIRST" ]]; then
-        echo "perf gate: retrying to rule out machine noise:"
-        echo "$FIRST"
-        SECOND="$(perf_regressions ci-bench-retry.json)"
-        CONFIRMED="$(comm -12 <(sort <<<"$FIRST") <(sort <<<"$SECOND"))"
-        if [[ -n "$CONFIRMED" ]]; then
-            echo "ci: FAIL: regressed in two independent runs vs BENCH_baseline.json:" >&2
-            echo "$CONFIRMED" >&2
-            exit 1
-        fi
-        echo "perf gate: regressions did not reproduce; attributed to noise"
+    # A round's samples are correlated (the host drifts between states
+    # over seconds), so rounds, not samples, average the host out: on
+    # a 2-vCPU VM five rounds flaked once in five runs, ten held in
+    # four of four. On a flake raise the rounds, not the threshold.
+    PERF_ROUNDS=10
+    PERF_T0=$(date +%s)
+    if [[ -n "$(git status --porcelain)" ]]; then PARENT=HEAD; else PARENT=HEAD^; fi
+    PARENT_SHA="$(git rev-parse --short "$PARENT")"
+    rm -rf target/perf-parent target/perf-seeded
+    for tree in target/perf-parent target/perf-seeded; do
+        mkdir -p "$tree"
+        git archive "$PARENT" | tar -x -C "$tree"
+    done
+    patch -s -p1 -d target/perf-seeded <scripts/perf-seeded-slowdown.patch
+    # Absolute paths: cargo runs bench targets with cwd = the package
+    # dir. Each tree builds in its own target dir inside the tree.
+    declare -A PERF_TREE=([parent]="$PWD/target/perf-parent" [change]="$PWD" \
+        [seeded]="$PWD/target/perf-seeded")
+    for side in parent change seeded; do
+        rm -f "target/ci-bench-$side.json"
+        cargo bench -q --no-run -p nanocost-bench \
+            --manifest-path "${PERF_TREE[$side]}/Cargo.toml"
+    done
+    for round in $(seq 1 "$PERF_ROUNDS"); do
+        # Alternate which side runs first, so no side always follows
+        # the same neighbour.
+        SIDES=(parent change seeded)
+        (( round % 2 == 0 )) && SIDES=(seeded change parent)
+        echo "perf gate: round $round/$PERF_ROUNDS: ${SIDES[*]} (parent is $PARENT_SHA)"
+        for side in "${SIDES[@]}"; do
+            NANOCOST_BENCH_JSON="$PWD/target/ci-bench-$side.json" cargo bench -q \
+                -p nanocost-bench --manifest-path "${PERF_TREE[$side]}/Cargo.toml" >/dev/null
+        done
+    done
+    # bench_diff: 0 = no regression, 1 = regressed, 2 = usage or I/O.
+    perf_diff() {
+        local code=0
+        cargo run -q --release -p nanocost-sentinel --bin bench_diff -- \
+            target/ci-bench-parent.json "target/ci-bench-$1.json" --threshold 0.5 \
+            >"target/ci-bench-$1-diff.txt" || code=$?
+        grep -E ' regressed$|^[0-9]+ benchmarks:' "target/ci-bench-$1-diff.txt" \
+            | sed "s/^/perf gate: $1: /"
+        return "$code"
+    }
+    CHANGE_CODE=0
+    perf_diff change || CHANGE_CODE=$?
+    SEEDED_CODE=0
+    perf_diff seeded || SEEDED_CODE=$?
+    echo "perf gate: $((PERF_ROUNDS * 3)) suite runs in $(($(date +%s) - PERF_T0))s"
+    if [[ "$CHANGE_CODE" -ne 0 ]]; then
+        echo "ci: FAIL: the change regressed against parent $PARENT_SHA" \
+            "(bench_diff exit $CHANGE_CODE):" >&2
+        cat target/ci-bench-change-diff.txt >&2
+        exit 1
+    fi
+    if [[ "$SEEDED_CODE" -ne 1 ]]; then
+        echo "ci: FAIL: the perf gate did not flag the seeded slowdown" \
+            "(bench_diff exit $SEEDED_CODE):" >&2
+        cat target/ci-bench-seeded-diff.txt >&2
+        exit 1
     fi
 else
     echo "==> perf gate: skipped (NANOCOST_SKIP_PERF_GATE=1)"
