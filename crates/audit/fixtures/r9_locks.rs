@@ -3,10 +3,10 @@
 //! disciplined shapes the rule credits.
 
 /// Reads the Table A1 scenario cache with a poison-panicking guard;
-/// violates R9 (the companion R1 hit is waived to keep this fixture
-/// focused on lock discipline).
+/// violates R9 (the companion `unwrap` is clippy's `unwrap_used`, which
+/// the audit does not check).
 pub fn poisoned(&self) -> u64 {
-    // nanocost-audit: allow(R1, reason = "fixture isolates the R9 poison diagnostic")
+    // Poison-panicking acquisition: the shape R9 flags.
     let g = self.cache.lock().unwrap();
     g.hits
 }

@@ -9,7 +9,7 @@ pub fn missing_citation() -> f64 {
 
 /// Compares floats directly (cites eq. 3 so R5 stays quiet).
 pub fn direct_compare(x: f64) -> bool {
-    x == 0.3
+    x == 0.0 || x == 0.3
 }
 
 /// Raw density parameter (cites eq. 2 so R5 stays quiet).

@@ -8,6 +8,18 @@
 //! Exit codes: 0 clean (warnings allowed unless `--deny`), 1 findings failed
 //! the run, 2 usage or I/O error.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary's console is its interface, and it may abort on a fatal error"
+)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -69,7 +81,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Prints the full explanation card for one rule (R1–R10, P0, P1).
+/// Prints the full explanation card for one rule (R2–R5, R7–R10, P0, P1).
 fn explain(rule: &str) -> Result<(), String> {
     let wanted = rule.to_ascii_uppercase();
     let entry = EXPLANATIONS

@@ -636,6 +636,32 @@ fn checked_vars(cond: &Expr) -> Vec<String> {
     out
 }
 
+fn collect_checked(e: &Expr, out: &mut Vec<String>) {
+    match e {
+        Expr::Binary { op, lhs, rhs, .. } => {
+            if matches!(op.as_str(), "==" | "!=" | "<" | ">" | "<=" | ">=") {
+                for side in [lhs, rhs] {
+                    if let Some(v) = side.root_var() {
+                        out.push(v.to_string());
+                    }
+                }
+            }
+            collect_checked(lhs, out);
+            collect_checked(rhs, out);
+        }
+        Expr::Method { recv, name, .. } => {
+            if name.starts_with("is_") || matches!(name.as_str(), "contains" | "starts_with" | "ends_with") {
+                if let Some(v) = recv.root_var() {
+                    out.push(v.to_string());
+                }
+            }
+            collect_checked(recv, out);
+        }
+        Expr::Try { inner, .. } => collect_checked(inner, out),
+        _ => {}
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -897,31 +923,5 @@ mod tests {
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("wrap"), "{f:?}");
         assert_eq!(f[0].line, 4);
-    }
-}
-
-fn collect_checked(e: &Expr, out: &mut Vec<String>) {
-    match e {
-        Expr::Binary { op, lhs, rhs, .. } => {
-            if matches!(op.as_str(), "==" | "!=" | "<" | ">" | "<=" | ">=") {
-                for side in [lhs, rhs] {
-                    if let Some(v) = side.root_var() {
-                        out.push(v.to_string());
-                    }
-                }
-            }
-            collect_checked(lhs, out);
-            collect_checked(rhs, out);
-        }
-        Expr::Method { recv, name, .. } => {
-            if name.starts_with("is_") || matches!(name.as_str(), "contains" | "starts_with" | "ends_with") {
-                if let Some(v) = recv.root_var() {
-                    out.push(v.to_string());
-                }
-            }
-            collect_checked(recv, out);
-        }
-        Expr::Try { inner, .. } => collect_checked(inner, out),
-        _ => {}
     }
 }

@@ -9,12 +9,12 @@ use std::fmt;
 
 /// The audit rules. Each maps to one correctness invariant of the
 /// cost-model codebase (see `README.md` § Static analysis & lint policy).
+/// The numbers skip R1 (no aborts in library code) and R6 (no console
+/// writes in library code): clippy enforces those (`DESIGN.md` §7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
-    /// No `unwrap()`/`expect()`/`panic!`/`unreachable!`/`todo!`/
-    /// `unimplemented!` in library code.
-    R1,
-    /// No direct `==`/`!=` comparison against floating-point operands.
+    /// No direct `==`/`!=` against a floating-point zero or infinity —
+    /// the exact compares `clippy::float_cmp` lets through.
     R2,
     /// No bare numeric literals in model functions outside `const` items and
     /// calibration modules.
@@ -25,9 +25,6 @@ pub enum RuleId {
     /// Every public model-crate function documents the paper
     /// equation/figure/table it implements.
     R5,
-    /// No `println!`/`eprintln!`/`print!`/`eprint!` in library code;
-    /// output flows through return values or `nanocost-trace`.
-    R6,
     /// `span!`/`event!`/metric-macro names in library code must be
     /// static lowercase `snake_case` (dot-separated) string literals, so
     /// flamegraph and fingerprint keys stay stable across runs.
@@ -71,22 +68,13 @@ pub struct Explanation {
 /// a unit test pins the one-row-per-rule invariant.
 pub const EXPLANATIONS: &[Explanation] = &[
     Explanation {
-        rule: RuleId::R1,
-        summary: "no unwrap()/expect()/panic!/unreachable!/todo!/unimplemented! in library code",
-        rationale: "A cost model embedded in a server or a larger flow must degrade into an \
-                    error value, never an abort: a panic in a worker thread wedges the worker \
-                    for the life of the process.",
-        example: "fn f(x: Option<f64>) -> f64 { x.unwrap() }",
-        fix: "Propagate with `?`/`ok_or`, or prove impossibility and carry an \
-              `allow(R1, reason = ...)` pragma naming the invariant.",
-    },
-    Explanation {
         rule: RuleId::R2,
-        summary: "no direct ==/!= comparison with floating-point operands",
+        summary: "no direct ==/!= against a floating-point zero or infinity (clippy::float_cmp holds every other float compare)",
         rationale: "Float equality is representation-dependent; model outputs must be compared \
                     against explicit tolerances so results stay stable across rustc versions \
-                    and optimization levels.",
-        example: "if cost == 0.37 { ... }",
+                    and optimization levels. `clippy::float_cmp` exempts `0.0` and `±INFINITY` \
+                    operands on purpose, so those compares are reviewed here.",
+        example: "if cost == 0.0 { ... }",
         fix: "Compare with an explicit tolerance, e.g. `(cost - K).abs() < EPS`, or use \
               `total_cmp` for ordering.",
     },
@@ -114,14 +102,6 @@ pub const EXPLANATIONS: &[Explanation] = &[
                     equation; an uncited function is unreviewable against the source.",
         example: "/// Computes stuff.\npub fn chip_cost(...) { ... }",
         fix: "Cite the paper in the doc comment: `Implements eq. (4)`, `Figure 4`, `§3.1`, ...",
-    },
-    Explanation {
-        rule: RuleId::R6,
-        summary: "no println!/eprintln!/print!/eprint! in library code; use nanocost-trace or return values",
-        rationale: "Console writes bypass the exporters: output that matters must be structured \
-                    (trace records, return values) so it is machine-diffable and replayable.",
-        example: "fn solve() { println!(\"converged\"); }",
-        fix: "Emit an `event!`/`counter!` or return the value; bins may print freely.",
     },
     Explanation {
         rule: RuleId::R7,
@@ -170,8 +150,8 @@ pub const EXPLANATIONS: &[Explanation] = &[
         summary: "suppression pragma is malformed (unknown rule, missing reason, or bad syntax)",
         rationale: "A suppression without a stated reason is an unreviewable waiver; a typo'd \
                     rule id silently suppresses nothing.",
-        example: "// nanocost-audit: allow(R1)",
-        fix: "State the reason: `// nanocost-audit: allow(R1, reason = \"len checked above\")`.",
+        example: "// nanocost-audit: allow(R3)",
+        fix: "State the reason: `// nanocost-audit: allow(R3, reason = \"Table A1 calibration\")`.",
     },
     Explanation {
         rule: RuleId::P1,
@@ -179,36 +159,32 @@ pub const EXPLANATIONS: &[Explanation] = &[
         rationale: "A pragma that no longer masks anything is a waiver outliving the code it \
                     excused; left in place it will silently swallow the next real finding on \
                     that line.",
-        example: "let v = compute(); // nanocost-audit: allow(R1, reason = \"...\") — but nothing fires here",
+        example: "let v = compute(); // nanocost-audit: allow(R3, reason = \"...\") — but nothing fires here",
         fix: "Delete the pragma (or the no-longer-needed rule id from its list).",
     },
 ];
 
 impl RuleId {
     /// All non-meta rules, in report order.
-    pub const ALL: [RuleId; 10] = [
-        RuleId::R1,
+    pub const ALL: [RuleId; 8] = [
         RuleId::R2,
         RuleId::R3,
         RuleId::R4,
         RuleId::R5,
-        RuleId::R6,
         RuleId::R7,
         RuleId::R8,
         RuleId::R9,
         RuleId::R10,
     ];
 
-    /// Parses `"R1"`…`"R10"` (case-insensitive). `P0`/`P1` are not
+    /// Parses `"R2"`…`"R10"` (case-insensitive). `P0`/`P1` are not
     /// parseable: pragma hygiene cannot itself be suppressed by a pragma.
     pub fn parse(s: &str) -> Option<RuleId> {
         match s.trim().to_ascii_uppercase().as_str() {
-            "R1" => Some(RuleId::R1),
             "R2" => Some(RuleId::R2),
             "R3" => Some(RuleId::R3),
             "R4" => Some(RuleId::R4),
             "R5" => Some(RuleId::R5),
-            "R6" => Some(RuleId::R6),
             "R7" => Some(RuleId::R7),
             "R8" => Some(RuleId::R8),
             "R9" => Some(RuleId::R9),
@@ -221,7 +197,7 @@ impl RuleId {
     #[must_use]
     pub fn explanation(self) -> &'static Explanation {
         // The registry is pinned complete by a unit test; the linear
-        // scan is over a 12-element const table.
+        // scan is over a 10-element const table.
         EXPLANATIONS
             .iter()
             .find(|e| e.rule == self)
@@ -237,14 +213,10 @@ impl RuleId {
     /// error under `--strict-pragmas` (handled by the caller).
     pub fn severity(self) -> Severity {
         match self {
-            RuleId::R1 | RuleId::R2 | RuleId::R8 | RuleId::R9 | RuleId::P0 => Severity::Error,
-            RuleId::R3
-            | RuleId::R4
-            | RuleId::R5
-            | RuleId::R6
-            | RuleId::R7
-            | RuleId::R10
-            | RuleId::P1 => Severity::Warning,
+            RuleId::R2 | RuleId::R8 | RuleId::R9 | RuleId::P0 => Severity::Error,
+            RuleId::R3 | RuleId::R4 | RuleId::R5 | RuleId::R7 | RuleId::R10 | RuleId::P1 => {
+                Severity::Warning
+            }
         }
     }
 }
@@ -252,12 +224,10 @@ impl RuleId {
 impl fmt::Display for RuleId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RuleId::R1 => write!(f, "R1"),
             RuleId::R2 => write!(f, "R2"),
             RuleId::R3 => write!(f, "R3"),
             RuleId::R4 => write!(f, "R4"),
             RuleId::R5 => write!(f, "R5"),
-            RuleId::R6 => write!(f, "R6"),
             RuleId::R7 => write!(f, "R7"),
             RuleId::R8 => write!(f, "R8"),
             RuleId::R9 => write!(f, "R9"),
@@ -394,6 +364,8 @@ mod tests {
         assert_eq!(RuleId::parse("r3"), Some(RuleId::R3));
         assert_eq!(RuleId::parse("r10"), Some(RuleId::R10));
         assert_eq!(RuleId::parse("R11"), None);
+        assert_eq!(RuleId::parse("R1"), None, "clippy holds R1");
+        assert_eq!(RuleId::parse("R6"), None, "clippy holds R6");
         assert_eq!(RuleId::parse("P0"), None, "meta-rules are not suppressible");
         assert_eq!(RuleId::parse("P1"), None, "meta-rules are not suppressible");
     }
@@ -414,10 +386,10 @@ mod tests {
 
     #[test]
     fn text_rendering_has_location_rule_and_severity() {
-        let d = diag("crates/core/src/a.rs", 7, RuleId::R1);
+        let d = diag("crates/core/src/a.rs", 7, RuleId::R2);
         assert_eq!(
             d.render_text(),
-            "crates/core/src/a.rs:7: error[R1] msg for R1"
+            "crates/core/src/a.rs:7: error[R2] msg for R2"
         );
     }
 
@@ -430,7 +402,7 @@ mod tests {
 
     #[test]
     fn report_counts_by_severity_and_carries_schema() {
-        let out = render_json_report(&[diag("a.rs", 1, RuleId::R1), diag("a.rs", 2, RuleId::R3)]);
+        let out = render_json_report(&[diag("a.rs", 1, RuleId::R2), diag("a.rs", 2, RuleId::R3)]);
         assert!(out.starts_with("{\"schema\":2,\"diagnostics\":["));
         assert!(out.contains("\"counts\":{\"error\":1,\"warning\":1}"));
     }
@@ -438,13 +410,13 @@ mod tests {
     #[test]
     fn sorting_is_stable_by_location() {
         let mut ds = vec![
-            diag("b.rs", 1, RuleId::R1),
+            diag("b.rs", 1, RuleId::R2),
+            diag("a.rs", 9, RuleId::R3),
             diag("a.rs", 9, RuleId::R2),
-            diag("a.rs", 9, RuleId::R1),
         ];
         sort_diagnostics(&mut ds);
         assert_eq!(ds[0].file, "a.rs");
-        assert_eq!(ds[0].rule, RuleId::R1, "rule breaks line ties");
+        assert_eq!(ds[0].rule, RuleId::R2, "rule breaks line ties");
         assert_eq!(ds[2].file, "b.rs");
     }
 

@@ -8,7 +8,7 @@
 //!
 //! It is deliberately *not* a full grammar: no parse tree, just a flat token
 //! stream with line numbers. That is enough to state every invariant in
-//! rules R1–R5 and keeps the pass dependency-free.
+//! rules R2–R5 and keeps the pass dependency-free.
 
 /// What a token is.
 #[derive(Debug, Clone, PartialEq, Eq)]

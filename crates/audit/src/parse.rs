@@ -30,9 +30,10 @@ pub struct Block {
 }
 
 /// One statement.
-// Fields are documented on their variants; per-field docs would repeat
-// the variant doc verbatim.
-#[allow(missing_docs)]
+#[allow(
+    missing_docs,
+    reason = "fields are documented on their variants; per-field docs would repeat the variant doc verbatim"
+)]
 #[derive(Debug, Clone)]
 pub enum Stmt {
     /// `let pat = init;` — `names` are the pattern's binding identifiers.
@@ -61,9 +62,10 @@ pub enum Stmt {
 }
 
 /// One expression. Lines are carried on the nodes diagnostics anchor to.
-// Fields are documented on their variants; per-field docs would repeat
-// the variant doc verbatim.
-#[allow(missing_docs)]
+#[allow(
+    missing_docs,
+    reason = "fields are documented on their variants; per-field docs would repeat the variant doc verbatim"
+)]
 #[derive(Debug, Clone)]
 pub enum Expr {
     /// Any literal (number, string, char, bool).
@@ -1240,14 +1242,9 @@ impl<'a> Parser<'a> {
     /// bare path/var reference.
     fn path_expr(&mut self, ns: bool, line: u32) -> Expr {
         let mut segments = Vec::new();
-        loop {
-            match self.peek().map(|t| t.kind.clone()) {
-                Some(TokenKind::Ident(id)) => {
-                    segments.push(id);
-                    self.pos += 1;
-                }
-                _ => break,
-            }
+        while let Some(TokenKind::Ident(id)) = self.peek().map(|t| t.kind.clone()) {
+            segments.push(id);
+            self.pos += 1;
             if self.at_punct("::") {
                 self.pos += 1;
                 // Turbofish inside a path.

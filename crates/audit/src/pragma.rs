@@ -3,7 +3,7 @@
 //! Grammar (inside any comment):
 //!
 //! ```text
-//! // nanocost-audit: allow(R1, R3, reason = "matrix inverse cannot fail here")
+//! // nanocost-audit: allow(R2, R3, reason = "a zero sentinel against a Table A1 constant")
 //! // nanocost-audit: allow-file(R3, reason = "calibration constants from Table A1")
 //! ```
 //!
@@ -155,7 +155,7 @@ fn target_line(tokens: &[Token], idx: usize) -> u32 {
         .unwrap_or(own)
 }
 
-/// Parses `allow(R1, R2, reason = "…")` / `allow-file(…)`.
+/// Parses `allow(R2, R3, reason = "…")` / `allow-file(…)`.
 /// Returns the rules and whether the pragma is file-wide.
 fn parse_pragma(body: &str) -> Result<(Vec<RuleId>, bool), String> {
     let (file_wide, rest) = if let Some(r) = body.strip_prefix("allow-file") {
@@ -235,10 +235,10 @@ mod tests {
 
     #[test]
     fn same_line_pragma_targets_its_line() {
-        let toks = lex("let x = v.unwrap(); // nanocost-audit: allow(R1, reason = \"checked above\")\nlet y = 1;");
+        let toks = lex("let x = 0.37; // nanocost-audit: allow(R3, reason = \"Table A1 calibration\")\nlet y = 1;");
         let s = collect(&toks);
-        assert!(s.allows(RuleId::R1, 1));
-        assert!(!s.allows(RuleId::R1, 2));
+        assert!(s.allows(RuleId::R3, 1));
+        assert!(!s.allows(RuleId::R3, 2));
     }
 
     #[test]
@@ -261,28 +261,28 @@ mod tests {
         let src = "// nanocost-audit: allow-file(R3, reason = \"calibration module\")\nfn f() { 0.123; }\n";
         let s = collect(&lex(src));
         assert!(s.allows(RuleId::R3, 999));
-        assert!(!s.allows(RuleId::R1, 999));
+        assert!(!s.allows(RuleId::R2, 999));
     }
 
     #[test]
     fn doc_comments_do_not_carry_pragmas() {
-        let src = "/// nanocost-audit: allow(R1, reason = \"just documentation\")\nfn f() {}\n";
+        let src = "/// nanocost-audit: allow(R3, reason = \"just documentation\")\nfn f() {}\n";
         let s = collect(&lex(src));
-        assert!(!s.allows(RuleId::R1, 2));
+        assert!(!s.allows(RuleId::R3, 2));
         assert!(s.malformed.is_empty());
     }
 
     #[test]
     fn multiple_rules_in_one_pragma() {
-        let src = "// nanocost-audit: allow(R1, R2, reason = \"test shim\")\ncall();\n";
+        let src = "// nanocost-audit: allow(R3, R2, reason = \"test shim\")\ncall();\n";
         let s = collect(&lex(src));
-        assert!(s.allows(RuleId::R1, 2) && s.allows(RuleId::R2, 2));
+        assert!(s.allows(RuleId::R3, 2) && s.allows(RuleId::R2, 2));
     }
 
     #[test]
     fn missing_reason_is_malformed() {
-        let s = collect(&lex("// nanocost-audit: allow(R1)\nx();\n"));
-        assert!(!s.allows(RuleId::R1, 2));
+        let s = collect(&lex("// nanocost-audit: allow(R3)\nx();\n"));
+        assert!(!s.allows(RuleId::R3, 2));
         assert_eq!(s.malformed.len(), 1);
         assert!(s.malformed[0].1.contains("reason"));
     }
@@ -291,6 +291,11 @@ mod tests {
     fn unknown_rule_is_malformed() {
         let s = collect(&lex("// nanocost-audit: allow(R99, reason = \"x\")\nx();\n"));
         assert_eq!(s.malformed.len(), 1);
+        // R1 and R6 are clippy lints now: a leftover pragma is reported.
+        for retired in ["R1", "R6"] {
+            let src = format!("// nanocost-audit: allow({retired}, reason = \"x\")\nx();\n");
+            assert_eq!(collect(&lex(&src)).malformed.len(), 1, "{retired}");
+        }
     }
 
     #[test]
@@ -303,17 +308,17 @@ mod tests {
 
     #[test]
     fn comma_inside_reason_is_not_a_separator() {
-        let src = "// nanocost-audit: allow(R1, reason = \"a, b, and c\")\nx();\n";
+        let src = "// nanocost-audit: allow(R3, reason = \"a, b, and c\")\nx();\n";
         let s = collect(&lex(src));
-        assert!(s.allows(RuleId::R1, 2));
+        assert!(s.allows(RuleId::R3, 2));
         assert!(s.malformed.is_empty());
     }
 
     #[test]
     fn unused_pragma_rules_are_stale() {
-        let src = "x.unwrap(); // nanocost-audit: allow(R1, R2, reason = \"shim\")\n";
+        let src = "x = 0.37; // nanocost-audit: allow(R3, R2, reason = \"shim\")\n";
         let mut s = collect(&lex(src));
-        assert!(s.suppress(RuleId::R1, 1));
+        assert!(s.suppress(RuleId::R3, 1));
         let stale = s.stale();
         assert_eq!(stale.len(), 1);
         assert_eq!(stale[0], (1, vec![RuleId::R2]), "R2 suppressed nothing");
@@ -321,17 +326,17 @@ mod tests {
 
     #[test]
     fn fully_used_pragma_is_not_stale() {
-        let src = "x.unwrap(); // nanocost-audit: allow(R1, reason = \"shim\")\n";
+        let src = "x = 0.37; // nanocost-audit: allow(R3, reason = \"shim\")\n";
         let mut s = collect(&lex(src));
-        assert!(s.suppress(RuleId::R1, 1));
+        assert!(s.suppress(RuleId::R3, 1));
         assert!(s.stale().is_empty());
     }
 
     #[test]
     fn never_hit_file_pragma_is_stale() {
-        let src = "// nanocost-audit: allow-file(R6, reason = \"demo\")\nfn f() {}\n";
+        let src = "// nanocost-audit: allow-file(R7, reason = \"demo\")\nfn f() {}\n";
         let mut s = collect(&lex(src));
-        assert!(!s.suppress(RuleId::R1, 2));
-        assert_eq!(s.stale(), vec![(1, vec![RuleId::R6])]);
+        assert!(!s.suppress(RuleId::R3, 2));
+        assert_eq!(s.stale(), vec![(1, vec![RuleId::R7])]);
     }
 }

@@ -1,6 +1,6 @@
 //! The audit rules.
 //!
-//! This module holds the per-file structural rules R1–R7: each is a pure
+//! This module holds the per-file structural rules R2–R7: each is a pure
 //! function over one file's token stream plus its structural
 //! [`FileContext`](crate::context::FileContext). The workspace-scoped
 //! dataflow rules live in submodules — [`taint`] (R8), [`locks`] (R9),
@@ -51,11 +51,6 @@ const R4_SYMBOLS: &[(&str, &str)] = &[
     ("density", "DesignDensity"),
 ];
 
-/// Crates whose library code prints by design and is exempt from R6: the
-/// bench harness's whole purpose is writing results to stdout, and the
-/// audit reporter itself writes diagnostics to the console.
-const R6_EXEMPT_CRATES: &[&str] = &["bench", "audit"];
-
 /// Trace macros whose first argument names a span/event/metric (R7).
 /// Stable, literal names keep flamegraph stacks and provenance
 /// fingerprint keys comparable across runs and releases.
@@ -103,12 +98,10 @@ impl FileInput<'_> {
 /// Runs every rule over one file.
 pub fn run_all(input: &FileInput<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    rule_r1(input, &mut out);
     rule_r2(input, &mut out);
     rule_r3(input, &mut out);
     rule_r4(input, &mut out);
     rule_r5(input, &mut out);
-    rule_r6(input, &mut out);
     rule_r7(input, &mut out);
     out
 }
@@ -128,55 +121,21 @@ fn prev_code(tokens: &[Token], i: usize) -> Option<usize> {
     tokens[..i].iter().rposition(|t| !t.is_trivia())
 }
 
-/// R1: no `unwrap()`/`expect()`/`panic!`/`unreachable!`/`todo!`/
-/// `unimplemented!` in library code (test regions and binaries exempt).
-fn rule_r1(input: &FileInput<'_>, out: &mut Vec<Diagnostic>) {
-    if input.is_bin() {
-        return;
-    }
-    let toks = input.tokens;
-    for (i, tok) in toks.iter().enumerate() {
-        let TokenKind::Ident(name) = &tok.kind else { continue };
-        if input.ctx.in_test(i) {
-            continue;
-        }
-        match name.as_str() {
-            "unwrap" | "expect" => {
-                // Must be a method call: `.name(`.
-                let dotted = prev_code(toks, i).map(|p| toks[p].is_punct(".")).unwrap_or(false);
-                let called = next_code(toks, i).map(|n| toks[n].is_punct("(")).unwrap_or(false);
-                if dotted && called {
-                    out.push(input.diag(
-                        tok.line,
-                        RuleId::R1,
-                        format!("`.{name}()` in library code; propagate the error or prove it impossible"),
-                    ));
-                }
-            }
-            "panic" | "unreachable" | "todo" | "unimplemented" => {
-                let bang = next_code(toks, i).map(|n| toks[n].is_punct("!")).unwrap_or(false);
-                // `debug_assert`-family and `assert` are allowed; only the
-                // bare abort macros are flagged.
-                if bang {
-                    out.push(input.diag(
-                        tok.line,
-                        RuleId::R1,
-                        format!("`{name}!` in library code; return an error instead of aborting"),
-                    ));
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// R2: no direct `==`/`!=` with floating-point operands.
+/// R2: no direct `==`/`!=` against a floating-point zero or infinity.
 ///
-/// An operand is "floating-point" when the adjacent token is a float
-/// literal, or the comparison is against an `f64::`/`f32::` associated
-/// constant (`f64::NAN`, `f64::INFINITY`, …).
+/// `clippy::float_cmp` flags every other exact float compare but lets
+/// `0.0` and `±INFINITY` operands through on purpose, so the audit holds
+/// just those: a `0.0` literal (optionally negated) on either side, or an
+/// `f64::`/`f32::` `INFINITY`/`NEG_INFINITY` constant. Test regions are
+/// exempt, as they are from `float_cmp` by a reasoned `allow`.
 fn rule_r2(input: &FileInput<'_>, out: &mut Vec<Diagnostic>) {
     let toks = input.tokens;
+    let is_zero = |k: usize| match &toks[k].kind {
+        TokenKind::Float(text) => float_value(text) == Some(0.0),
+        _ => false,
+    };
+    let is_float_path = |k: usize| toks[k].is_ident("f64") || toks[k].is_ident("f32");
+    let is_infinity = |k: usize| toks[k].is_ident("INFINITY") || toks[k].is_ident("NEG_INFINITY");
     for (i, tok) in toks.iter().enumerate() {
         let TokenKind::Punct(op) = &tok.kind else { continue };
         if op != "==" && op != "!=" {
@@ -185,20 +144,31 @@ fn rule_r2(input: &FileInput<'_>, out: &mut Vec<Diagnostic>) {
         if input.ctx.in_test(i) {
             continue;
         }
-        let prev_float = prev_code(toks, i)
-            .map(|p| matches!(toks[p].kind, TokenKind::Float(_)))
-            .unwrap_or(false);
-        let next = next_code(toks, i);
-        let next_float =
-            next.map(|n| matches!(toks[n].kind, TokenKind::Float(_))).unwrap_or(false);
-        // `x == f64::NAN`-style path on the right.
-        let next_f64_path = next
-            .map(|n| {
-                (toks[n].is_ident("f64") || toks[n].is_ident("f32"))
-                    && next_code(toks, n).map(|m| toks[m].is_punct("::")).unwrap_or(false)
+        // Left operand: `0.0 ==` or `f64::INFINITY ==`.
+        let lhs = prev_code(toks, i).is_some_and(|p| {
+            is_zero(p)
+                || (is_infinity(p)
+                    && prev_code(toks, p).is_some_and(|c| {
+                        toks[c].is_punct("::") && prev_code(toks, c).is_some_and(is_float_path)
+                    }))
+        });
+        // Right operand, past an optional unary minus.
+        let rhs = next_code(toks, i)
+            .and_then(|n| {
+                if toks[n].is_punct("-") {
+                    next_code(toks, n)
+                } else {
+                    Some(n)
+                }
             })
-            .unwrap_or(false);
-        if prev_float || next_float || next_f64_path {
+            .is_some_and(|n| {
+                is_zero(n)
+                    || (is_float_path(n)
+                        && next_code(toks, n).is_some_and(|c| {
+                            toks[c].is_punct("::") && next_code(toks, c).is_some_and(is_infinity)
+                        }))
+            });
+        if lhs || rhs {
             out.push(input.diag(
                 tok.line,
                 RuleId::R2,
@@ -325,38 +295,6 @@ fn rule_r5(input: &FileInput<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// R6: no `println!`/`eprintln!`/`print!`/`eprint!` in library code.
-///
-/// Model output belongs in return values or on the `nanocost-trace`
-/// channel, where it is structured and machine-diffable; ad-hoc console
-/// writes hide results from the exporters. Binaries and test regions are
-/// exempt; the designed-to-print crates in [`R6_EXEMPT_CRATES`] are
-/// skipped, and deliberate exceptions (e.g. a trace exporter's own
-/// stderr fallback) carry an `allow(R6, ...)` pragma.
-fn rule_r6(input: &FileInput<'_>, out: &mut Vec<Diagnostic>) {
-    if input.is_bin() || R6_EXEMPT_CRATES.contains(&input.crate_name) {
-        return;
-    }
-    let toks = input.tokens;
-    for (i, tok) in toks.iter().enumerate() {
-        let TokenKind::Ident(name) = &tok.kind else { continue };
-        if !matches!(name.as_str(), "println" | "eprintln" | "print" | "eprint") {
-            continue;
-        }
-        if input.ctx.in_test(i) {
-            continue;
-        }
-        let bang = next_code(toks, i).map(|n| toks[n].is_punct("!")).unwrap_or(false);
-        if bang {
-            out.push(input.diag(
-                tok.line,
-                RuleId::R6,
-                format!("`{name}!` in library code; route output through nanocost-trace or return it to the caller"),
-            ));
-        }
-    }
-}
-
 /// Is `s` a stable trace name: lowercase `snake_case`, optionally
 /// dot-separated (`mc.wafers`, `figure4.run`)?
 fn valid_trace_name(s: &str) -> bool {
@@ -442,38 +380,40 @@ mod tests {
     }
 
     #[test]
-    fn r1_flags_unwrap_and_panic_outside_tests() {
-        let src = "fn f() { x.unwrap(); panic!(\"no\"); }\n#[cfg(test)]\nmod t { fn g() { y.unwrap(); } }\n";
-        let diags = audit("crates/core/src/a.rs", "core", src);
-        let r1: Vec<_> = diags.iter().filter(|d| d.rule == RuleId::R1).collect();
-        assert_eq!(r1.len(), 2);
-        assert_eq!(r1[0].line, 1);
-    }
-
-    #[test]
-    fn r1_ignores_unwrap_or_variants_and_fields() {
-        let src = "fn f() { x.unwrap_or(0); x.unwrap_or_default(); s.expect_count; }\n";
-        assert!(audit("crates/core/src/a.rs", "core", src).iter().all(|d| d.rule != RuleId::R1));
-    }
-
-    #[test]
-    fn r1_skips_binaries() {
-        let src = "fn main() { run().unwrap(); }\n";
-        assert!(audit("crates/core/src/bin/tool.rs", "core", src).is_empty());
-    }
-
-    #[test]
     fn r2_flags_float_literal_comparison() {
-        let diags = audit("crates/fab/src/a.rs", "fab", "fn f(x: f64) -> bool { x == 0.1 }\n");
-        assert!(rules_of(&diags).contains(&RuleId::R2));
-        let diags = audit("crates/fab/src/a.rs", "fab", "fn f(x: f64) -> bool { x != f64::NAN }\n");
-        assert!(rules_of(&diags).contains(&RuleId::R2));
+        // The compares clippy::float_cmp lets through: zero and ±infinity.
+        for src in [
+            "fn f(x: f64) -> bool { x == 0.0 }\n",
+            "fn f(x: f64) -> bool { x != f64::INFINITY }\n",
+            "fn f(x: f64) -> bool { 0.0 == x }\n",
+            "fn f(x: f64) -> bool { x == -0.0 }\n",
+            "fn f(x: f32) -> bool { f32::NEG_INFINITY != x }\n",
+            "fn f(x: f64) -> bool { x.fract() == 0.0_f64 }\n",
+        ] {
+            let diags = audit("crates/fab/src/a.rs", "fab", src);
+            assert_eq!(rules_of(&diags), [RuleId::R2], "{src}");
+        }
     }
 
     #[test]
-    fn r2_allows_integer_comparison() {
-        let diags = audit("crates/fab/src/a.rs", "fab", "fn f(x: u32) -> bool { x == 10 }\n");
-        assert!(!rules_of(&diags).contains(&RuleId::R2));
+    fn r2_leaves_what_clippy_flags_and_integer_comparison() {
+        // clippy::float_cmp flags these, so one exemption covers each.
+        for src in [
+            "fn f(x: f64) -> bool { x == 0.1 }\n",
+            "fn f(x: f64) -> bool { x == 1.0 }\n",
+            "fn f(x: f64) -> bool { x != f64::MAX }\n",
+            "fn f(x: f64, y: f64) -> bool { x == y }\n",
+            "fn f(x: u32) -> bool { x == 10 }\n",
+        ] {
+            let diags = audit("crates/fab/src/a.rs", "fab", src);
+            assert!(!rules_of(&diags).contains(&RuleId::R2), "{src}: {diags:?}");
+        }
+    }
+
+    #[test]
+    fn r2_skips_test_regions() {
+        let src = "#[cfg(test)]\nmod t { fn g(x: f64) -> bool { x == 0.0 } }\n";
+        assert!(audit("crates/fab/src/a.rs", "fab", src).is_empty());
     }
 
     #[test]
@@ -529,33 +469,6 @@ mod tests {
         assert!(!cites_paper("frequent sequence"));
         assert!(!cites_paper("unstable sectioning-free"));
         assert!(cites_paper("ITRS roadmap"));
-    }
-
-    #[test]
-    fn r6_flags_console_macros_in_library_code() {
-        let src = "fn f() { println!(\"x\"); eprintln!(\"y\"); }\n";
-        let diags = audit("crates/core/src/a.rs", "core", src);
-        let r6: Vec<_> = diags.iter().filter(|d| d.rule == RuleId::R6).collect();
-        assert_eq!(r6.len(), 2);
-        assert_eq!(r6[0].line, 1);
-    }
-
-    #[test]
-    fn r6_exempts_bins_tests_and_printing_crates() {
-        let src = "fn main() { println!(\"ok\"); }\n";
-        assert!(audit("crates/core/src/bin/tool.rs", "core", src).is_empty());
-        let src = "#[cfg(test)]\nmod t { fn g() { println!(\"dbg\"); } }\n";
-        assert!(audit("crates/core/src/a.rs", "core", src).iter().all(|d| d.rule != RuleId::R6));
-        let src = "fn report() { println!(\"median\"); }\n";
-        assert!(audit("crates/bench/src/harness.rs", "bench", src)
-            .iter()
-            .all(|d| d.rule != RuleId::R6));
-    }
-
-    #[test]
-    fn r6_ignores_non_macro_idents_named_print() {
-        let src = "fn f() { let print = 1; self.println(); }\n";
-        assert!(audit("crates/core/src/a.rs", "core", src).iter().all(|d| d.rule != RuleId::R6));
     }
 
     #[test]

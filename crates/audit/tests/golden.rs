@@ -4,6 +4,18 @@
 //! byte-for-byte. Regenerate with `NANOCOST_AUDIT_BLESS=1 cargo test -p
 //! nanocost-audit`.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "test code: a failed unwrap or panic is a failed test, and output is diagnostics"
+)]
+
 use std::fs;
 use std::path::PathBuf;
 
@@ -52,22 +64,12 @@ fn violations_fixture_matches_goldens() {
 #[test]
 fn violations_fixture_trips_every_main_rule() {
     let diags = audit_fixture("violations.rs");
-    for rule in [RuleId::R1, RuleId::R2, RuleId::R3, RuleId::R4, RuleId::R5] {
+    for rule in [RuleId::R2, RuleId::R3, RuleId::R4, RuleId::R5] {
         assert!(
             diags.iter().any(|d| d.rule == rule),
             "fixture should trip {rule}: {diags:?}"
         );
     }
-}
-
-#[test]
-fn r6_fixture_matches_golden_and_honors_exemptions() {
-    let diags = audit_fixture("r6_println.rs");
-    check_golden("r6_println.expected.txt", &render_text_report(&diags));
-    assert_eq!(diags.len(), 4, "two println-family lines per chatty fn: {diags:?}");
-    assert!(diags.iter().all(|d| d.rule == RuleId::R6));
-    // The pragma-suppressed eprintln! and the test-module println! are absent.
-    assert!(diags.iter().all(|d| d.line < 17));
 }
 
 #[test]
@@ -95,7 +97,7 @@ fn r8_fixture_matches_golden_and_honors_sanitizers() {
 fn r9_fixture_matches_golden_and_credits_discipline() {
     let diags = audit_fixture("r9_locks.rs");
     check_golden("r9_locks.expected.txt", &render_text_report(&diags));
-    assert!(diags.iter().all(|d| d.rule == RuleId::R9), "R1 waiver holds: {diags:?}");
+    assert!(diags.iter().all(|d| d.rule == RuleId::R9), "{diags:?}");
     let poison = diags.iter().filter(|d| d.message.contains("poisoned mutex")).count();
     let order = diags.iter().filter(|d| d.message.contains("inconsistent order")).count();
     let io = diags.iter().filter(|d| d.message.contains("I/O call")).count();
@@ -119,14 +121,10 @@ fn clean_fixture_is_clean() {
 }
 
 #[test]
-fn malformed_pragma_fixture_reports_p0_and_keeps_the_violation() {
+fn malformed_pragma_fixture_reports_p0() {
     let diags = audit_fixture("malformed_pragma.rs");
     check_golden("malformed_pragma.expected.txt", &render_text_report(&diags));
-    assert!(diags.iter().any(|d| d.rule == RuleId::P0));
-    assert!(
-        diags.iter().any(|d| d.rule == RuleId::R1),
-        "a reason-less pragma must not suppress: {diags:?}"
-    );
+    assert_eq!(diags.iter().map(|d| d.rule).collect::<Vec<_>>(), [RuleId::P0], "{diags:?}");
 }
 
 /// The seeded mini-workspace under `fixtures/seeded/` re-introduces the

@@ -7,6 +7,18 @@
 //! mutates real-looking source with a deterministic xorshift PRNG (no
 //! dependencies, no wall-clock seeding) and lexes every mutant.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "test code: a failed unwrap or panic is a failed test, and output is diagnostics"
+)]
+
 use nanocost_audit::audit_source;
 use nanocost_audit::lexer::{lex, TokenKind};
 

@@ -1,6 +1,18 @@
 //! Criterion bench: the chiplet chain, one call per equation (Eq. C1–C4)
 //! plus the whole SiP price (Eq. C5).
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a bench's console is its report, and a broken fixture should abort it"
+)]
+
 use std::hint::black_box;
 
 use nanocost_bench::harness::{criterion_group, criterion_main, Criterion};

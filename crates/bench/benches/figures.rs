@@ -1,6 +1,18 @@
 //! Criterion bench: one benchmark per paper figure, timing the full
 //! regeneration pipeline behind each exhibit.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a bench's console is its report, and a broken fixture should abort it"
+)]
+
 use std::hint::black_box;
 
 use nanocost_bench::harness::{criterion_group, criterion_main, Criterion};

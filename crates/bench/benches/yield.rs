@@ -1,5 +1,17 @@
 //! Criterion bench: yield-model evaluation throughput.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a bench's console is its report, and a broken fixture should abort it"
+)]
+
 use std::hint::black_box;
 
 use nanocost_bench::harness::{criterion_group, criterion_main, Criterion};

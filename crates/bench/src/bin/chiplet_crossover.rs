@@ -4,6 +4,18 @@
 //!
 //! Run with: `cargo run -p nanocost-bench --bin chiplet_crossover`
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary's console is its interface, and it may abort on a fatal error"
+)]
+
 use nanocost_bench::figures::chiplet_crossover_study;
 use nanocost_chiplet::ChipletCache;
 

@@ -3,6 +3,18 @@
 //!
 //! Run with: `cargo run -p nanocost-bench --bin export_csv > table_a1.csv`
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary's console is its interface, and it may abort on a fatal error"
+)]
+
 use std::io::Write;
 
 use nanocost_devices::{table_a1, to_csv};

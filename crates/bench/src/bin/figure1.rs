@@ -2,6 +2,18 @@
 //!
 //! Run with: `cargo run -p nanocost-bench --bin figure1`
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary's console is its interface, and it may abort on a fatal error"
+)]
+
 use nanocost_bench::figures::figure1;
 use nanocost_devices::{
     density_time_trend, table_a1, vendor_density_trend, vendor_mean_sd, DeviceClass, Vendor,

@@ -3,6 +3,18 @@
 //!
 //! Run with: `cargo run -p nanocost-bench --bin generalized_model`
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary's console is its interface, and it may abort on a fatal error"
+)]
+
 use nanocost_bench::figures::generalized_vs_simple;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -3,6 +3,18 @@
 //!
 //! Run with: `cargo run -p nanocost-bench --bin node_selection`
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary's console is its interface, and it may abort on a fatal error"
+)]
+
 use nanocost_core::{node_sweep, GeneralizedCostModel};
 use nanocost_units::TransistorCount;
 

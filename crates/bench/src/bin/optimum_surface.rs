@@ -2,6 +2,18 @@
 //!
 //! Run with: `cargo run -p nanocost-bench --bin optimum_surface`
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary's console is its interface, and it may abort on a fatal error"
+)]
+
 use nanocost_bench::figures::{generalized_optimum, optimum_surface_study_cached};
 use nanocost_core::ScenarioCache;
 

@@ -2,6 +2,18 @@
 //!
 //! Run with: `cargo run -p nanocost-bench --bin table_a1`
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary's console is its interface, and it may abort on a fatal error"
+)]
+
 use nanocost_bench::figures::table_a1_rows;
 use nanocost_bench::report::render_table_a1;
 

@@ -3,6 +3,18 @@
 //!
 //! Run with: `cargo run -p nanocost-bench --bin wafer_map`
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary's console is its interface, and it may abort on a fatal error"
+)]
+
 use nanocost_bench::figures::wafer_map_study;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -4,6 +4,18 @@
 //!
 //! Run with: `cargo run -p nanocost-bench --bin wafer_transition`
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary's console is its interface, and it may abort on a fatal error"
+)]
+
 use nanocost_fab::{WaferCostModel, WaferSpec};
 use nanocost_roadmap::itrs_1999;
 use nanocost_units::WaferCount;

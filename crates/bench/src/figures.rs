@@ -316,23 +316,35 @@ pub fn optimum_surface_study_cached(
 /// Never panics in practice: generator parameters are constants.
 #[must_use]
 pub fn regularity_layouts() -> Vec<(&'static str, Layout)> {
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: constants are valid; generation cannot fail for valid constants"
+    )]
     let memory = MemoryArrayGenerator::new(32, 48)
-        .expect("constants are valid") // nanocost-audit: allow(R1, reason = "documented invariant: constants are valid")
+        .expect("constants are valid")
         .generate()
-        .expect("generation cannot fail for valid constants"); // nanocost-audit: allow(R1, reason = "documented invariant: generation cannot fail for valid constants")
+        .expect("generation cannot fail for valid constants");
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: constants are valid; generation cannot fail for valid constants"
+    )]
     let custom = RandomBlockGenerator::new(
         memory.grid().width(),
         memory.grid().height(),
         memory.transistors(),
         7,
     )
-    .expect("constants are valid") // nanocost-audit: allow(R1, reason = "documented invariant: constants are valid")
+    .expect("constants are valid")
     .generate()
-    .expect("generation cannot fail for valid constants"); // nanocost-audit: allow(R1, reason = "documented invariant: generation cannot fail for valid constants")
+    .expect("generation cannot fail for valid constants");
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: constants are valid; generation cannot fail for valid constants"
+    )]
     let std_cells = StdCellGenerator::new(24, 1200, 20, 0.8, 42)
-        .expect("constants are valid") // nanocost-audit: allow(R1, reason = "documented invariant: constants are valid")
+        .expect("constants are valid")
         .generate()
-        .expect("generation cannot fail for valid constants"); // nanocost-audit: allow(R1, reason = "documented invariant: generation cannot fail for valid constants")
+        .expect("generation cannot fail for valid constants");
     vec![("memory", memory), ("std-cell", std_cells), ("custom", custom)]
 }
 
@@ -343,13 +355,21 @@ pub fn regularity_layouts() -> Vec<(&'static str, Layout)> {
 /// Never panics in practice: the window is valid for all three layouts.
 #[must_use]
 pub fn regularity_reports() -> Vec<(&'static str, RegularityReport)> {
-    let window = RegularityAnalysis::tiling_rect(14, 13).expect("constants are valid"); // nanocost-audit: allow(R1, reason = "documented invariant: constants are valid")
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: constants are valid"
+    )]
+    let window = RegularityAnalysis::tiling_rect(14, 13).expect("constants are valid");
     regularity_layouts()
         .into_iter()
         .map(|(name, layout)| {
+            #[expect(
+                clippy::expect_used,
+                reason = "documented invariant: window fits all benchmark layouts"
+            )]
             let report = window
                 .analyze(layout.grid())
-                .expect("window fits all benchmark layouts"); // nanocost-audit: allow(R1, reason = "documented invariant: window fits all benchmark layouts")
+                .expect("window fits all benchmark layouts");
             (name, report)
         })
         .collect()

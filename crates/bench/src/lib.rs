@@ -6,6 +6,11 @@
 //! benches time them, so the two can never drift apart.
 
 #![warn(missing_docs)]
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "the bench harness exists to write results to the console"
+)]
 
 pub mod figures;
 pub mod harness;

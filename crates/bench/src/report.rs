@@ -17,7 +17,7 @@ pub fn render_table_a1(rows: &[DeviceRecord]) -> String {
             None => format!("{:>10}", "-"),
         };
         out.push_str(&format!(
-            "{:>3} {:>8.2} {:>8.2} {:>8.2} {} {} {} {}  {}\n",
+            "{:>3} {:>8.2} {:>8.2} {:>8.2} {} {} {} {:>10.1}  {}\n",
             r.id,
             r.die_cm2,
             r.feature_um,
@@ -25,7 +25,7 @@ pub fn render_table_a1(rows: &[DeviceRecord]) -> String {
             fmt_opt(r.published_sd_mem),
             fmt_opt(r.computed_sd_mem().map(|s| s.squares())),
             fmt_opt(r.published_sd_logic),
-            format!("{:>10.1}", r.effective_sd_logic().squares()),
+            r.effective_sd_logic().squares(),
             r.label
         ));
     }

@@ -8,6 +8,18 @@
 //! to the blessed `chiplet_crossover` entry in `FINGERPRINTS.json`,
 //! proving the cache's replay is transparent to the CI fingerprint gate.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "test code: a failed unwrap or panic is a failed test, and output is diagnostics"
+)]
+
 use nanocost_bench::figures::{
     chiplet_crossover_study, CROSSOVER_SIZES_M, CROSSOVER_SPLITS,
 };

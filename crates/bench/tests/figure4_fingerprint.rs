@@ -7,6 +7,18 @@
 //! in `FINGERPRINTS.json` — proving the cache's provenance replay is
 //! transparent to the CI fingerprint gate.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "test code: a failed unwrap or panic is a failed test, and output is diagnostics"
+)]
+
 use nanocost_bench::figures::figure4_panel_cached;
 use nanocost_core::{Figure4Scenario, ScenarioCache, TotalCostModel};
 use nanocost_fab::MaskCostModel;

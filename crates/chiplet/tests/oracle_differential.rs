@@ -8,6 +8,18 @@
 //! works in the workspace's `Area`/`Dollars` newtypes. Agreement over a
 //! randomized parameter sweep pins the translation between the two.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "test code: a failed unwrap or panic is a failed test, and output is diagnostics"
+)]
+
 use nanocost_chiplet::{ChipletWafer, CriticalLayerYield};
 use nanocost_fab::WaferSpec;
 use nanocost_numeric::Rng64;

@@ -196,7 +196,7 @@ impl ScenarioCache {
     ///
     /// As the underlying model: domain violations (eq. 6's forbidden
     /// region, zero volume, …).
-    #[allow(clippy::too_many_arguments)] // mirrors eq. 4's knobs
+    #[allow(clippy::too_many_arguments, reason = "mirrors eq. 4's knobs")]
     pub fn transistor_cost(
         &self,
         lambda: FeatureSize,
@@ -254,7 +254,10 @@ impl ScenarioCache {
     /// # Errors
     ///
     /// As [`optimal_sd_total`]; errors are never cached.
-    #[allow(clippy::too_many_arguments)] // mirrors eq. 4's knobs plus the bracket
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "mirrors eq. 4's knobs plus the bracket"
+    )]
     pub fn optimal_sd(
         &self,
         lambda: FeatureSize,

@@ -41,10 +41,13 @@ impl ManufacturingCostModel {
     ///
     /// Never panics in practice: the constants are valid.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic contract; 0.8 is a statically valid yield"
+    )]
     pub fn paper_anchor() -> Self {
         ManufacturingCostModel::new(
             CostPerArea::per_cm2(8.0), // nanocost-audit: allow(R3, reason = "paper-anchored default; the constructor parameters document each value")
-            // nanocost-audit: allow(R1, reason = "documented panic contract; 0.8 is a statically valid yield")
             Yield::new(0.8).expect("paper constant is valid"), // nanocost-audit: allow(R3, reason = "paper-anchored default; the constructor parameters document each value")
         )
     }

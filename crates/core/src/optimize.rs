@@ -64,7 +64,10 @@ const TOL: f64 = 1e-4;
 ///
 /// Returns [`OptimizeError`] if the bracket dips into eq. 6's forbidden
 /// region (`sd_lo` at or below `s_d0`) or the bracket is degenerate.
-#[allow(clippy::too_many_arguments)] // eq. 4 genuinely has this many knobs
+#[allow(
+    clippy::too_many_arguments,
+    reason = "eq. 4 genuinely has this many knobs"
+)]
 pub fn optimal_sd_total(
     model: &TotalCostModel,
     lambda: FeatureSize,
@@ -175,7 +178,10 @@ pub struct OptimumCell {
 /// # Errors
 ///
 /// As [`optimal_sd_total`]; also if a yield value is invalid.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "eq. 4's knobs plus the volume and yield axes"
+)]
 pub fn optimum_surface(
     model: &TotalCostModel,
     lambda: FeatureSize,

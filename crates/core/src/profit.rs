@@ -162,7 +162,10 @@ impl ProfitModel {
     ///
     /// Returns [`OptimizeError`] if the bracket dips into the forbidden
     /// region or the search degenerates.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the profit model's knobs plus the search bracket"
+    )]
     pub fn optimal_sd(
         &self,
         lambda: FeatureSize,
@@ -206,7 +209,7 @@ impl ProfitModel {
     /// # Errors
     ///
     /// As [`ProfitModel::optimal_sd`].
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "the same knobs as `optimal_sd`")]
     pub fn optimal_sd_cost(
         &self,
         lambda: FeatureSize,

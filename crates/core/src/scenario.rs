@@ -46,9 +46,15 @@ impl Figure4Scenario {
         Figure4Scenario {
             label: "4a",
             transistors: TransistorCount::from_millions(10.0),
-            // nanocost-audit: allow(R1, reason = "documented panic contract; Figure 4(a) constants are statically valid")
+            #[expect(
+                clippy::expect_used,
+                reason = "documented panic contract; Figure 4(a) constants are statically valid"
+            )]
             volume: WaferCount::new(5_000).expect("constant is valid"),
-            // nanocost-audit: allow(R1, reason = "documented panic contract; Figure 4(a) constants are statically valid")
+            #[expect(
+                clippy::expect_used,
+                reason = "documented panic contract; Figure 4(a) constants are statically valid"
+            )]
             fab_yield: Yield::new(0.4).expect("constant is valid"),
             lambdas_um: vec![0.25, 0.18, 0.13],
             sd_range: (110.0, 1_500.0),
@@ -65,9 +71,15 @@ impl Figure4Scenario {
     #[must_use]
     pub fn paper_4b() -> Self {
         Figure4Scenario {
-            // nanocost-audit: allow(R1, reason = "documented panic contract; Figure 4(b) constants are statically valid")
+            #[expect(
+                clippy::expect_used,
+                reason = "documented panic contract; Figure 4(b) constants are statically valid"
+            )]
             volume: WaferCount::new(50_000).expect("constant is valid"),
-            // nanocost-audit: allow(R1, reason = "documented panic contract; Figure 4(b) constants are statically valid")
+            #[expect(
+                clippy::expect_used,
+                reason = "documented panic contract; Figure 4(b) constants are statically valid"
+            )]
             fab_yield: Yield::new(0.9).expect("constant is valid"),
             label: "4b",
             ..Figure4Scenario::paper_4a()

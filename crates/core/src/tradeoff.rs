@@ -109,6 +109,10 @@ pub fn verdict(points: &[TradeoffPoint]) -> TradeoffVerdict {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values the code computes bit-for-bit"
+)]
 mod tests {
     use super::*;
 

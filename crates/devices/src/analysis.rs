@@ -144,7 +144,11 @@ pub fn vendor_mean_sd(
 /// but its feature sizes do.
 #[must_use]
 pub fn estimated_year(record: &DeviceRecord) -> u32 {
-    let lambda = FeatureSize::from_microns(record.feature_um).expect("dataset is validated"); // nanocost-audit: allow(R1, reason = "documented invariant: dataset is validated")
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: dataset is validated"
+    )]
+    let lambda = FeatureSize::from_microns(record.feature_um).expect("dataset is validated");
     nearest_node(lambda).year
 }
 

@@ -95,11 +95,15 @@ impl DeviceRecord {
     /// value plotted in the paper's Figure 1 for devices without a
     /// mem/logic split.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: dataset is validated"
+    )]
     pub fn computed_sd_total(&self) -> DecompressionIndex {
         DecompressionIndex::from_layout(
             self.die_area(),
             self.transistors(),
-            FeatureSize::from_microns(self.feature_um).expect("dataset is validated"), // nanocost-audit: allow(R1, reason = "documented invariant: dataset is validated")
+            FeatureSize::from_microns(self.feature_um).expect("dataset is validated"),
         )
     }
 
@@ -135,8 +139,10 @@ impl DeviceRecord {
 mod tests {
     use super::*;
 
-    // 6.28 is the P6's published logic-transistor count in millions, not τ.
-    #[allow(clippy::approx_constant)]
+    #[allow(
+        clippy::approx_constant,
+        reason = "6.28 is the P6's published logic-transistor count in millions, not τ"
+    )]
     fn sample() -> DeviceRecord {
         DeviceRecord {
             id: 1,

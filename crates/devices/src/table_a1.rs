@@ -26,9 +26,10 @@ pub const INCONSISTENT_ROWS: &[u32] = &[1];
 
 /// Returns the full 49-row Table A1 dataset.
 #[must_use]
-// The dataset contains the literal 6.28 (millions of logic transistors in
-// the Pentium II rows) — transcribed data, not an approximation of τ.
-#[allow(clippy::approx_constant)]
+#[allow(
+    clippy::approx_constant,
+    reason = "the Pentium II rows' 6.28 (millions of logic transistors) is transcribed data, not an approximation of τ"
+)]
 pub fn table_a1() -> Vec<DeviceRecord> {
     use DeviceClass as C;
     let row = |id: u32,

@@ -123,16 +123,20 @@ impl Default for FablineModel {
     /// A late-1990s reference: $1.5 B line at 0.25 µm, capex doubling per
     /// generation, 5-year depreciation, 25 000 wafer starts/month, 85 %
     /// utilization.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: constant is valid; constants are valid"
+    )]
     fn default() -> Self {
         FablineModel::new(
             Dollars::from_billions(1.5),
-            FeatureSize::from_microns(0.25).expect("constant is valid"), // nanocost-audit: allow(R1, reason = "documented invariant: constant is valid")
+            FeatureSize::from_microns(0.25).expect("constant is valid"),
             FablineModel::moores_second_law_exponent(),
             5.0,
             25_000.0,
             0.85,
         )
-        .expect("constants are valid") // nanocost-audit: allow(R1, reason = "documented invariant: constants are valid")
+        .expect("constants are valid")
     }
 }
 

@@ -88,8 +88,12 @@ impl ProximityModel {
 impl Default for ProximityModel {
     /// 1.0 µm physical radius — a few 248/193 nm wavelengths, the regime the
     /// paper describes.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: constant is valid"
+    )]
     fn default() -> Self {
-        ProximityModel::new(1.0).expect("constant is valid") // nanocost-audit: allow(R1, reason = "documented invariant: constant is valid")
+        ProximityModel::new(1.0).expect("constant is valid")
     }
 }
 

@@ -98,13 +98,17 @@ impl Default for MaskCostModel {
     /// Calibrated to the historical record: ≈ $4 k per mask at 0.25 µm
     /// (≈ $100 k set), exponent 2.2 giving ≈ $0.9 M at 0.13 µm and several
     /// million dollars per set at sub-100 nm nodes.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: constant is valid; constants are valid"
+    )]
     fn default() -> Self {
         MaskCostModel::new(
             Dollars::new(4_000.0),
-            FeatureSize::from_microns(0.25).expect("constant is valid"), // nanocost-audit: allow(R1, reason = "documented invariant: constant is valid")
+            FeatureSize::from_microns(0.25).expect("constant is valid"),
             2.2,
         )
-        .expect("constants are valid") // nanocost-audit: allow(R1, reason = "documented invariant: constants are valid")
+        .expect("constants are valid")
     }
 }
 

@@ -72,15 +72,19 @@ impl ProcessNode {
 #[must_use]
 pub fn standard_nodes() -> Vec<ProcessNode> {
     let mk = |name: &str, um: f64, year, metal, masks, wafer| {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented invariant: ladder constants are valid"
+        )]
         ProcessNode::new(
             name,
-            FeatureSize::from_microns(um).expect("ladder constants are valid"), // nanocost-audit: allow(R1, reason = "documented invariant: ladder constants are valid")
+            FeatureSize::from_microns(um).expect("ladder constants are valid"),
             year,
             metal,
             masks,
             wafer,
         )
-        .expect("ladder constants are valid") // nanocost-audit: allow(R1, reason = "documented invariant: ladder constants are valid")
+        .expect("ladder constants are valid")
     };
     vec![
         mk("1.5um", 1.5, 1982, 2, 12, 100.0),
@@ -102,6 +106,10 @@ pub fn standard_nodes() -> Vec<ProcessNode> {
 /// Finds the node in [`standard_nodes`] whose λ is closest (by log-distance)
 /// to `lambda`.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "the standard node ladder is a non-empty constant"
+)]
 pub fn nearest_node(lambda: FeatureSize) -> ProcessNode {
     standard_nodes()
         .into_iter()
@@ -110,7 +118,6 @@ pub fn nearest_node(lambda: FeatureSize) -> ProcessNode {
             let db = (b.lambda.microns().ln() - lambda.microns().ln()).abs();
             da.total_cmp(&db)
         })
-        // nanocost-audit: allow(R1, reason = "the standard node ladder is a non-empty constant")
         .expect("ladder is non-empty")
 }
 

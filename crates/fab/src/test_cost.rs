@@ -101,8 +101,12 @@ impl Default for TestCostModel {
     /// Late-1990s ATE economics: a $2 M tester depreciated over 5 years of
     /// 80 % utilization ≈ 1.6 ¢/s; 0.5 s handling; 0.4 ms·√N_tr of pattern
     /// time (≈ 1.3 s for a 10 M-transistor part).
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: constants are valid"
+    )]
     fn default() -> Self {
-        TestCostModel::new(Dollars::new(0.016), 0.5, 4.0e-4).expect("constants are valid") // nanocost-audit: allow(R1, reason = "documented invariant: constants are valid")
+        TestCostModel::new(Dollars::new(0.016), 0.5, 4.0e-4).expect("constants are valid")
     }
 }
 

@@ -97,14 +97,22 @@ impl WaferSpec {
     /// A standard 200 mm production wafer (3 mm edge exclusion, 0.1 mm
     /// scribe lanes) — the workhorse of the paper's era.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: constants are valid"
+    )]
     pub fn standard_200mm() -> Self {
-        WaferSpec::new(200.0, 3.0, 0.1).expect("constants are valid") // nanocost-audit: allow(R1, reason = "documented invariant: constants are valid")
+        WaferSpec::new(200.0, 3.0, 0.1).expect("constants are valid")
     }
 
     /// A standard 300 mm wafer as projected for nanometer nodes.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: constants are valid"
+    )]
     pub fn standard_300mm() -> Self {
-        WaferSpec::new(300.0, 3.0, 0.1).expect("constants are valid") // nanocost-audit: allow(R1, reason = "documented invariant: constants are valid")
+        WaferSpec::new(300.0, 3.0, 0.1).expect("constants are valid")
     }
 
     /// Wafer diameter in millimeters.
@@ -207,6 +215,10 @@ impl WaferSpec {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values the code computes bit-for-bit"
+)]
 mod tests {
     use super::*;
 

@@ -205,6 +205,10 @@ impl Default for WaferCostModel {
     /// the paper's `C_sq = 8 $/cm²` anchor: $60/layer processing,
     /// $2 M fixed per run, 25 % maturity discount with 30 k-wafer half
     /// point, on the default [`FablineModel`].
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: constants are valid"
+    )]
     fn default() -> Self {
         WaferCostModel::new(
             FablineModel::default(),
@@ -213,7 +217,7 @@ impl Default for WaferCostModel {
             0.25,
             30_000.0,
         )
-        .expect("constants are valid") // nanocost-audit: allow(R1, reason = "documented invariant: constants are valid")
+        .expect("constants are valid")
     }
 }
 

@@ -80,7 +80,10 @@ impl From<NumericError> for CalibrateError {
 ///
 /// Returns [`CalibrateError`] if any density is at or below `sd0`, or the
 /// sweep has fewer than two points.
-#[allow(clippy::too_many_arguments)] // a calibration sweep has this many knobs
+#[allow(
+    clippy::too_many_arguments,
+    reason = "a calibration sweep has this many knobs"
+)]
 pub fn calibrate_effort_shape(
     simulator: &ClosureSimulator,
     team: &DesignTeamModel,

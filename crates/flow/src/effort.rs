@@ -58,14 +58,22 @@ impl DesignEffortModel {
     /// `s_d0 = 100` (§2.4, with the footnote's "illustration purpose"
     /// caveat).
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: paper constants are valid"
+    )]
     pub fn paper_defaults() -> Self {
-        DesignEffortModel::new(1000.0, 1.0, 1.2, 100.0).expect("paper constants are valid") // nanocost-audit: allow(R1, R3, reason = "documented invariant: paper constants are valid")
+        DesignEffortModel::new(1000.0, 1.0, 1.2, 100.0).expect("paper constants are valid") // nanocost-audit: allow(R3, reason = "paper-anchored default; the constructor parameters document each value")
     }
 
     /// The best-possible decompression index `s_d0`.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: validated at construction"
+    )]
     pub fn sd0(&self) -> DecompressionIndex {
-        DecompressionIndex::new(self.sd0).expect("validated at construction") // nanocost-audit: allow(R1, reason = "documented invariant: validated at construction")
+        DecompressionIndex::new(self.sd0).expect("validated at construction")
     }
 
     /// The `(A0, p1, p2)` tuning constants.

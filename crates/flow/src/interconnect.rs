@@ -152,7 +152,11 @@ impl DelayStudy {
             let actual = routed * (1.0 + self.coupling_per_aggressor * aggressors);
             errors.push((actual - estimate) / estimate);
         }
-        let summary = summarize(&errors).expect("non-empty by construction"); // nanocost-audit: allow(R1, reason = "documented invariant: non-empty by construction")
+        #[expect(
+            clippy::expect_used,
+            reason = "documented invariant: non-empty by construction"
+        )]
+        let summary = summarize(&errors).expect("non-empty by construction");
         metric_histogram!("flow.interconnect.error_sigma", summary.std_dev);
         // The measured spread is the physical origin of the eq. 6
         // prediction-error model that drives failed design iterations.
@@ -174,6 +178,10 @@ impl DelayStudy {
         })
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: fanout is at least one"
+    )]
     fn sample_net(&self, sampler: &mut Sampler) -> Net {
         let coord = |s: &mut Sampler| {
             (
@@ -184,7 +192,7 @@ impl DelayStudy {
         let source = coord(sampler);
         let fanout = 1 + sampler.poisson(1.5) as usize; // nanocost-audit: allow(R3, reason = "paper-anchored default; the constructor parameters document each value")
         let sinks = (0..fanout).map(|_| coord(sampler)).collect();
-        Net::new(source, sinks).expect("fanout is at least one") // nanocost-audit: allow(R1, reason = "documented invariant: fanout is at least one")
+        Net::new(source, sinks).expect("fanout is at least one")
     }
 }
 

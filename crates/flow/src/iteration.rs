@@ -83,9 +83,13 @@ impl ClosureSimulator {
     /// `s_d0 = 100`, 20 % base tolerance, 15 % learning per spin, and a
     /// 50-iteration budget.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: constants are valid"
+    )]
     pub fn nanometer_default() -> Self {
         ClosureSimulator::new(PredictionModel::nanometer_default(), 100.0, 0.20, 0.85, 50) // nanocost-audit: allow(R3, reason = "paper-anchored default; the constructor parameters document each value")
-            .expect("constants are valid") // nanocost-audit: allow(R1, reason = "documented invariant: constants are valid")
+            .expect("constants are valid")
     }
 
     /// The relative tolerance available at density `sd`:
@@ -179,6 +183,10 @@ impl Default for ClosureSimulator {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values the code computes bit-for-bit"
+)]
 mod tests {
     use super::*;
 

@@ -105,13 +105,17 @@ impl PortfolioModel {
     /// A representative configuration: paper-default effort, a $25 M
     /// library program, 20 % integration cost on shared content.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: constants are valid"
+    )]
     pub fn nanometer_default() -> Self {
         PortfolioModel::new(
             DesignEffortModel::paper_defaults(),
             Dollars::from_millions(25.0), // nanocost-audit: allow(R3, reason = "paper-anchored default; the constructor parameters document each value")
             0.20, // nanocost-audit: allow(R3, reason = "paper-anchored default; the constructor parameters document each value")
         )
-        .expect("constants are valid") // nanocost-audit: allow(R1, reason = "documented invariant: constants are valid")
+        .expect("constants are valid")
     }
 
     /// Design cost of one product inside the family (library cost not

@@ -78,14 +78,18 @@ impl PredictionModel {
     /// error at 0.25 µm for irregular artwork, neighborhood exponent 0.7,
     /// and a regularity gain of 0.35 per doubling of pattern reuse.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: constant is valid; constants are valid"
+    )]
     pub fn nanometer_default() -> Self {
         PredictionModel::new(
             0.08, // nanocost-audit: allow(R3, reason = "paper-anchored default; the constructor parameters document each value")
-            FeatureSize::from_microns(0.25).expect("constant is valid"), // nanocost-audit: allow(R1, R3, reason = "documented invariant: constant is valid")
+            FeatureSize::from_microns(0.25).expect("constant is valid"), // nanocost-audit: allow(R3, reason = "paper-anchored default; the constructor parameters document each value")
             0.7, // nanocost-audit: allow(R3, reason = "paper-anchored default; the constructor parameters document each value")
             0.35, // nanocost-audit: allow(R3, reason = "paper-anchored default; the constructor parameters document each value")
         )
-        .expect("constants are valid") // nanocost-audit: allow(R1, reason = "documented invariant: constants are valid")
+        .expect("constants are valid")
     }
 
     /// The prediction-error standard deviation at node `lambda` for a
@@ -117,6 +121,10 @@ impl Default for PredictionModel {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values the code computes bit-for-bit"
+)]
 mod tests {
     use super::*;
 

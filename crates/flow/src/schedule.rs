@@ -47,8 +47,12 @@ impl DesignSchedule {
     /// A representative late-1990s MPU-class schedule: 52 weeks of base
     /// work, 6 weeks per iteration.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: constants are valid"
+    )]
     pub fn nanometer_default() -> Self {
-        DesignSchedule::new(52.0, 6.0).expect("constants are valid") // nanocost-audit: allow(R1, R3, reason = "documented invariant: constants are valid")
+        DesignSchedule::new(52.0, 6.0).expect("constants are valid") // nanocost-audit: allow(R3, reason = "paper-anchored default; the constructor parameters document each value")
     }
 
     /// Calendar weeks to market entry for a project that needed
@@ -112,15 +116,23 @@ impl MarketModel {
     /// A competitive MPU-class market: $250 at concept time, halving every
     /// 52 weeks.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: constants are valid"
+    )]
     pub fn competitive_mpu() -> Self {
-        MarketModel::new(Dollars::new(250.0), 52.0).expect("constants are valid") // nanocost-audit: allow(R1, R3, reason = "documented invariant: constants are valid")
+        MarketModel::new(Dollars::new(250.0), 52.0).expect("constants are valid") // nanocost-audit: allow(R3, reason = "paper-anchored default; the constructor parameters document each value")
     }
 
     /// A slow-moving embedded market: $40, halving every 3 years — weak
     /// time pressure.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: constants are valid"
+    )]
     pub fn slow_embedded() -> Self {
-        MarketModel::new(Dollars::new(40.0), 156.0).expect("constants are valid") // nanocost-audit: allow(R1, R3, reason = "documented invariant: constants are valid")
+        MarketModel::new(Dollars::new(40.0), 156.0).expect("constants are valid") // nanocost-audit: allow(R3, reason = "paper-anchored default; the constructor parameters document each value")
     }
 
     /// The unit price available at market entry `t_weeks` after project
@@ -138,6 +150,10 @@ impl MarketModel {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values the code computes bit-for-bit"
+)]
 mod tests {
     use super::*;
 

@@ -67,9 +67,13 @@ impl DesignTeamModel {
     /// Late-1990s defaults: $250 k loaded engineer-year, 10-engineer core
     /// team plus 8 per √Mtr, 6-week iterations.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: constants are valid"
+    )]
     pub fn nanometer_default() -> Self {
         DesignTeamModel::new(Dollars::new(250_000.0), 10.0, 8.0, 6.0) // nanocost-audit: allow(R3, reason = "paper-anchored default; the constructor parameters document each value")
-            .expect("constants are valid") // nanocost-audit: allow(R1, reason = "documented invariant: constants are valid")
+            .expect("constants are valid")
     }
 
     /// Team size for a design of the given size.

@@ -115,22 +115,36 @@ fn draw_transistor_pair(
 /// Never panics in practice; the geometry is a compile-time constant
 /// exercise of validated drawing calls.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "documented invariant: constant cell is valid"
+)]
 pub fn sram_bitcell() -> CellTemplate {
-    let mut g = LambdaGrid::new(14, 13).expect("constant dimensions are valid"); // nanocost-audit: allow(R1, reason = "documented invariant: constant dimensions are valid")
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: constant dimensions are valid"
+    )]
+    let mut g = LambdaGrid::new(14, 13).expect("constant dimensions are valid");
     for (i, &(x, y)) in [(0i64, 0i64), (5, 0), (10, 0), (0, 7), (5, 7), (10, 7)]
         .iter()
         .enumerate()
     {
-        draw_transistor_pair(&mut g, x, y).expect("bitcell artwork fits"); // nanocost-audit: allow(R1, reason = "documented invariant: bitcell artwork fits")
+        #[expect(
+            clippy::expect_used,
+            reason = "documented invariant: bitcell artwork fits"
+        )]
+        draw_transistor_pair(&mut g, x, y).expect("bitcell artwork fits");
         // Vary one contact position per device so the cell is asymmetric
         // (prevents accidental sub-cell self-similarity in tests).
         let cy = y + (i as i64 % 2) * 4;
-        g.set(x + 3, cy + 1, layers::CONTACT).expect("in bounds"); // nanocost-audit: allow(R1, reason = "documented invariant: in bounds")
+        #[expect(clippy::expect_used, reason = "documented invariant: in bounds")]
+        g.set(x + 3, cy + 1, layers::CONTACT).expect("in bounds");
     }
     // Word line across the top, bit lines down the sides.
-    g.fill_rect(Rect::new(0, 12, 14, 13).expect("valid"), layers::METAL1) // nanocost-audit: allow(R1, reason = "documented invariant: valid")
-        .expect("in bounds"); // nanocost-audit: allow(R1, reason = "documented invariant: in bounds")
-    CellTemplate::new("sram6t", g, 6).expect("constant cell is valid") // nanocost-audit: allow(R1, reason = "documented invariant: constant cell is valid")
+    #[expect(clippy::expect_used, reason = "documented invariant: valid; in bounds")]
+    g.fill_rect(Rect::new(0, 12, 14, 13).expect("valid"), layers::METAL1)
+        .expect("in bounds");
+    CellTemplate::new("sram6t", g, 6).expect("constant cell is valid")
 }
 
 /// Builds a standard-cell template with `pairs` transistor pairs on a
@@ -167,13 +181,17 @@ pub fn logic_cell(name: &str, pairs: usize) -> Result<CellTemplate, LayoutError>
 ///
 /// Never panics in practice; all members use validated constant geometry.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "documented invariant: constant cell is valid"
+)]
 pub fn standard_library() -> Vec<CellTemplate> {
     vec![
-        logic_cell("inv", 1).expect("constant cell is valid"), // nanocost-audit: allow(R1, reason = "documented invariant: constant cell is valid")
-        logic_cell("nand2", 2).expect("constant cell is valid"), // nanocost-audit: allow(R1, reason = "documented invariant: constant cell is valid")
-        logic_cell("nor2", 2).expect("constant cell is valid"), // nanocost-audit: allow(R1, reason = "documented invariant: constant cell is valid")
-        logic_cell("aoi22", 4).expect("constant cell is valid"), // nanocost-audit: allow(R1, reason = "documented invariant: constant cell is valid")
-        logic_cell("dff", 12).expect("constant cell is valid"), // nanocost-audit: allow(R1, reason = "documented invariant: constant cell is valid")
+        logic_cell("inv", 1).expect("constant cell is valid"),
+        logic_cell("nand2", 2).expect("constant cell is valid"),
+        logic_cell("nor2", 2).expect("constant cell is valid"),
+        logic_cell("aoi22", 4).expect("constant cell is valid"),
+        logic_cell("dff", 12).expect("constant cell is valid"),
     ]
 }
 

@@ -141,6 +141,10 @@ impl HierLayout {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values the code computes bit-for-bit"
+)]
 mod tests {
     use super::*;
     use crate::cell::{logic_cell, sram_bitcell};

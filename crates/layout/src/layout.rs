@@ -55,18 +55,26 @@ impl Layout {
 
     /// The transistor count as a typed quantity.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: validated non-zero at construction"
+    )]
     pub fn transistor_count(&self) -> TransistorCount {
         TransistorCount::new(self.transistors as f64)
-            .expect("validated non-zero at construction") // nanocost-audit: allow(R1, reason = "documented invariant: validated non-zero at construction")
+            .expect("validated non-zero at construction")
     }
 
     /// The measured design decompression index: drawn λ² squares per
     /// transistor (eq. 2 applied to the actual artwork instead of published
     /// die data).
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: positive area over positive count"
+    )]
     pub fn measured_sd(&self) -> DecompressionIndex {
         DecompressionIndex::new(self.grid.area_squares() as f64 / self.transistors as f64)
-            .expect("positive area over positive count") // nanocost-audit: allow(R1, reason = "documented invariant: positive area over positive count")
+            .expect("positive area over positive count")
     }
 
     /// The physical die area this layout occupies at node `lambda`.
@@ -77,6 +85,10 @@ impl Layout {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values the code computes bit-for-bit"
+)]
 mod tests {
     use super::*;
     use crate::geom::Rect;

@@ -156,6 +156,10 @@ pub fn auto_analysis(
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values the code computes bit-for-bit"
+)]
 mod tests {
     use super::*;
     use crate::generator::{MemoryArrayGenerator, RandomBlockGenerator};

@@ -220,6 +220,10 @@ pub fn multi_scale(
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values the code computes bit-for-bit"
+)]
 mod tests {
     use super::*;
     use crate::generator::{MemoryArrayGenerator, RandomBlockGenerator};

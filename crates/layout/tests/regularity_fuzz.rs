@@ -16,6 +16,18 @@
 //!    scan (with the window dimensions swapped) reports the same
 //!    frequency multiset, unique-pattern count, and derived indices.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "test code: a failed unwrap or panic is a failed test, and output is diagnostics"
+)]
+
 use nanocost_layout::{LambdaGrid, RegularityAnalysis};
 use nanocost_numeric::Rng64;
 

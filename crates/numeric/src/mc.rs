@@ -103,7 +103,11 @@ impl Sampler {
     /// Panics unless `0 <= p <= 1`.
     pub fn bernoulli(&mut self, p: f64) -> bool {
         assert!((0.0..=1.0).contains(&p), "probability must lie in [0, 1]");
-        if p == 1.0 { // nanocost-audit: allow(R2, reason = "exact sentinel comparison; the compared value is exactly representable")
+        #[expect(
+            clippy::float_cmp,
+            reason = "exact sentinel comparison; the compared value is exactly representable"
+        )]
+        if p == 1.0 {
             return true;
         }
         self.rng.random_range(0.0..1.0) < p
@@ -176,6 +180,10 @@ impl McConfig {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values the code computes bit-for-bit"
+)]
 mod tests {
     use super::*;
     use crate::stats::summarize;

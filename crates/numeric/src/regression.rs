@@ -198,6 +198,10 @@ fn validate_pairs(routine: &'static str, xs: &[f64], ys: &[f64]) -> Result<(), N
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values the code computes bit-for-bit"
+)]
 mod tests {
     use super::*;
 

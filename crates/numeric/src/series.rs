@@ -164,6 +164,10 @@ impl Chart {
         for &x in &xs {
             out.push_str(&format!("{x:>14.5}"));
             for s in &self.series {
+                #[expect(
+                    clippy::float_cmp,
+                    reason = "x is one of the points' own abscissas, so the lookup is an exact match"
+                )]
                 match s.points().iter().find(|&&(px, _)| px == x) {
                     Some(&(_, y)) => out.push_str(&format!("  {y:>16.6}")),
                     None => out.push_str(&format!("  {:>16}", "")),
@@ -197,9 +201,17 @@ impl Chart {
             y_min = y_min.min(y);
             y_max = y_max.max(y);
         }
+        #[expect(
+            clippy::float_cmp,
+            reason = "only an exactly degenerate range needs widening before it divides"
+        )]
         if x_min == x_max {
             x_max = x_min + 1.0;
         }
+        #[expect(
+            clippy::float_cmp,
+            reason = "only an exactly degenerate range needs widening before it divides"
+        )]
         if y_min == y_max {
             y_max = y_min + 1.0;
         }

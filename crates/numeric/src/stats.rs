@@ -106,6 +106,10 @@ fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values the code computes bit-for-bit"
+)]
 mod tests {
     use super::*;
 

@@ -43,7 +43,11 @@ impl ConstantCostAssumptions {
         ConstantCostAssumptions {
             die_cost: Dollars::new(anchors::DIE_COST_DOLLARS),
             cost_per_cm2: CostPerArea::per_cm2(anchors::COST_PER_CM2),
-            fab_yield: Yield::new(anchors::YIELD).expect("paper constant is valid"), // nanocost-audit: allow(R1, reason = "documented invariant: paper constant is valid")
+            #[expect(
+                clippy::expect_used,
+                reason = "documented invariant: paper constant is valid"
+            )]
+            fab_yield: Yield::new(anchors::YIELD).expect("paper constant is valid"),
         }
     }
 

@@ -55,9 +55,13 @@ impl RoadmapEntry {
     /// (`s_d = 1/(T_d·λ²)`, eq. 2).
     #[must_use]
     pub fn implied_sd(&self) -> DecompressionIndex {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented invariant: dataset is validated"
+        )]
         let sd = self
             .transistor_density()
-            .decompression_index(self.feature_size().expect("dataset is validated")); // nanocost-audit: allow(R1, reason = "documented invariant: dataset is validated")
+            .decompression_index(self.feature_size().expect("dataset is validated"));
         provenance!(
             equation: Eq2,
             function: "nanocost_roadmap::entry::RoadmapEntry::implied_sd",

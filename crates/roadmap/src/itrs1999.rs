@@ -42,6 +42,10 @@ pub fn itrs_1999() -> Vec<RoadmapEntry> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values the code computes bit-for-bit"
+)]
 mod tests {
     use super::*;
 

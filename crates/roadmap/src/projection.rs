@@ -73,6 +73,10 @@ impl RoadmapTrends {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values the code computes bit-for-bit"
+)]
 mod tests {
     use super::*;
     use crate::itrs1999::itrs_1999;

@@ -14,6 +14,18 @@
 //! 2 on usage or I/O errors. `--json` swaps the text table for the
 //! machine-readable report.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary's console is its interface, and it may abort on a fatal error"
+)]
+
 use std::process::ExitCode;
 
 use nanocost_sentinel::bench::{diff, parse_bench_file, BenchFile, DiffConfig};

@@ -27,6 +27,18 @@
 //! Exit code 0 on success, 1 when `--health` finds a firing objective,
 //! 2 on usage, transport, parse, or reconciliation errors.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary's console is its interface, and it may abort on a fatal error"
+)]
+
 use std::process::ExitCode;
 
 use nanocost_sentinel::attach::{parse_attach_target, scrape, scrape_ok};

@@ -19,6 +19,18 @@
 //! Exit code 0 when no frame regresses, 1 on regression, 2 on usage,
 //! I/O, or parse errors.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary's console is its interface, and it may abort on a fatal error"
+)]
+
 use std::process::ExitCode;
 
 use nanocost_sentinel::profile::ProfileReport;

@@ -961,11 +961,13 @@ mod tests {
 
     #[test]
     fn profile_merge_namespaces_request_ids() {
-        let mut a = ProfileReport::default();
-        a.samples = 2;
+        let mut a = ProfileReport {
+            samples: 2,
+            distinct_requests: 1,
+            top_requests: vec![("r1".to_string(), 2)],
+            ..ProfileReport::default()
+        };
         a.folded.insert("serve.request;serve.endpoint.cost".to_string(), 2);
-        a.distinct_requests = 1;
-        a.top_requests = vec![("r1".to_string(), 2)];
         let mut b = a.clone();
         b.samples = 3;
         *b.folded.get_mut("serve.request;serve.endpoint.cost").expect("stack") = 3;

@@ -476,7 +476,9 @@ impl LogHistogram {
                 "raw histogram count does not equal underflow plus bucket counts",
             ));
         }
-        if raw.count > 0 && !(raw.min <= raw.max) {
+        // An unordered (NaN) envelope is as inconsistent as an inverted one.
+        let envelope = raw.min.partial_cmp(&raw.max);
+        if raw.count > 0 && matches!(envelope, None | Some(std::cmp::Ordering::Greater)) {
             return Err(inconsistent("raw histogram min/max envelope is inverted"));
         }
         for (idx, e) in raw.exemplars {
@@ -541,6 +543,10 @@ fn exp2_i64(e: i64) -> f64 {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values the code computes bit-for-bit"
+)]
 mod tests {
     use super::*;
 

@@ -249,6 +249,10 @@ pub(crate) fn fmt_f64(v: f64) -> String {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values the code computes bit-for-bit"
+)]
 mod tests {
     use super::*;
 

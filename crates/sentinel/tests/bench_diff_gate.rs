@@ -4,6 +4,18 @@
 //! candidate passes with exit 0. The gate compares exactly one parent
 //! capture with one candidate capture.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "test code: a failed unwrap or panic is a failed test, and output is diagnostics"
+)]
+
 use std::path::PathBuf;
 use std::process::Command;
 

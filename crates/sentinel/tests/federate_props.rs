@@ -5,6 +5,18 @@
 //! as it is in-process. Randomness comes from the workspace's
 //! deterministic xoshiro generator, so every run sees the same samples.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "test code: a failed unwrap or panic is a failed test, and output is diagnostics"
+)]
+
 use nanocost_numeric::Rng64;
 use nanocost_sentinel::federate::{histogram_from_raw, histogram_raw_json, RawSnapshot};
 use nanocost_sentinel::{json, FleetView, LogHistogram, SentinelError};

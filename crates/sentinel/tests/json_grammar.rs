@@ -7,6 +7,18 @@
 //! rejected exactly as RFC 8259 says, and thousands of printable-ASCII
 //! mutations of both corpora must never panic the parser.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "test code: a failed unwrap or panic is a failed test, and output is diagnostics"
+)]
+
 use nanocost_numeric::Rng64;
 use nanocost_sentinel::json::parse;
 use nanocost_trace::export::{Exporter, JsonlExporter};

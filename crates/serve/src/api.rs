@@ -708,8 +708,8 @@ mod tests {
     #[test]
     fn metrics_expose_the_chiplet_cache() {
         let state = ServerState::new();
-        handle(&state, &post("/v1/chiplet", CHIPLET_BODY));
-        handle(&state, &post("/v1/chiplet", CHIPLET_BODY));
+        assert_eq!(handle(&state, &post("/v1/chiplet", CHIPLET_BODY)).status, 200);
+        assert_eq!(handle(&state, &post("/v1/chiplet", CHIPLET_BODY)).status, 200);
         let body = body_str(&handle(&state, &get("/v1/metrics")));
         json::parse(&body).expect("valid JSON");
         assert!(body.contains("\"chiplet_cache\":{\"hits\":1,\"misses\":1"), "{body}");
@@ -731,8 +731,8 @@ mod tests {
     #[test]
     fn raw_metrics_endpoint_serves_mergeable_state() {
         let state = ServerState::new();
-        handle(&state, &post("/v1/cost", COST_BODY));
-        handle(&state, &post("/v1/cost", COST_BODY));
+        assert_eq!(handle(&state, &post("/v1/cost", COST_BODY)).status, 200);
+        assert_eq!(handle(&state, &post("/v1/cost", COST_BODY)).status, 200);
         let r = handle(&state, &get("/v1/metrics/raw"));
         assert_eq!(r.status, 200, "{}", body_str(&r));
         let body = body_str(&r);
@@ -750,8 +750,8 @@ mod tests {
     #[test]
     fn successful_requests_leave_a_p99_exemplar() {
         let state = ServerState::new();
-        handle(&state, &post("/v1/cost", COST_BODY));
-        handle(&state, &post("/v1/cost", COST_BODY));
+        assert_eq!(handle(&state, &post("/v1/cost", COST_BODY)).status, 200);
+        assert_eq!(handle(&state, &post("/v1/cost", COST_BODY)).status, 200);
         let metrics = body_str(&handle(&state, &get("/v1/metrics")));
         let marker = "\"p99_exemplar\":{\"req_id\":\"";
         let at = metrics.find(marker).expect("exemplar in metrics");
@@ -765,8 +765,8 @@ mod tests {
     #[test]
     fn metrics_track_endpoint_latencies() {
         let state = ServerState::new();
-        handle(&state, &post("/v1/cost", COST_BODY));
-        handle(&state, &post("/v1/cost", COST_BODY));
+        assert_eq!(handle(&state, &post("/v1/cost", COST_BODY)).status, 200);
+        assert_eq!(handle(&state, &post("/v1/cost", COST_BODY)).status, 200);
         let r = handle(&state, &get("/v1/metrics"));
         assert_eq!(r.status, 200);
         let body = body_str(&r);

@@ -55,6 +55,18 @@
 //! points cycled many times) — the paper's interactive exploration
 //! pattern — so the server's scenario cache has hits to report.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary's console is its interface, and it may abort on a fatal error"
+)]
+
 use std::time::Instant;
 
 use nanocost_sentinel::attach::{http_get, request};
@@ -218,7 +230,7 @@ fn body_for(endpoint: &str, i: usize) -> String {
     match endpoint {
         "chiplet" => {
             let chiplets = CHIPLET_SPLITS[i % CHIPLET_SPLITS.len()];
-            let assembly = if i % 2 == 0 { "rdl" } else { "si" };
+            let assembly = if i.is_multiple_of(2) { "rdl" } else { "si" };
             format!(
                 "{{\"lambda_um\":{lambda},\"sd\":{sd},\"transistors\":1e8,\"units\":1000000,\"chiplets\":{chiplets},\"distinct_designs\":{chiplets},\"assembly\":\"{assembly}\"}}"
             )

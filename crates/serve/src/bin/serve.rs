@@ -33,6 +33,18 @@
 //! `GET /v1/profile?window_s=N` (merged into `fleet_report`'s artifact)
 //! for the continuous sampling profiler's hotspot report.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a binary's console is its interface, and it may abort on a fatal error"
+)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use nanocost_serve::{Server, ServerConfig, ServerState, ServerStateConfig};

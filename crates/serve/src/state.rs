@@ -336,8 +336,11 @@ impl ServerState {
         };
         ServerState {
             cache: ScenarioCache::paper_figure4(),
+            #[expect(
+                clippy::expect_used,
+                reason = "documented invariant: chiplet default constants are valid"
+            )]
             chiplet: ChipletCache::defaults()
-                // nanocost-audit: allow(R1, reason = "documented invariant: chiplet default constants are valid")
                 .expect("chiplet default constants are valid"),
             next_id: AtomicU64::new(0),
             endpoints: Mutex::new(BTreeMap::new()),
@@ -478,7 +481,7 @@ impl ServerState {
     ) {
         {
             let mut endpoints = lock(&self.endpoints);
-            let hist = endpoints.entry(endpoint).or_insert_with(LogHistogram::new);
+            let hist = endpoints.entry(endpoint).or_default();
             match exemplar_req {
                 Some(req_id) => {
                     hist.record_exemplar_tagged(latency_us, req_id, t_ns, &self.replica);

@@ -4,6 +4,18 @@
 //! `loadgen`, and the CI soak gate depend on. Requests go through
 //! `nanocost_sentinel::attach`, the workspace's one HTTP client.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "test code: a failed unwrap or panic is a failed test, and output is diagnostics"
+)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 

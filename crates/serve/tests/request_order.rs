@@ -6,6 +6,18 @@
 //! request's body (less its `req_id`) and the Eq.-provenance multiset
 //! of its stored trace must be byte-identical on both.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "test code: a failed unwrap or panic is a failed test, and output is diagnostics"
+)]
+
 use nanocost_numeric::Rng64;
 use nanocost_serve::{handle, Request, ServerState};
 

@@ -467,10 +467,9 @@ impl Drop for TraceGuard {
 /// for the whole run:
 ///
 /// ```no_run
-/// fn main() {
-///     let _trace = nanocost_trace::init_from_env();
-///     // ... workload ...
-/// } // guard drops here: metrics flushed, exporter finalized
+/// let _trace = nanocost_trace::init_from_env();
+/// // ... workload ...
+/// // the guard drops at the end of `main`: metrics flushed, exporter finalized
 /// ```
 #[must_use]
 pub fn init_from_env() -> TraceGuard {
@@ -487,8 +486,11 @@ pub fn init_from_env() -> TraceGuard {
     let format = match parse_trace_format(&spec.to_string_lossy()) {
         Ok(Some(format)) => format,
         Ok(None) => return TraceGuard::inactive(),
+        #[expect(
+            clippy::print_stderr,
+            reason = "env misconfiguration diagnostic during init; library has no other channel and must not abort the host's run"
+        )]
         Err(msg) => {
-            // nanocost-audit: allow(R6, reason = "env misconfiguration diagnostic during init; library has no other channel and must not abort the host's run")
             eprintln!("nanocost-trace: {msg}; tracing stays off");
             return TraceGuard::inactive();
         }
@@ -497,8 +499,11 @@ pub fn init_from_env() -> TraceGuard {
     let out: Box<dyn std::io::Write + Send> = match trace_output_path(format) {
         Some(path) => match std::fs::File::create(&path) {
             Ok(f) => Box::new(std::io::BufWriter::new(f)),
+            #[expect(
+                clippy::print_stderr,
+                reason = "last-resort diagnostic when the trace sink itself cannot be opened; stderr is the only channel left"
+            )]
             Err(e) => {
-                // nanocost-audit: allow(R6, reason = "last-resort diagnostic when the trace sink itself cannot be opened; stderr is the only channel left")
                 eprintln!("nanocost-trace: cannot open {path}: {e}; falling back to stderr");
                 Box::new(std::io::BufWriter::new(std::io::stderr()))
             }
@@ -512,8 +517,11 @@ pub fn init_from_env() -> TraceGuard {
         match sampling {
             Ok(true) => timeline::enable_sampling(),
             Ok(false) => {}
+            #[expect(
+                clippy::print_stderr,
+                reason = "env misconfiguration diagnostic during init; library has no other channel and must not abort the host's run"
+            )]
             Err(msg) => {
-                // nanocost-audit: allow(R6, reason = "env misconfiguration diagnostic during init; library has no other channel and must not abort the host's run")
                 eprintln!("nanocost-trace: {msg}; sampling stays off");
             }
         }
@@ -522,8 +530,11 @@ pub fn init_from_env() -> TraceGuard {
                 let _ = stack_registry::start_sampler(hz);
             }
             Ok(_) => {}
+            #[expect(
+                clippy::print_stderr,
+                reason = "env misconfiguration diagnostic during init; library has no other channel and must not abort the host's run"
+            )]
             Err(msg) => {
-                // nanocost-audit: allow(R6, reason = "env misconfiguration diagnostic during init; library has no other channel and must not abort the host's run")
                 eprintln!("nanocost-trace: {msg}; profiler stays off");
             }
         }

@@ -186,8 +186,8 @@ impl ThreadSlot {
                 lens[i] = self.frame_lens[i].load(Ordering::Relaxed);
             }
             let req_len = self.req_len.load(Ordering::Relaxed).min(REQ_ID_CAP);
-            for i in 0..req_len {
-                req_bytes[i] = self.req[i].load(Ordering::Relaxed);
+            for (byte, src) in req_bytes.iter_mut().zip(&self.req).take(req_len) {
+                *byte = src.load(Ordering::Relaxed);
             }
             // Order the payload loads above before the epoch re-check.
             fence(Ordering::Acquire);
@@ -492,7 +492,7 @@ mod tests {
         // ≥ 1e6 epoch bumps: CYCLES full push+pop waves of depth 8.
         const CYCLES: usize = 70_000;
         const TOTAL_OPS: usize = CYCLES * NAMES.len() * 2;
-        assert!(TOTAL_OPS >= 1_000_000);
+        const { assert!(TOTAL_OPS >= 1_000_000) };
 
         let slot = Arc::new(ThreadSlot::new(3));
         let done = Arc::new(AtomicBool::new(false));

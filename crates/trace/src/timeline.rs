@@ -103,7 +103,7 @@ impl SampleBuffer {
     pub fn push(&mut self, sample: Sample) {
         let index = self.observed;
         self.observed += 1;
-        if index % self.stride != 0 {
+        if !index.is_multiple_of(self.stride) {
             self.dropped += 1;
             return;
         }
@@ -123,7 +123,7 @@ impl SampleBuffer {
         let before = self.samples.len();
         let mut position = 0usize;
         self.samples.retain(|_| {
-            let keep = position % 2 == 0;
+            let keep = position.is_multiple_of(2);
             position += 1;
             keep
         });

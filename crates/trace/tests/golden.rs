@@ -4,6 +4,18 @@
 //! Regenerate after an intentional format change with
 //! `NANOCOST_TRACE_BLESS=1 cargo test -p nanocost-trace --test golden`.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "test code: a failed unwrap or panic is a failed test, and output is diagnostics"
+)]
+
 use std::path::PathBuf;
 
 use nanocost_trace::export::{Exporter, Format};

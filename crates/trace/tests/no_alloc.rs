@@ -6,6 +6,18 @@
 //! holds exactly one test so no sibling test's allocations can race
 //! the counter.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "test code: a failed unwrap or panic is a failed test, and output is diagnostics"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -2,6 +2,18 @@
 //! threads must each see a perfectly nested, self-contained span tree,
 //! with no cross-thread interleaving in parent links.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "test code: a failed unwrap or panic is a failed test, and output is diagnostics"
+)]
+
 use nanocost_trace::{span, RecordKind};
 
 /// Runs a nested workload and returns this thread's captured records.

@@ -36,8 +36,11 @@ impl Area {
     #[must_use]
     pub fn from_cm2(cm2: f64) -> Self {
         Area {
+            #[expect(
+                clippy::expect_used,
+                reason = "documented panic contract; try_from_cm2 is the fallible twin"
+            )]
             cm2: ensure_non_negative("area (cm²)", cm2)
-                // nanocost-audit: allow(R1, reason = "documented panic contract; try_from_cm2 is the fallible twin")
                 .expect("area must be finite and non-negative"),
         }
     }

@@ -39,9 +39,12 @@ impl TransistorCount {
     ///
     /// Panics if `millions` is non-finite or not strictly positive.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic contract; TransistorCount::new is the fallible twin"
+    )]
     pub fn from_millions(millions: f64) -> Self {
         TransistorCount::new(millions * 1.0e6)
-            // nanocost-audit: allow(R1, reason = "documented panic contract; TransistorCount::new is the fallible twin")
             .expect("transistor count in millions must be positive")
     }
 
@@ -82,8 +85,11 @@ impl Mul<f64> for TransistorCount {
     /// # Panics
     ///
     /// Panics if the scaled count would be non-positive or non-finite.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic contract on the Mul impl; callers scale by positive factors"
+    )]
     fn mul(self, rhs: f64) -> TransistorCount {
-        // nanocost-audit: allow(R1, reason = "documented panic contract on the Mul impl; callers scale by positive factors")
         TransistorCount::new(self.0 * rhs).expect("scaled transistor count must be positive")
     }
 }
@@ -100,9 +106,12 @@ impl Sum for TransistorCount {
     ///
     /// Panics when summing an empty iterator: a transistor count must be
     /// strictly positive.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic contract on the Sum impl; empty sums are a caller bug"
+    )]
     fn sum<I: Iterator<Item = TransistorCount>>(iter: I) -> TransistorCount {
         let total: f64 = iter.map(|t| t.0).sum();
-        // nanocost-audit: allow(R1, reason = "documented panic contract on the Sum impl; empty sums are a caller bug")
         TransistorCount::new(total).expect("sum of transistor counts must be positive")
     }
 }

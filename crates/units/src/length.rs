@@ -56,9 +56,12 @@ impl FeatureSize {
     /// [`FeatureSize::from_microns`] with a converted value for a fallible
     /// construction.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic contract; from_microns is the fallible twin"
+    )]
     pub fn from_nanometers(nanometers: f64) -> Self {
         FeatureSize::from_microns(nanometers / 1000.0)
-            // nanocost-audit: allow(R1, reason = "documented panic contract; from_microns is the fallible twin")
             .expect("feature size in nanometers must be finite and positive")
     }
 
@@ -126,8 +129,11 @@ impl Mul<f64> for FeatureSize {
     ///
     /// Panics if the resulting length would be non-positive, non-finite
     /// or too large for [`FeatureSize::from_microns`].
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic contract on the Mul impl; shrink factors are positive"
+    )]
     fn mul(self, rhs: f64) -> FeatureSize {
-        // nanocost-audit: allow(R1, reason = "documented panic contract on the Mul impl; shrink factors are positive")
         FeatureSize::from_microns(self.microns * rhs).expect("scaled feature size must be positive")
     }
 }

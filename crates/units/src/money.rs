@@ -214,10 +214,13 @@ impl CostPerArea {
     /// Panics if `dollars_per_cm2` is negative or non-finite. Use
     /// [`CostPerArea::try_per_cm2`] for a fallible variant.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic contract; try_per_cm2 is the fallible twin"
+    )]
     pub fn per_cm2(dollars_per_cm2: f64) -> Self {
         CostPerArea(
             ensure_non_negative("cost per cm²", dollars_per_cm2)
-                // nanocost-audit: allow(R1, reason = "documented panic contract; try_per_cm2 is the fallible twin")
                 .expect("cost per cm² must be finite and non-negative"),
         )
     }
@@ -283,6 +286,10 @@ impl Div<Area> for Dollars {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values the code computes bit-for-bit"
+)]
 mod tests {
     use super::*;
 

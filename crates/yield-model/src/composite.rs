@@ -81,26 +81,30 @@ impl YieldSurface {
     /// α = 2 clustering, λ-sensitivity exponent 1.8 — a concrete `Y`
     /// surface for eq. 7's generalized model.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: constant is valid; constants are valid"
+    )]
     pub fn nanometer_default() -> Self {
         use crate::defect::DefectDensity;
         use nanocost_units::Yield as Y;
         YieldSurface::new(
-            FeatureSize::from_microns(0.25).expect("constant is valid"), // nanocost-audit: allow(R1, R3, reason = "documented invariant: constant is valid")
+            FeatureSize::from_microns(0.25).expect("constant is valid"), // nanocost-audit: allow(R3, reason = "paper-anchored default; the constructor parameters document each value")
             1.8, // nanocost-audit: allow(R3, reason = "paper-anchored default; the constructor parameters document each value")
             LearningCurve::new(
-                DefectDensity::per_cm2(1.2).expect("constant is valid"), // nanocost-audit: allow(R1, R3, reason = "documented invariant: constant is valid")
-                DefectDensity::per_cm2(0.25).expect("constant is valid"), // nanocost-audit: allow(R1, R3, reason = "documented invariant: constant is valid")
+                DefectDensity::per_cm2(1.2).expect("constant is valid"), // nanocost-audit: allow(R3, reason = "paper-anchored default; the constructor parameters document each value")
+                DefectDensity::per_cm2(0.25).expect("constant is valid"), // nanocost-audit: allow(R3, reason = "paper-anchored default; the constructor parameters document each value")
                 20_000.0, // nanocost-audit: allow(R3, reason = "paper-anchored default; the constructor parameters document each value")
             )
-            .expect("constants are valid"), // nanocost-audit: allow(R1, reason = "documented invariant: constants are valid")
+            .expect("constants are valid"),
             SystematicRamp::new(
-                Y::new(0.6).expect("constant is valid"), // nanocost-audit: allow(R1, R3, reason = "documented invariant: constant is valid")
-                Y::new(0.95).expect("constant is valid"), // nanocost-audit: allow(R1, R3, reason = "documented invariant: constant is valid")
+                Y::new(0.6).expect("constant is valid"), // nanocost-audit: allow(R3, reason = "paper-anchored default; the constructor parameters document each value")
+                Y::new(0.95).expect("constant is valid"), // nanocost-audit: allow(R3, reason = "paper-anchored default; the constructor parameters document each value")
                 30_000.0, // nanocost-audit: allow(R3, reason = "paper-anchored default; the constructor parameters document each value")
             )
-            .expect("constants are valid"), // nanocost-audit: allow(R1, reason = "documented invariant: constants are valid")
+            .expect("constants are valid"),
             CriticalAreaModel::default(),
-            NegativeBinomialModel::new(2.0).expect("constant is valid"), // nanocost-audit: allow(R1, reason = "documented invariant: constant is valid")
+            NegativeBinomialModel::new(2.0).expect("constant is valid"),
         )
     }
 
@@ -133,8 +137,12 @@ impl YieldSurface {
         die_area: Area,
         volume: WaferCount,
     ) -> Yield {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented invariant: validated at construction"
+        )]
         let reference =
-            FeatureSize::from_microns(self.reference_node_um).expect("validated at construction"); // nanocost-audit: allow(R1, reason = "documented invariant: validated at construction")
+            FeatureSize::from_microns(self.reference_node_um).expect("validated at construction");
         let d0 = self
             .learning
             .defect_density(volume)

@@ -129,7 +129,11 @@ pub fn critical_scan(
         let mut run_start: Option<usize> = None;
         let mut seen_conductor = false;
         for y in 0..grid.height() {
-            let c = grid.get(x as i64, y as i64).expect("in bounds by loop"); // nanocost-audit: allow(R1, reason = "documented invariant: in bounds by loop")
+            #[expect(
+                clippy::expect_used,
+                reason = "documented invariant: in bounds by loop"
+            )]
+            let c = grid.get(x as i64, y as i64).expect("in bounds by loop");
             if c == 0 {
                 if seen_conductor && run_start.is_none() {
                     run_start = Some(y);
@@ -153,6 +157,10 @@ pub fn critical_scan(
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values the code computes bit-for-bit"
+)]
 mod tests {
     use super::*;
     use nanocost_layout::{MemoryArrayGenerator, Rect, StdCellGenerator};

@@ -85,11 +85,15 @@ impl LearningCurve {
     /// Defect density after `volume` cumulative wafers — the maturity
     /// axis of eq. 7's `Y(N_w)`.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented invariant: interpolation of valid densities is valid"
+    )]
     pub fn defect_density(&self, volume: WaferCount) -> DefectDensity {
         let v = volume.as_f64();
         let d = self.mature.value()
             + (self.initial.value() - self.mature.value()) * (-v / self.learning_volume).exp();
-        DefectDensity::per_cm2(d).expect("interpolation of valid densities is valid") // nanocost-audit: allow(R1, reason = "documented invariant: interpolation of valid densities is valid")
+        DefectDensity::per_cm2(d).expect("interpolation of valid densities is valid")
     }
 
     /// The floor the curve learns toward — the mature-process limit of
@@ -181,6 +185,10 @@ impl SystematicRamp {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values the code computes bit-for-bit"
+)]
 mod tests {
     use super::*;
 

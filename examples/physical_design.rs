@@ -9,6 +9,18 @@
 //!
 //! Run with: `cargo run --example physical_design`
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example prints its walkthrough and keeps error handling out of the way"
+)]
+
 use nanocost::core::ManufacturingCostModel;
 use nanocost::layout::{Netlist, Placer};
 use nanocost::units::{DecompressionIndex, FeatureSize};

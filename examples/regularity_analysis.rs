@@ -7,6 +7,18 @@
 //!
 //! Run with: `cargo run --example regularity_analysis`
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example prints its walkthrough and keeps error handling out of the way"
+)]
+
 use nanocost::flow::{ClosureSimulator, DesignTeamModel, RegularityEffect};
 use nanocost::layout::{
     Layout, MemoryArrayGenerator, RandomBlockGenerator, RegularityAnalysis, StdCellGenerator,

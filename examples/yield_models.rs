@@ -6,6 +6,18 @@
 //!
 //! Run with: `cargo run --example yield_models`
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example prints its walkthrough and keeps error handling out of the way"
+)]
+
 use nanocost::fab::WaferSpec;
 use nanocost::numeric::Sampler;
 use nanocost::units::Area;

@@ -5,6 +5,18 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# Copies the working tree into $1: tracked files and new unignored ones,
+# uncommitted edits included, so a gate can patch or build it apart.
+copy_worktree() {
+    rm -rf "$1"
+    mkdir -p "$1"
+    git ls-files -z --cached --others --exclude-standard \
+        | while IFS= read -r -d '' f; do
+            if [[ -e "$f" ]]; then printf '%s\0' "$f"; fi
+        done \
+        | tar --null -T - -c | tar -x -C "$1"
+}
+
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
@@ -34,6 +46,36 @@ if [[ "$KNOBS_CODE" != "$KNOBS_DOC" ]]; then
     diff <(echo "$KNOBS_CODE") <(echo "$KNOBS_DOC") >&2 || true
     exit 1
 fi
+
+echo "==> clippy: cargo clippy --workspace --all-targets -- -D warnings"
+# Clippy holds the generic rules: no aborts (R1's lints) and no console
+# writes (R6's) in library code, and exact float compares. The lint
+# table is [workspace.lints.clippy] in Cargo.toml, with clippy.toml's
+# test exemptions; DESIGN.md section 7 maps each rule to its lints.
+cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> clippy negative gate: seeded violations must fail"
+# The inverse check, like the audit's seeded gate below: a copy of this
+# tree (its own Cargo.toml and clippy.toml) plus one .expect(, one
+# println! and one x == 0.5 in nanocost-units. A clean pass here means a
+# lint fell out of the table.
+CLIPPY_TREE=target/clippy-seeded
+CLIPPY_OUT=target/ci-clippy-seeded.txt
+copy_worktree "$CLIPPY_TREE"
+patch -s -p1 -d "$CLIPPY_TREE" <scripts/clippy-seeded.patch
+if cargo clippy -p nanocost-units --all-targets --manifest-path "$CLIPPY_TREE/Cargo.toml" \
+    -- -D warnings >"$CLIPPY_OUT" 2>&1; then
+    echo "ci: FAIL: clippy passed the seeded violations" >&2
+    cat "$CLIPPY_OUT" >&2
+    exit 1
+fi
+for lint in expect_used print_stdout float_cmp; do
+    if ! grep -qF "clippy::$lint" "$CLIPPY_OUT"; then
+        echo "ci: FAIL: the seeded violations did not trip clippy::$lint:" >&2
+        cat "$CLIPPY_OUT" >&2
+        exit 1
+    fi
+done
 
 echo "==> nanocost-audit --deny --strict-pragmas (budget: 90s)"
 # The analyzer is on the merge path, so its wall clock is a gate too:
@@ -361,9 +403,12 @@ if [[ "${NANOCOST_SKIP_PERF_GATE:-0}" != "1" ]]; then
     echo "==> perf gate: microbench suite, paired with the parent commit"
     # The change is judged against its parent on the same host, so host
     # speed cancels out. The parent is HEAD when the tree has uncommitted
-    # changes (they are the change), else HEAD^. A third copy, the
-    # parent plus a seeded eq.-4 slowdown, runs in the same interleaved
-    # loop and must be flagged, or the gate has gone blind. Each side's
+    # changes (they are the change), else HEAD^. The change builds from a
+    # copy of the working tree at target/perf-change, so every side is a
+    # clean tree in its own target dir at a path of the same length, and
+    # the sides differ only in their code. A third copy, the parent plus
+    # a seeded eq.-4 slowdown, runs in the same interleaved loop and
+    # must be flagged, or the gate has gone blind. Each side's
     # rounds append to one capture, which bench_diff pools per bench.
     # NANOCOST_SKIP_PERF_GATE=1 skips this block entirely.
     # A round's samples are correlated (the host drifts between states
@@ -380,10 +425,11 @@ if [[ "${NANOCOST_SKIP_PERF_GATE:-0}" != "1" ]]; then
         git archive "$PARENT" | tar -x -C "$tree"
     done
     patch -s -p1 -d target/perf-seeded <scripts/perf-seeded-slowdown.patch
+    copy_worktree target/perf-change
     # Absolute paths: cargo runs bench targets with cwd = the package
     # dir. Each tree builds in its own target dir inside the tree.
-    declare -A PERF_TREE=([parent]="$PWD/target/perf-parent" [change]="$PWD" \
-        [seeded]="$PWD/target/perf-seeded")
+    declare -A PERF_TREE=([parent]="$PWD/target/perf-parent" \
+        [change]="$PWD/target/perf-change" [seeded]="$PWD/target/perf-seeded")
     for side in parent change seeded; do
         rm -f "target/ci-bench-$side.json"
         cargo bench -q --no-run -p nanocost-bench \

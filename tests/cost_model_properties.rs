@@ -1,5 +1,17 @@
 //! Integration tests: cross-crate properties of the cost-model stack.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "test code: a failed unwrap or panic is a failed test, and output is diagnostics"
+)]
+
 use nanocost::core::{
     DesignPoint, GeneralizedCostModel, ManufacturingCostModel, TotalCostModel,
 };

@@ -3,6 +3,18 @@
 //! study (EXT-DELAY), and pitch-driven auto-configuration of the pattern
 //! extractor — all through the public facade.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "test code: a failed unwrap or panic is a failed test, and output is diagnostics"
+)]
+
 use nanocost::core::{cheapest_node, GeneralizedCostModel, ProfitModel};
 use nanocost::fab::{ProximityModel, WaferSpec};
 use nanocost::flow::DelayStudy;

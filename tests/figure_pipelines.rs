@@ -1,6 +1,18 @@
 //! Integration tests: each of the paper's figures regenerated end to end
 //! through the public API, asserting the shapes the paper reports.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "test code: a failed unwrap or panic is a failed test, and output is diagnostics"
+)]
+
 use nanocost::core::{Figure4Scenario, TotalCostModel};
 use nanocost::devices::{figure1_by_vendor, table_a1, vendor_density_trend, Vendor};
 use nanocost::fab::MaskCostModel;

@@ -2,6 +2,18 @@
 //! placement → measured density → measured critical area → yield →
 //! redundancy economics, all through the public facade.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "test code: a failed unwrap or panic is a failed test, and output is diagnostics"
+)]
+
 use nanocost::fab::WaferSpec;
 use nanocost::layout::{MemoryArrayGenerator, Netlist, Placer, StdCellGenerator};
 use nanocost::units::{Area, FeatureSize};

@@ -2,6 +2,22 @@
 //! extraction → prediction quality → iteration count → design dollars →
 //! transistor cost.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "test code: a failed unwrap or panic is a failed test, and output is diagnostics"
+)]
+#![allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values the code computes bit-for-bit"
+)]
+
 use nanocost::core::{DesignPoint, GeneralizedCostModel};
 use nanocost::flow::{ClosureSimulator, DesignTeamModel, RegularityEffect};
 use nanocost::layout::{

@@ -1,6 +1,18 @@
 //! Integration test: run every Table-A1 device through the cost models —
 //! the dataset and the models must compose without special cases.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "test code: a failed unwrap or panic is a failed test, and output is diagnostics"
+)]
+
 use nanocost::core::ManufacturingCostModel;
 use nanocost::devices::{table_a1, DeviceClass};
 use nanocost::fab::WaferSpec;
