@@ -248,7 +248,13 @@ impl Lexer<'_> {
         loop {
             match self.peek(0) {
                 None => break,
-                Some(b'\\') => self.pos += 2,
+                Some(b'\\') => {
+                    // A `\` line continuation escapes the newline itself.
+                    if self.peek(1) == Some(b'\n') {
+                        self.line += 1;
+                    }
+                    self.pos += 2;
+                }
                 Some(b'"') => {
                     content_end = self.pos;
                     self.pos += 1;
@@ -477,6 +483,17 @@ mod tests {
         let toks = lex("a\nb\n\nc");
         let lines: Vec<u32> = toks.iter().map(|t| t.line).collect();
         assert_eq!(lines, vec![1, 2, 4]);
+    }
+
+    #[test]
+    fn line_continuations_inside_strings_count_their_newline() {
+        let src = "let a = \"one \\\n two \\\n three\";\n\n\nfn b() {}";
+        let toks = lex(src);
+        let b = toks
+            .iter()
+            .find(|t| t.kind == TokenKind::Ident("b".into()))
+            .map(|t| t.line);
+        assert_eq!(b, Some(6));
     }
 
     #[test]

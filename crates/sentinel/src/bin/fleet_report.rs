@@ -12,7 +12,8 @@
 //! [`RawSnapshot`], the snapshots are merged with
 //! [`FleetView::from_snapshots`] (histogram buckets add losslessly,
 //! windowed SLO counters sum before the burn ratio is re-derived,
-//! worker and cache counters total), and a best-effort
+//! worker and cache counters total, and the replicas' accept-to-dequeue
+//! `queue_wait` histograms merge into one), and a best-effort
 //! `GET /v1/profile` scrape per replica folds into one fleet hotspot
 //! table with request ids namespaced `<replica>/<req-id>`. Replicas
 //! that run unlabeled (no `NANOCOST_REPLICA`) are identified by their

@@ -192,6 +192,9 @@ pub struct RawSnapshot {
     pub cache: RawCache,
     /// Per-endpoint latency histograms, full mergeable state.
     pub endpoints: BTreeMap<String, LogHistogram>,
+    /// Accept-to-dequeue wait of the replica's connections, in
+    /// microseconds (empty from a replica that does not report it).
+    pub queue_wait: LogHistogram,
 }
 
 impl RawSnapshot {
@@ -237,7 +240,7 @@ impl RawSnapshot {
             }
             out.push_str(&format!("{}:{}", escape_json(name), histogram_raw_json(hist)));
         }
-        out.push_str("}}");
+        out.push_str(&format!("}},\"queue_wait\":{}}}", histogram_raw_json(&self.queue_wait)));
         out
     }
 
@@ -264,6 +267,10 @@ impl RawSnapshot {
             workers: Vec::new(),
             cache: RawCache::default(),
             endpoints: BTreeMap::new(),
+            queue_wait: match v.get("queue_wait") {
+                Some(hist) => histogram_from_raw(hist)?,
+                None => LogHistogram::new(),
+            },
         };
         let Some(JsonValue::Obj(counters)) = v.get("counters") else {
             return Err(schema_err("raw snapshot missing `counters` object".to_string()));
@@ -467,6 +474,8 @@ pub struct FleetView {
     pub slo: Vec<BurnReport>,
     /// Per-replica utilization rows, in scrape order.
     pub utilization: Vec<ReplicaUtilization>,
+    /// Accept-to-dequeue wait merged across replicas (lossless).
+    pub queue_wait: LogHistogram,
     /// Cache counters summed across replicas.
     pub cache: RawCache,
     /// Merged profile report, when profiles were scraped too.
@@ -507,6 +516,7 @@ impl FleetView {
             skew: BTreeMap::new(),
             slo: Vec::new(),
             utilization: Vec::new(),
+            queue_wait: LogHistogram::new(),
             cache: RawCache::default(),
             profile: None,
         };
@@ -532,6 +542,7 @@ impl FleetView {
         }
         // Histograms: lossless merge plus per-replica p99 skew.
         for snap in snapshots {
+            view.queue_wait.merge(&snap.queue_wait)?;
             for (endpoint, hist) in &snap.endpoints {
                 match view.endpoints.get_mut(endpoint) {
                     Some(merged) => merged.merge(hist)?,
@@ -668,6 +679,13 @@ impl FleetView {
                 ));
             }
         }
+        let wait_total: u64 = snapshots.iter().map(|s| s.queue_wait.count()).sum();
+        if self.queue_wait.count() != wait_total {
+            violations.push(format!(
+                "queue_wait: fleet count {} != per-replica sum {wait_total}",
+                self.queue_wait.count()
+            ));
+        }
         for (name, fleet_total) in &self.counters {
             let replica_total: u64 =
                 snapshots.iter().filter_map(|s| s.counters.get(name)).sum();
@@ -714,20 +732,7 @@ impl FleetView {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("{}:{{\"count\":{}", escape_json(name), hist.count()));
-            for (key, q) in [
-                ("min_us", hist.min()),
-                ("max_us", hist.max()),
-                ("mean_us", hist.mean()),
-                ("p50_us", hist.quantile(Q_P50)),
-                ("p90_us", hist.quantile(Q_P90)),
-                ("p99_us", hist.quantile(Q_P99)),
-                ("p999_us", hist.quantile(Q_P999)),
-            ] {
-                if let Some(value) = q {
-                    out.push_str(&format!(",\"{key}\":{}", fmt_f64(value)));
-                }
-            }
+            out.push_str(&format!("{}:{{{}", escape_json(name), quantile_fields(hist)));
             match hist.quantile_exemplar(Q_P99) {
                 Some(e) => out.push_str(&format!(
                     ",\"p99_exemplar\":{{\"replica\":{},\"req_id\":{},\"value_us\":{},\
@@ -753,7 +758,8 @@ impl FleetView {
             }
             out.push('}');
         }
-        out.push_str("},\"utilization\":[");
+        out.push_str(&format!("}},\"queue_wait\":{{{}}}", quantile_fields(&self.queue_wait)));
+        out.push_str(",\"utilization\":[");
         for (i, u) in self.utilization.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -790,6 +796,27 @@ impl FleetView {
         out.push('}');
         out
     }
+}
+
+/// A histogram's count and quantiles as JSON object members
+/// (`"count":…,"min_us":…,…,"p999_us":…`); an empty histogram renders
+/// its count only.
+fn quantile_fields(hist: &LogHistogram) -> String {
+    let mut out = format!("\"count\":{}", hist.count());
+    for (key, q) in [
+        ("min_us", hist.min()),
+        ("max_us", hist.max()),
+        ("mean_us", hist.mean()),
+        ("p50_us", hist.quantile(Q_P50)),
+        ("p90_us", hist.quantile(Q_P90)),
+        ("p99_us", hist.quantile(Q_P99)),
+        ("p999_us", hist.quantile(Q_P999)),
+    ] {
+        if let Some(value) = q {
+            out.push_str(&format!(",\"{key}\":{}", fmt_f64(value)));
+        }
+    }
+    out
 }
 
 /// Merges per-replica `/v1/profile` reports into one fleet report,
@@ -875,6 +902,10 @@ mod tests {
             workers: vec![RawWorker { busy_ns: 750, idle_ns: 250, served: 150 }],
             cache: RawCache { hits: 40, misses: 10, entries: 10, capacity: 64 },
             endpoints,
+            queue_wait: (1..=50u32).fold(LogHistogram::new(), |mut h, i| {
+                h.record(f64::from(i) * scale);
+                h
+            }),
         }
     }
 
@@ -926,8 +957,11 @@ mod tests {
         assert!(view.healthy());
         assert_eq!(view.slo[0].good, 1_980);
         assert_eq!(view.slo[0].bad, 20);
+        assert_eq!(view.queue_wait.count(), 100, "queue waits merge across replicas");
         view.reconcile(&snaps).expect("identities hold");
-        crate::json::parse(&view.to_json()).expect("fleet artifact is valid JSON");
+        let artifact = view.to_json();
+        crate::json::parse(&artifact).expect("fleet artifact is valid JSON");
+        assert!(artifact.contains(",\"queue_wait\":{\"count\":100,"), "{artifact}");
     }
 
     #[test]

@@ -167,11 +167,10 @@ fn model_endpoint(
     let t_ns = nanocost_trace::epoch_nanos();
     match result {
         Ok(fields) => {
-            // Only successful requests store a capture, so only they
-            // leave an exemplar — an exemplar must always round-trip to
-            // a fetchable trace.
-            state.store_trace(&req_id, &records);
-            state.observe(endpoint, latency_us, Some(&req_id), t_ns);
+            // Only a stored capture leaves an exemplar — an exemplar
+            // must always round-trip to a fetchable trace.
+            let stored = state.store_capture(&req_id, records);
+            state.observe(endpoint, latency_us, stored.then_some(req_id.as_str()), t_ns);
             let body = format!("{{\"req_id\":{},{fields}}}", json_string(&req_id));
             (endpoint, Some(req_id), Response::json(200, body))
         }
@@ -844,6 +843,100 @@ mod tests {
         assert!(body.contains("\"req_id\":\"r1\""), "{body}");
         assert_eq!(handle(&state, &get("/v1/trace/r2")).status, 200);
         assert_eq!(handle(&state, &get("/v1/trace/r999")).status, 404, "never issued");
+    }
+
+    /// The request id a successful model response carries.
+    fn req_id_of(r: &Response) -> String {
+        let doc = json::parse(&body_str(r)).expect("valid JSON");
+        doc.get("req_id").and_then(JsonValue::as_str).expect("req_id").to_string()
+    }
+
+    /// A capture rendered the way it used to be stored: each record
+    /// through the exporter, concatenated.
+    fn eager_jsonl(records: &[nanocost_trace::Record]) -> String {
+        use nanocost_trace::Exporter as _;
+        let mut exporter = nanocost_trace::JsonlExporter;
+        let mut text = String::new();
+        for r in records {
+            text.push_str(&exporter.render(r));
+        }
+        text
+    }
+
+    #[test]
+    fn fetched_traces_equal_an_eager_render_of_the_capture() {
+        let state = ServerState::new();
+        let optimum = r#"{"lambda_um":0.18,"transistors":1e7,"volume":5000,"fab_yield":0.4}"#;
+        let batch = format!("{{\"queries\":[{COST_BODY},{}]}}", COST_BODY.replace("300", "400"));
+        let requests = [
+            ("/v1/cost", COST_BODY),
+            ("/v1/optimum", optimum),
+            ("/v1/optimum", optimum),
+            ("/v1/batch", batch.as_str()),
+            ("/v1/chiplet", CHIPLET_BODY),
+        ];
+        let mut optimum_missed = Vec::new();
+        for (path, body) in requests {
+            let misses_before = state.cache().stats().misses;
+            let r = handle(&state, &post(path, body));
+            assert_eq!(r.status, 200, "{path}: {}", body_str(&r));
+            if path == "/v1/optimum" {
+                optimum_missed.push(state.cache().stats().misses > misses_before);
+            }
+            let req_id = req_id_of(&r);
+            let records = state.capture(&req_id).expect("stored capture");
+            assert!(!records.is_empty(), "{path}: empty capture");
+            let fetched = handle(&state, &get(&format!("/v1/trace/{req_id}")));
+            assert_eq!(fetched.status, 200);
+            assert!(
+                body_str(&fetched) == eager_jsonl(&records),
+                "{path} ({req_id}): the served trace differs from an eager render"
+            );
+        }
+        assert_eq!(optimum_missed, [true, false], "a memo miss, then a memo hit");
+    }
+
+    /// A `/v1/batch` body of distinct cost queries just under the
+    /// request size limit.
+    fn maximum_batch_body(seed: usize) -> String {
+        let mut body = String::from("{\"queries\":[");
+        for i in 0.. {
+            let query = format!(
+                "{{\"lambda_um\":0.18,\"sd\":{},\"transistors\":1e7,\"volume\":{},\"fab_yield\":0.4}}",
+                200 + i % 800,
+                1_000 + seed * 100_000 + i
+            );
+            if body.len() + query.len() + 3 > crate::http::MAX_BODY_BYTES {
+                break;
+            }
+            if i > 0 {
+                body.push(',');
+            }
+            body.push_str(&query);
+        }
+        body.push_str("]}");
+        body
+    }
+
+    #[test]
+    fn maximum_size_batches_keep_the_trace_ring_within_its_byte_budget() {
+        let state = ServerState::new();
+        let mut stored = 0;
+        for seed in 0..6 {
+            let body = maximum_batch_body(seed);
+            assert!(body.len() > crate::http::MAX_BODY_BYTES - 200);
+            let r = handle(&state, &post("/v1/batch", &body));
+            assert_eq!(r.status, 200);
+            assert!(
+                state.trace_ring_bytes() <= crate::state::TRACE_RING_BYTES,
+                "ring holds {} bytes after batch {seed}",
+                state.trace_ring_bytes()
+            );
+            stored += usize::from(state.capture(&req_id_of(&r)).is_some());
+        }
+        assert!(stored > 0, "a maximum-size batch fits the budget");
+        let metrics = state.metrics_json();
+        assert!(!metrics.contains("\"trace_ring_evicted\":0"), "the budget evicted: {metrics}");
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!
 //! Observability is configured through the environment (a typo'd value
 //! refuses to start rather than serving with the wrong configuration):
-//!   NANOCOST_SERVE_TRACE_RING   trace-capture ring capacity (256)
+//!   NANOCOST_SERVE_TRACE_RING   trace-capture ring capacity (256;
+//!                               the ring also keeps within 64 MiB)
 //!   NANOCOST_SERVE_ACCESS_LOG   JSONL access-log path (off)
 //!   NANOCOST_PROFILE_HZ         span-stack sampling rate for the
 //!                               continuous profiler (default 99;

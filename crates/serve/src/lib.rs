@@ -20,8 +20,9 @@
 //!
 //! Every model request runs inside a `nanocost-trace` capture frame
 //! under an installed request scope, so every captured record carries
-//! the request's `req_id`; captures are stored in a configurable ring
-//! and replayable as JSONL that passes `trace_check`. Per-endpoint
+//! the request's `req_id`; captures are stored as records in a ring
+//! bounded by count and bytes, and rendered on fetch as JSONL that
+//! passes `trace_check`. Per-endpoint
 //! latencies feed `nanocost-sentinel`
 //! [`LogHistogram`](nanocost_sentinel::LogHistogram)s whose per-bucket
 //! exemplars let `/v1/metrics` link an anonymous p99 to a fetchable

@@ -1,16 +1,23 @@
 //! The TCP accept loop and fixed-size worker pool.
 //!
-//! Everything is plain `std`: a non-blocking [`TcpListener`] polled
-//! against a shutdown flag, a *bounded* `mpsc::sync_channel` feeding a
-//! fixed pool of scoped worker threads, and per-connection read/write
-//! deadlines so a stalled peer can never wedge a worker (the
-//! bounded-read property the fuzz suite exercises end to end). A burst
-//! of slow clients cannot grow the queue or the open-fd count without
-//! bound either: connections arriving while the queue is full are shed
-//! with a best-effort 503 and closed.
+//! Everything is plain `std`: a blocking [`TcpListener::accept`] loop,
+//! a *bounded* `mpsc::sync_channel` feeding a fixed pool of scoped
+//! worker threads, and per-connection read/write deadlines so a stalled
+//! peer can never wedge a worker (the bounded-read property the fuzz
+//! suite exercises end to end). A burst of slow clients cannot grow the
+//! queue or the open-fd count without bound either: connections
+//! arriving while the queue is full are shed with a best-effort 503 and
+//! closed.
+//!
+//! Shutdown does not rely on a signal interrupting `accept`: a signal
+//! handler installed with `SA_RESTART` restarts it, and the signal may
+//! land on any thread. Instead a watcher thread polls the shutdown flag
+//! and, once it is set, connects to the listener itself; the accept loop
+//! checks the flag after every accept, drops that wake connection
+//! uncounted and returns.
 
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
@@ -42,13 +49,16 @@ impl Default for ServerConfig {
     }
 }
 
-/// How long the accept loop sleeps when idle before re-checking the
-/// shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How long the accept loop backs off after an accept error such as
+/// `EMFILE`, so descriptor exhaustion does not become a busy loop.
+const ACCEPT_RETRY: Duration = Duration::from_millis(5);
 
-/// How long a worker blocks on the connection queue before re-checking
-/// the shutdown flag.
+/// How long a worker blocks on the connection queue, and the shutdown
+/// watcher sleeps, before re-checking the shutdown flag.
 const WORKER_POLL: Duration = Duration::from_millis(50);
+
+/// Connect deadline of the shutdown watcher's wake connection.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Per-worker depth of the bounded connection queue. With the default
 /// 2s deadline a full queue drains in a few seconds, so a deeper
@@ -111,51 +121,58 @@ impl Server {
     /// Serves until `shutdown` becomes true: accepts connections on the
     /// main thread and dispatches them to the worker pool through a
     /// bounded queue. Connections arriving while the queue is full are
-    /// shed with a 503 rather than queued. Returns once every worker
-    /// has drained.
+    /// shed with a 503 rather than queued. Returns within about 50 ms
+    /// of the flag being set, once every worker has drained.
     ///
     /// # Errors
     ///
-    /// Propagates a listener configuration failure; per-connection I/O
+    /// Propagates a listener address query failure; per-connection I/O
     /// errors are contained to their connection.
     pub fn run(&self, shutdown: &AtomicBool) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
+        let wake_addr = loopback(self.listener.local_addr()?);
         let workers = self.config.workers.max(1);
         let stats = self.state.install_workers(workers);
         self.start_profiler();
-        let (tx, rx) = mpsc::sync_channel::<TcpStream>(workers * QUEUE_DEPTH_PER_WORKER);
+        let (tx, rx) =
+            mpsc::sync_channel::<(TcpStream, Instant)>(workers * QUEUE_DEPTH_PER_WORKER);
         let rx = Mutex::new(rx);
+        let accepting = AtomicBool::new(true);
         std::thread::scope(|scope| {
             for stat in &stats {
                 scope.spawn(|| worker_loop(&self.state, &rx, shutdown, self.config.io_timeout, stat));
             }
-            while !shutdown.load(Ordering::Relaxed) {
-                match self.listener.accept() {
+            scope.spawn(|| wake_on_shutdown(shutdown, &accepting, wake_addr));
+            loop {
+                let accepted = self.listener.accept();
+                // Whatever woke a shutting-down loop (normally the
+                // watcher's own connection) is dropped uncounted.
+                if shutdown.load(Ordering::SeqCst) {
+                    break;
+                }
+                match accepted {
                     Ok((stream, _peer)) => {
                         self.state.note_conn_open();
-                        match tx.try_send(stream) {
+                        match tx.try_send((stream, Instant::now())) {
                             Ok(()) => self.state.note_queue_push(),
                             // Queue saturated (slowloris burst or plain
                             // overload): shed instead of queueing,
                             // keeping backlog and open-fd count bounded.
-                            Err(mpsc::TrySendError::Full(stream)) => {
+                            Err(mpsc::TrySendError::Full((stream, _))) => {
                                 reject_busy(&self.state, stream);
                             }
                             // Workers only exit on shutdown.
-                            Err(mpsc::TrySendError::Disconnected(stream)) => {
+                            Err(mpsc::TrySendError::Disconnected((stream, _))) => {
                                 drop(stream);
                                 self.state.note_conn_close();
                                 break;
                             }
                         }
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => std::thread::sleep(ACCEPT_POLL),
+                    Err(_) => std::thread::sleep(ACCEPT_RETRY),
                 }
             }
+            accepting.store(false, Ordering::SeqCst);
             drop(tx);
         });
         Ok(())
@@ -182,6 +199,33 @@ impl Server {
     }
 }
 
+/// The address a local client reaches `addr` at: an unspecified bind
+/// IP (`0.0.0.0`, `::`) maps to the loopback of its family.
+fn loopback(addr: SocketAddr) -> SocketAddr {
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => {
+            SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), addr.port())
+        }
+        IpAddr::V6(ip) if ip.is_unspecified() => {
+            SocketAddr::new(IpAddr::V6(Ipv6Addr::LOCALHOST), addr.port())
+        }
+        _ => addr,
+    }
+}
+
+/// The shutdown watcher: once `shutdown` is set, connects to the
+/// listener at `addr` so the blocked `accept` returns and sees the flag.
+/// It keeps waking the loop every [`WORKER_POLL`] until the loop has
+/// stopped, so a failed connect (a full listen backlog) is retried.
+fn wake_on_shutdown(shutdown: &AtomicBool, accepting: &AtomicBool, addr: SocketAddr) {
+    while accepting.load(Ordering::SeqCst) {
+        if shutdown.load(Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&addr, WAKE_TIMEOUT);
+        }
+        std::thread::sleep(WORKER_POLL);
+    }
+}
+
 /// Sheds one connection when the worker queue is full: a best-effort
 /// 503 under a short write deadline, then close. Each shed feeds the
 /// shed-rate SLO objective.
@@ -196,7 +240,7 @@ fn reject_busy(state: &ServerState, mut stream: TcpStream) {
 
 fn worker_loop(
     state: &ServerState,
-    rx: &Mutex<mpsc::Receiver<TcpStream>>,
+    rx: &Mutex<mpsc::Receiver<(TcpStream, Instant)>>,
     shutdown: &AtomicBool,
     io_timeout: Duration,
     stat: &WorkerStat,
@@ -212,8 +256,8 @@ fn worker_loop(
         let waited = u64::try_from(wait_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         stat.idle_ns.fetch_add(waited, Ordering::Relaxed);
         match next {
-            Ok(stream) => {
-                state.note_queue_pop();
+            Ok((stream, accepted)) => {
+                state.note_queue_pop(accepted.elapsed());
                 let busy_started = Instant::now();
                 handle_connection(state, stream, io_timeout);
                 let busy = u64::try_from(busy_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -244,4 +288,98 @@ fn handle_connection(state: &ServerState, mut stream: TcpStream, io_timeout: Dur
     let _ = response.write_to(&mut stream);
     let _ = stream.flush();
     let _ = stream.shutdown(std::net::Shutdown::Both);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read as _;
+
+    /// Binds `addr`, runs the server on its own thread, calls `traffic`
+    /// with the bound address, then raises the shutdown flag and returns
+    /// the server once `run` has returned. Fails, rather than hangs,
+    /// when `run` is still running a second after the flag was set.
+    fn run_then_stop(addr: &str, traffic: impl FnOnce(SocketAddr)) -> Arc<Server> {
+        let server = Arc::new(
+            Server::bind(ServerConfig {
+                addr: addr.to_string(),
+                workers: 2,
+                io_timeout: Duration::from_secs(2),
+            })
+            .expect("bind"),
+        );
+        let local = server.local_addr().expect("local addr");
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let (done_tx, done_rx) = mpsc::channel();
+        {
+            let (server, shutdown) = (Arc::clone(&server), Arc::clone(&shutdown));
+            std::thread::spawn(move || {
+                let _ = done_tx.send(server.run(&shutdown).is_ok());
+            });
+        }
+        traffic(local);
+        // Let the accept loop settle into its blocking accept.
+        std::thread::sleep(Duration::from_millis(100));
+        shutdown.store(true, Ordering::SeqCst);
+        match done_rx.recv_timeout(Duration::from_secs(1)) {
+            Ok(ok) => assert!(ok, "run failed"),
+            Err(_) => panic!("run still running 1 s after the shutdown flag was set"),
+        }
+        server
+    }
+
+    fn gauges_are_zero(server: &Server) {
+        let doc = server.state().metrics_json();
+        assert!(doc.contains("\"gauges\":{\"queue.depth\":0,\"accept.backlog\":0}"), "{doc}");
+    }
+
+    fn raw_metrics(server: &Server) -> nanocost_sentinel::federate::RawSnapshot {
+        let raw = server.state().metrics_raw_json();
+        nanocost_sentinel::federate::RawSnapshot::parse(&raw).expect("raw metrics")
+    }
+
+    #[test]
+    fn an_idle_loopback_server_stops_within_a_second() {
+        let server = run_then_stop("127.0.0.1:0", |_| {});
+        gauges_are_zero(&server);
+        // The wake connection is dropped uncounted.
+        let snap = raw_metrics(&server);
+        assert_eq!(snap.workers.iter().map(|w| w.served).sum::<u64>(), 0);
+        assert_eq!(snap.queue_wait.count(), 0);
+    }
+
+    #[test]
+    fn an_idle_wildcard_server_stops_within_a_second() {
+        let server = run_then_stop("0.0.0.0:0", |_| {});
+        gauges_are_zero(&server);
+    }
+
+    #[test]
+    fn gauges_return_to_zero_after_serving_and_stopping() {
+        let server = run_then_stop("127.0.0.1:0", |addr| {
+            for _ in 0..3 {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                stream
+                    .write_all(b"GET /v1/metrics HTTP/1.1\r\nHost: t\r\n\r\n")
+                    .expect("write");
+                let mut response = String::new();
+                let _ = stream.read_to_string(&mut response);
+                assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+            }
+        });
+        gauges_are_zero(&server);
+        let snap = raw_metrics(&server);
+        assert_eq!(snap.queue_wait.count(), 3, "one queue wait per served connection");
+        assert_eq!(snap.workers.iter().map(|w| w.served).sum::<u64>(), 3);
+    }
+
+    #[test]
+    fn unspecified_bind_addresses_wake_through_loopback() {
+        let v4: SocketAddr = "0.0.0.0:8077".parse().expect("addr");
+        assert_eq!(loopback(v4), "127.0.0.1:8077".parse::<SocketAddr>().expect("addr"));
+        let v6: SocketAddr = "[::]:8077".parse().expect("addr");
+        assert_eq!(loopback(v6), "[::1]:8077".parse::<SocketAddr>().expect("addr"));
+        let bound: SocketAddr = "10.1.2.3:80".parse().expect("addr");
+        assert_eq!(loopback(bound), bound);
+    }
 }

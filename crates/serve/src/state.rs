@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use nanocost_chiplet::ChipletCache;
 use nanocost_core::ScenarioCache;
@@ -17,16 +17,23 @@ use nanocost_sentinel::{LogHistogram, SloMonitor};
 use nanocost_trace::export::{Exporter, JsonlExporter};
 use nanocost_trace::stack_registry::{ProfileHz, StackSnapshot, DEFAULT_PROFILE_HZ};
 use nanocost_trace::value::json_string;
-use nanocost_trace::{counter, gauge, Record};
+use nanocost_trace::{counter, gauge, Field, Record, RecordKind, Value};
 
 /// Default per-request trace-capture ring capacity (see
 /// [`ServerStateConfig::trace_ring`]).
 pub const TRACE_RING_DEFAULT: usize = 256;
 
-/// Upper bound on the configurable trace ring: each slot holds a full
-/// rendered JSONL capture, so an unbounded ring is an OOM waiting on a
-/// typo in the environment.
+/// Upper bound on the configurable trace ring: each slot holds a
+/// request's captured records, so an unbounded ring is an OOM waiting
+/// on a typo in the environment.
 pub const TRACE_RING_MAX: usize = 65_536;
+
+/// Byte budget of the trace ring, as estimated from each capture's records:
+/// storing a capture evicts the oldest ones until it fits, and a capture
+/// larger than the whole budget is not stored. The count cap alone
+/// would let 256 maximum-size `/v1/batch` captures (about 19 MB each
+/// by this estimate) pin gigabytes.
+pub const TRACE_RING_BYTES: usize = 64 << 20;
 
 /// Latency-SLO threshold: a request slower than this many microseconds
 /// is a "bad" event for the `latency` objective.
@@ -240,14 +247,63 @@ pub struct WorkerStat {
     pub served: AtomicU64,
 }
 
+/// One stored capture: a request's records and their estimated size.
+#[derive(Debug)]
+struct Capture {
+    req_id: String,
+    /// Shared so `/v1/trace/<id>` renders without holding the ring lock.
+    records: Arc<Vec<Record>>,
+    bytes: usize,
+}
+
+/// The trace ring and the estimated bytes its captures hold.
+#[derive(Debug)]
+struct TraceRing {
+    captures: VecDeque<Capture>,
+    bytes: usize,
+}
+
+/// Deterministic size estimate of one capture: each record's inline
+/// size plus its fields, string payloads and stack frames, plus the id.
+/// The records' shared `req_id`/`replica` labels are not counted.
+fn capture_bytes(req_id: &str, records: &[Record]) -> usize {
+    let fields = |fields: &[Field]| -> usize {
+        fields
+            .iter()
+            .map(|f| {
+                std::mem::size_of::<Field>()
+                    + match &f.value {
+                        Value::Str(s) => s.len(),
+                        _ => 0,
+                    }
+            })
+            .sum()
+    };
+    let heap = |r: &Record| match &r.kind {
+        RecordKind::SpanEnter { fields: f, .. }
+        | RecordKind::Event { fields: f, .. }
+        | RecordKind::Metric { fields: f, .. } => fields(f),
+        RecordKind::Provenance { inputs, outputs, .. } => fields(inputs) + fields(outputs),
+        RecordKind::StackSample { frames, .. } => frames.len() * std::mem::size_of::<&str>(),
+        RecordKind::SpanExit { .. } | RecordKind::Sample { .. } => 0,
+    };
+    req_id.len() + records.iter().map(|r| std::mem::size_of::<Record>() + heap(r)).sum::<usize>()
+}
+
+/// The number of a request id `r<N>`; 0 for anything else.
+fn request_number(req_id: &str) -> u64 {
+    req_id.strip_prefix('r').and_then(|n| n.parse::<u64>().ok()).unwrap_or(0)
+}
+
 /// Everything the worker threads share.
 pub struct ServerState {
     cache: ScenarioCache,
     chiplet: ChipletCache,
     next_id: AtomicU64,
     endpoints: Mutex<BTreeMap<&'static str, LogHistogram>>,
-    /// The per-request trace ring: full JSONL captures keyed by req_id.
-    traces: Mutex<VecDeque<(String, String)>>,
+    /// The per-request trace ring: each request's captured records,
+    /// rendered to JSONL only when `/v1/trace/<id>` fetches them.
+    traces: Mutex<TraceRing>,
     trace_ring: usize,
     ring_evicted: AtomicU64,
     /// Model requests completed (any status) — the latency objective's
@@ -271,6 +327,12 @@ pub struct ServerState {
     workers: Mutex<Vec<Arc<WorkerStat>>>,
     /// Connections currently queued for a worker.
     queue_depth: AtomicU64,
+    /// Accept-to-dequeue wait of every connection a worker took, in
+    /// microseconds: from `accept` returning to a worker receiving the
+    /// connection. Time spent in the kernel's listen backlog before
+    /// `accept` is not included (a client-side probe such as
+    /// perfbench's `server.wait_us` covers that part).
+    queue_wait: Mutex<LogHistogram>,
     /// Connections accepted but not yet fully handled (queued + in
     /// flight).
     accept_backlog: AtomicU64,
@@ -344,7 +406,10 @@ impl ServerState {
                 .expect("chiplet default constants are valid"),
             next_id: AtomicU64::new(0),
             endpoints: Mutex::new(BTreeMap::new()),
-            traces: Mutex::new(VecDeque::with_capacity(cfg.trace_ring.min(TRACE_RING_DEFAULT))),
+            traces: Mutex::new(TraceRing {
+                captures: VecDeque::with_capacity(cfg.trace_ring.min(TRACE_RING_DEFAULT)),
+                bytes: 0,
+            }),
             trace_ring: cfg.trace_ring.clamp(1, TRACE_RING_MAX),
             ring_evicted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -359,6 +424,7 @@ impl ServerState {
             profile: Arc::new(ProfileRing::new(PROFILE_RING_CAPACITY)),
             workers: Mutex::new(Vec::new()),
             queue_depth: AtomicU64::new(0),
+            queue_wait: Mutex::new(LogHistogram::new()),
             accept_backlog: AtomicU64::new(0),
             evicted_watermark: AtomicU64::new(0),
             replica: cfg.replica.clone(),
@@ -423,13 +489,15 @@ impl ServerState {
         gauge!("serve.queue.depth", depth as f64);
     }
 
-    /// One connection left the worker queue for a worker.
-    pub fn note_queue_pop(&self) {
+    /// One connection left the worker queue for a worker after
+    /// `waited` since it was accepted.
+    pub fn note_queue_pop(&self, waited: Duration) {
         let prev = self
             .queue_depth
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v.saturating_sub(1)))
             .unwrap_or(0);
         gauge!("serve.queue.depth", prev.saturating_sub(1) as f64);
+        lock(&self.queue_wait).record(waited.as_secs_f64() * 1e6);
     }
 
     /// One connection was accepted (queued, in flight, or about to be
@@ -453,9 +521,7 @@ impl ServerState {
     /// below the highest evicted id is gone rather than unknown.
     #[must_use]
     pub fn likely_evicted(&self, req_id: &str) -> bool {
-        let Some(n) = req_id.strip_prefix('r').and_then(|n| n.parse::<u64>().ok()) else {
-            return false;
-        };
+        let n = request_number(req_id);
         n > 0
             && n <= self.evicted_watermark.load(Ordering::Relaxed)
             && n <= self.next_id.load(Ordering::Relaxed)
@@ -544,50 +610,86 @@ impl ServerState {
         (if firing { 503 } else { 200 }, out)
     }
 
-    /// Stores a request's captured trace records, rendered as JSONL,
-    /// under its request id; evicts the oldest capture past the
-    /// configured ring capacity (counted in `serve.trace_ring.evicted`).
-    pub fn store_trace(&self, req_id: &str, records: &[Record]) {
-        let mut exporter = JsonlExporter;
-        let mut text = String::new();
-        for r in records {
-            // render() already terminates each line with '\n'.
-            text.push_str(&exporter.render(r));
-        }
-        let evicted = {
-            let mut ring = lock(&self.traces);
-            let evicted = if ring.len() >= self.trace_ring {
-                ring.pop_front().map(|(id, _)| id)
-            } else {
-                None
-            };
-            ring.push_back((req_id.to_string(), text));
-            evicted
-        };
-        if let Some(old_id) = evicted {
-            if let Some(n) = old_id.strip_prefix('r').and_then(|n| n.parse::<u64>().ok()) {
-                self.evicted_watermark.fetch_max(n, Ordering::Relaxed);
-            }
-            self.ring_evicted.fetch_add(1, Ordering::Relaxed);
-            counter!("serve.trace_ring.evicted", 1);
-        }
+    /// Stores a copy of a request's captured trace records under its
+    /// request id, as the server stores a request's own capture: within
+    /// the ring's count cap and [`TRACE_RING_BYTES`] budget, oldest
+    /// evicted first. Returns whether the capture was stored.
+    pub fn store_trace(&self, req_id: &str, records: &[Record]) -> bool {
+        self.store_capture(req_id, records.to_vec())
     }
 
-    /// The stored JSONL capture for `req_id`, if still in the ring.
+    /// Stores a request's captured trace records under its request id,
+    /// evicting the oldest captures past the configured ring capacity or
+    /// the [`TRACE_RING_BYTES`] budget. A capture over the budget on its
+    /// own is not stored and counts as evicted at once, so its id
+    /// answers 410. Returns whether the capture was stored; only a
+    /// stored capture may back an exemplar. Evictions are counted in
+    /// `serve.trace_ring.evicted`.
+    pub(crate) fn store_capture(&self, req_id: &str, records: Vec<Record>) -> bool {
+        let bytes = capture_bytes(req_id, &records);
+        // Declared before the guard, so evicted captures are freed
+        // after the lock is released.
+        let mut dropped = Vec::new();
+        let (stored, evicted, watermark) = if bytes > TRACE_RING_BYTES {
+            (false, 1, request_number(req_id))
+        } else {
+            let mut ring = lock(&self.traces);
+            let (mut evicted, mut watermark) = (0u64, 0u64);
+            while ring.captures.len() >= self.trace_ring || ring.bytes + bytes > TRACE_RING_BYTES {
+                let Some(old) = ring.captures.pop_front() else { break };
+                ring.bytes -= old.bytes;
+                evicted += 1;
+                watermark = watermark.max(request_number(&old.req_id));
+                dropped.push(old);
+            }
+            ring.bytes += bytes;
+            ring.captures.push_back(Capture {
+                req_id: req_id.to_string(),
+                records: Arc::new(records),
+                bytes,
+            });
+            (true, evicted, watermark)
+        };
+        if evicted > 0 {
+            self.evicted_watermark.fetch_max(watermark, Ordering::Relaxed);
+            self.ring_evicted.fetch_add(evicted, Ordering::Relaxed);
+            counter!("serve.trace_ring.evicted", evicted);
+        }
+        stored
+    }
+
+    /// The stored capture for `req_id` rendered as JSONL, if still in
+    /// the ring. The render runs outside the ring lock.
     #[must_use]
     pub fn trace(&self, req_id: &str) -> Option<String> {
+        let records = self.capture(req_id)?;
+        let mut exporter = JsonlExporter;
+        // render() already terminates each line with '\n'.
+        Some(records.iter().map(|r| exporter.render(r)).collect())
+    }
+
+    /// The stored records for `req_id`, if still in the ring.
+    pub(crate) fn capture(&self, req_id: &str) -> Option<Arc<Vec<Record>>> {
         lock(&self.traces)
+            .captures
             .iter()
             .rev()
-            .find(|(id, _)| id == req_id)
-            .map(|(_, text)| text.clone())
+            .find(|c| c.req_id == req_id)
+            .map(|c| Arc::clone(&c.records))
+    }
+
+    /// Estimated bytes the trace ring holds (at most
+    /// [`TRACE_RING_BYTES`]).
+    #[must_use]
+    pub fn trace_ring_bytes(&self) -> usize {
+        lock(&self.traces).bytes
     }
 
     /// The most recently stored request id, if any (used by `loadgen`
     /// to pick a replayable capture).
     #[must_use]
     pub fn last_request_id(&self) -> Option<String> {
-        lock(&self.traces).back().map(|(id, _)| id.clone())
+        lock(&self.traces).captures.back().map(|c| c.req_id.clone())
     }
 
     /// Appends one structured access-log record (a no-op when no log
@@ -779,6 +881,7 @@ impl ServerState {
                 capacity: stats.capacity as u64,
             },
             endpoints,
+            queue_wait: lock(&self.queue_wait).clone(),
         }
         .to_json()
     }
@@ -833,6 +936,61 @@ mod tests {
             Some(format!("r{}", TRACE_RING_DEFAULT + 4).as_str())
         );
         assert!(state.metrics_json().contains("\"trace_ring_evicted\":5"));
+    }
+
+    /// A capture of `n` provenance records, each carrying a
+    /// `payload`-byte string input.
+    fn capture(n: usize, payload: usize) -> Vec<Record> {
+        let kind = RecordKind::Provenance {
+            span: None,
+            equation: nanocost_trace::Equation::Eq4,
+            function: "test::eq4",
+            inputs: vec![Field::new("note", Value::Str("x".repeat(payload)))],
+            outputs: vec![Field::new("cost", Value::F64(1.0))],
+        };
+        vec![Record::unscoped(0, 1, kind); n]
+    }
+
+    #[test]
+    fn capture_size_estimate_counts_records_fields_and_strings() {
+        let one = capture(1, 0);
+        let per_record = std::mem::size_of::<Record>() + 2 * std::mem::size_of::<Field>();
+        assert_eq!(capture_bytes("", &one), per_record);
+        assert_eq!(capture_bytes("r12", &capture(10, 100)), 3 + 10 * (per_record + 100));
+    }
+
+    #[test]
+    fn trace_ring_evicts_oldest_captures_to_stay_within_its_byte_budget() {
+        let state = ServerState::new();
+        // Each capture is a little over a quarter of the budget, so the
+        // ring holds three and the fourth evicts the first.
+        let quarter = capture(1, TRACE_RING_BYTES / 4);
+        let bytes = capture_bytes("r1", &quarter);
+        for i in 1..=4 {
+            let _ = state.next_request_id();
+            assert!(state.store_trace(&format!("r{i}"), &quarter));
+            assert!(state.trace_ring_bytes() <= TRACE_RING_BYTES);
+        }
+        assert_eq!(state.trace_ring_bytes(), 3 * bytes);
+        assert!(state.trace("r1").is_none());
+        assert!(state.likely_evicted("r1"));
+        assert!(state.trace("r4").is_some());
+        assert!(state.metrics_json().contains("\"trace_ring_evicted\":1"));
+    }
+
+    #[test]
+    fn a_capture_over_the_whole_budget_is_not_stored_but_counted_evicted() {
+        let state = ServerState::new();
+        let _ = state.next_request_id();
+        let _ = state.next_request_id();
+        assert!(state.store_trace("r1", &capture(3, 10)));
+        let before = state.trace_ring_bytes();
+        assert!(!state.store_trace("r2", &capture(1, TRACE_RING_BYTES)));
+        assert_eq!(state.trace_ring_bytes(), before, "the ring is untouched");
+        assert!(state.trace("r1").is_some(), "nothing was evicted to make room");
+        assert!(state.trace("r2").is_none());
+        assert!(state.likely_evicted("r2"), "its id answers 410, not 404");
+        assert!(state.metrics_json().contains("\"trace_ring_evicted\":1"));
     }
 
     #[test]
@@ -1010,14 +1168,19 @@ mod tests {
         assert!(doc.contains("\"gauges\":{\"queue.depth\":1,\"accept.backlog\":1}"), "{doc}");
         assert!(doc.contains("\"workers\":[{\"busy_ns\":750,\"idle_ns\":250,\"served\":3},"), "{doc}");
         assert!(doc.contains("\"profile\":{\"hz\":99,"), "{doc}");
-        state.note_queue_pop();
+        state.note_queue_pop(Duration::from_micros(300));
         state.note_conn_close();
         let doc = state.metrics_json();
         assert!(doc.contains("\"gauges\":{\"queue.depth\":0,\"accept.backlog\":0}"), "{doc}");
         // Underflow is clamped, not wrapped.
-        state.note_queue_pop();
+        state.note_queue_pop(Duration::from_micros(500));
         state.note_conn_close();
         assert!(state.metrics_json().contains("\"queue.depth\":0"));
+        // Every dequeue lands in the queue-wait histogram.
+        let snap = RawSnapshot::parse(&state.metrics_raw_json()).expect("raw metrics parse");
+        assert_eq!(snap.queue_wait.count(), 2);
+        let p50 = snap.queue_wait.p50().expect("non-empty");
+        assert!((250.0..=550.0).contains(&p50), "queue-wait p50 {p50} us");
     }
 
     #[test]

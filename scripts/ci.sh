@@ -17,6 +17,24 @@ copy_worktree() {
         | tar --null -T - -c | tar -x -C "$1"
 }
 
+# Waits for process $1 and returns its exit status, but fails (status
+# 124, after a SIGKILL) once it has run 10 s, so a shutdown that hangs
+# fails the gate instead of wedging it.
+wait_bounded() {
+    local pid="$1" polls=0
+    while kill -0 "$pid" 2>/dev/null; do
+        if ((polls >= 100)); then
+            echo "ci: pid $pid still running 10 s after SIGTERM" >&2
+            kill -KILL "$pid" 2>/dev/null || true
+            wait "$pid" 2>/dev/null || true
+            return 124
+        fi
+        sleep 0.1
+        polls=$((polls + 1))
+    done
+    wait "$pid"
+}
+
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
@@ -246,7 +264,7 @@ if [[ ! -s target/ci-serve-access.jsonl ]] \
 fi
 # SIGTERM must be a clean shutdown (exit 0).
 kill -TERM "$SERVE_PID"
-if ! wait "$SERVE_PID"; then
+if ! wait_bounded "$SERVE_PID"; then
     echo "ci: FAIL: serve did not exit cleanly on SIGTERM" >&2
     exit 1
 fi
@@ -302,7 +320,7 @@ if ! grep -q '"profile":{' target/ci-serve-prof-fleet.json \
     exit 1
 fi
 kill -TERM "$PROF_PID"
-if ! wait "$PROF_PID"; then
+if ! wait_bounded "$PROF_PID"; then
     echo "ci: FAIL: profiled serve did not exit cleanly on SIGTERM" >&2
     exit 1
 fi
@@ -395,9 +413,11 @@ grep -q '"p99_exemplar":{"replica":' target/ci-fleet.json \
     || fleet_fail "fleet artifact has no replica-tagged p99 exemplar"
 grep -q '"skew":{' target/ci-fleet.json \
     || fleet_fail "fleet artifact has no per-endpoint p99 skew"
+grep -q '"queue_wait":{"count":[1-9]' target/ci-fleet.json \
+    || fleet_fail "fleet artifact has no merged accept-to-dequeue queue wait"
 kill -TERM "$FLEET_A_PID" "$FLEET_B_PID"
-wait "$FLEET_A_PID" || fleet_fail "replica a did not exit cleanly on SIGTERM"
-wait "$FLEET_B_PID" || fleet_fail "replica b did not exit cleanly on SIGTERM"
+wait_bounded "$FLEET_A_PID" || fleet_fail "replica a did not exit cleanly on SIGTERM"
+wait_bounded "$FLEET_B_PID" || fleet_fail "replica b did not exit cleanly on SIGTERM"
 
 if [[ "${NANOCOST_SKIP_PERF_GATE:-0}" != "1" ]]; then
     echo "==> perf gate: microbench suite, paired with the parent commit"
