@@ -2,7 +2,7 @@
 //!
 //! This module holds the per-file structural rules R2–R7: each is a pure
 //! function over one file's token stream plus its structural
-//! [`FileContext`](crate::context::FileContext). The workspace-scoped
+//! [`FileContext`]. The workspace-scoped
 //! dataflow rules live in submodules — [`taint`] (R8), [`locks`] (R9),
 //! [`provenance`] (R10) — and run over the cross-file
 //! [`SymbolTable`](crate::symbols::SymbolTable) instead. Suppression

@@ -1,4 +1,5 @@
-//! Criterion bench: raw cost-model evaluation throughput (eqs. 3, 4, 7).
+//! Criterion bench: raw cost-model evaluation throughput (eqs. 3, 4, 7),
+//! and the §3.1 optimum answered from the memo under a trace capture.
 
 #![allow(
     clippy::unwrap_used,
@@ -16,8 +17,9 @@ use std::hint::black_box;
 
 use nanocost_bench::harness::{criterion_group, criterion_main, Criterion};
 use nanocost_core::{
-    DesignPoint, GeneralizedCostModel, ManufacturingCostModel, TotalCostModel,
+    DesignPoint, GeneralizedCostModel, ManufacturingCostModel, ScenarioCache, TotalCostModel,
 };
+use nanocost_trace::with_capture;
 use nanocost_units::{
     DecompressionIndex, Dollars, FeatureSize, TransistorCount, WaferCount, Yield,
 };
@@ -71,6 +73,28 @@ fn bench_cost_models(c: &mut Criterion) {
                 .expect("valid bracket"),
             )
         })
+    });
+
+    // A served optimum hit: the memo hands the search's stored
+    // provenance to the request's capture frame.
+    let cache = ScenarioCache::paper_figure4();
+    let optimum = || {
+        cache
+            .optimal_sd(
+                lambda,
+                transistors,
+                volume,
+                y,
+                Dollars::new(200_000.0),
+                110.0,
+                1_500.0,
+            )
+            .expect("valid bracket")
+    };
+    // Warmed under a capture, so the entry holds its provenance.
+    let _ = with_capture(optimum);
+    c.bench_function("cost_model/optimum_hit_captured", |b| {
+        b.iter(|| black_box(with_capture(optimum)))
     });
 }
 

@@ -6,7 +6,7 @@
 //! both the figure bin and the query server, so the chiplet model gets
 //! the same treatment as eqs. 4/5/7: an LRU memo keyed on the exact
 //! scenario inputs, where a traced hit replays the stored Eq.-C*
-//! provenance verbatim. Hit and miss are indistinguishable to the
+//! provenance as one shared record. Hit and miss are indistinguishable to the
 //! fingerprint pipeline — the cached==uncached invariant the serve and
 //! bench tests pin.
 
@@ -32,7 +32,7 @@ fn count(hit: bool) {
 }
 
 /// A thread-safe memo of SiP evaluations keyed on exact scenario
-/// inputs, with verbatim Eq.-C* provenance replay on hits.
+/// inputs, with shared Eq.-C* provenance replay on hits.
 #[derive(Debug)]
 pub struct ChipletCache {
     models: ChipletModels,

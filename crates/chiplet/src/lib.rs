@@ -24,7 +24,7 @@
 //!   priced per shipped unit, with the monolithic build as the `n = 1`
 //!   degenerate case;
 //! * [`ChipletCache`] — the core [`Memo`](nanocost_core::memo::Memo)
-//!   keyed on exact scenario inputs, with verbatim Eq.-C* provenance
+//!   keyed on exact scenario inputs, with shared Eq.-C* provenance
 //!   replay on hits.
 //!
 //! ```

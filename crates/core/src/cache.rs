@@ -113,7 +113,7 @@ pub struct BatchResponse {
 }
 
 /// A thread-safe memo of cost-model evaluations keyed on exact inputs,
-/// with verbatim Eq.-provenance replay on hits.
+/// with shared Eq.-provenance replay on hits.
 ///
 /// Wraps the three models the repeated queries of §3.1/§4 touch: the
 /// eq.-4 [`TotalCostModel`] (whose points are evaluated directly; only
@@ -249,7 +249,7 @@ impl ScenarioCache {
     /// §3.1 optimum search through the cache. A miss runs the full
     /// [`optimal_sd_total`] bracket search and stores its entire
     /// Eq.-provenance stream (every probe), so a traced hit replays
-    /// the search's provenance verbatim.
+    /// the search's provenance as one record that shares it.
     ///
     /// # Errors
     ///

@@ -12,10 +12,13 @@
 //!
 //! The memo is provenance-transparent: on a miss while tracing is
 //! enabled, the evaluation runs under a [`with_capture`] frame and the
-//! captured Eq.-provenance records are stored with the value; on a hit
-//! they are replayed verbatim. A traced sweep therefore produces the
-//! *same* provenance multiset — and the same pipeline fingerprint —
-//! whether it was served from the memo or computed fresh.
+//! captured Eq.-provenance calls are stored with the value, the calls
+//! inside any inner hit's replay included. A hit hands them back as one
+//! [`RecordKind::Replay`] record that shares the stored calls
+//! ([`provenance::replay`]); every exporter renders it as the calls it
+//! stands for. A traced sweep therefore produces the *same* provenance
+//! multiset — and the same pipeline fingerprint — whether it was
+//! served from the memo or computed fresh.
 //!
 //! While tracing is *disabled* the capture is skipped entirely — a
 //! `with_capture` frame would force-enable the instrumentation macros
@@ -29,9 +32,8 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
-use nanocost_trace::provenance::{self, Equation};
-use nanocost_trace::record::{Record, RecordKind};
-use nanocost_trace::value::Field;
+use nanocost_trace::provenance;
+use nanocost_trace::record::{ProvenanceCall, Record, RecordKind};
 use nanocost_trace::with_capture;
 
 /// Aggregate hit/miss/occupancy counters for one cache.
@@ -73,57 +75,35 @@ pub fn thread_tally() -> (u64, u64) {
     TALLY.with(Cell::get)
 }
 
-/// One stored provenance record, replayed verbatim on every hit so hit
-/// and miss paths are indistinguishable to the eq.-fingerprint
-/// pipeline.
-#[derive(Debug, Clone)]
-struct ReplayRecord {
-    equation: Equation,
-    function: &'static str,
-    inputs: Vec<Field>,
-    outputs: Vec<Field>,
-}
-
-/// Extracts the provenance records from a capture frame.
-fn replay_of(records: &[Record]) -> Vec<ReplayRecord> {
-    records
-        .iter()
-        .filter_map(|r| match &r.kind {
-            RecordKind::Provenance {
-                equation,
-                function,
-                inputs,
-                outputs,
-                ..
-            } => Some(ReplayRecord {
-                equation: *equation,
-                function,
-                inputs: inputs.clone(),
-                outputs: outputs.clone(),
-            }),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Re-emits stored provenance (cheap no-op when tracing is disabled).
-fn replay(replay: &[ReplayRecord]) {
-    if !nanocost_trace::is_enabled() {
-        return;
+/// The provenance calls in a capture frame: each provenance record's,
+/// and every call of each inner memo hit's replay, in emission order.
+fn replay_of(records: &[Record]) -> Arc<[ProvenanceCall]> {
+    let mut calls = Vec::new();
+    for r in records {
+        match &r.kind {
+            RecordKind::Provenance { equation, function, inputs, outputs, .. } => {
+                calls.push(ProvenanceCall {
+                    equation: *equation,
+                    function,
+                    inputs: inputs.clone(),
+                    outputs: outputs.clone(),
+                });
+            }
+            RecordKind::Replay { calls: replayed, .. } => calls.extend_from_slice(replayed),
+            _ => {}
+        }
     }
-    for r in replay {
-        provenance::emit(r.equation, r.function, r.inputs.clone(), r.outputs.clone());
-    }
+    calls.into()
 }
 
-/// Stored provenance, shared so a hit hands it back by refcount bump
-/// instead of deep-cloning what can be an ~850-record optimum-search
+/// Stored provenance, shared so a hit hands it to the trace by refcount
+/// bump instead of copying what can be an ~850-call optimum-search
 /// stream. `None` marks an entry stored while tracing was disabled; a
 /// traced computation that emitted zero provenance stores
 /// `Some(empty)`, which still counts as captured — the two must not
 /// share a sentinel or such entries would recompute on every traced
 /// lookup.
-type Replay = Option<Arc<Vec<ReplayRecord>>>;
+type Replay = Option<Arc<[ProvenanceCall]>>;
 
 struct Entry<V> {
     stamp: u64,
@@ -131,7 +111,7 @@ struct Entry<V> {
     replay: Replay,
 }
 
-/// A small LRU memo of fallible evaluations with verbatim
+/// A small LRU memo of fallible evaluations with shared
 /// Eq.-provenance replay on hits, and its lookup counters. Recency is a
 /// monotone stamp and eviction scans for the minimum: O(capacity)
 /// eviction is deliberate — it runs only when a full table inserts,
@@ -265,10 +245,11 @@ impl<T> Locked<T> {
     /// The lookup and its hit/miss count take one lock acquisition.
     ///
     /// With tracing enabled, a miss computes under [`with_capture`] and
-    /// stores the provenance for verbatim replay — even when the
-    /// capture is legitimately empty. With tracing disabled the capture
-    /// is skipped and the entry is stored replay-less; a later traced
-    /// lookup of it recomputes under capture and re-stores.
+    /// stores the provenance calls for replay — even when the capture
+    /// is legitimately empty — and a hit replays them as one shared
+    /// record. With tracing disabled the capture is skipped and the
+    /// entry is stored replay-less; a later traced lookup of it
+    /// recomputes under capture and re-stores.
     ///
     /// # Errors
     ///
@@ -296,14 +277,14 @@ impl<T> Locked<T> {
         });
         on_lookup(hit);
         if let Some((value, stored)) = found {
-            if let Some(records) = &stored {
-                replay(records);
+            if let Some(calls) = &stored {
+                provenance::replay(calls);
             }
             return Ok((value, true));
         }
         let (stored, result) = if enabled {
             let (records, result) = with_capture(compute);
-            (Some(Arc::new(replay_of(&records))), result)
+            (Some(replay_of(&records)), result)
         } else {
             (None, compute())
         };
@@ -434,6 +415,67 @@ mod tests {
             provenance_lines(&again),
             "hit must replay the miss verbatim"
         );
+    }
+
+    #[test]
+    fn a_hit_replays_one_record_that_shares_the_stored_calls() {
+        let memo = memo(4, ignore);
+        let (miss, _) = with_capture(|| mask_cost(&memo, 0.13));
+        let (hits, _) = with_capture(|| (mask_cost(&memo, 0.13), mask_cost(&memo, 0.13)));
+        let shared: Vec<&Arc<[ProvenanceCall]>> = hits
+            .iter()
+            .map(|r| match &r.kind {
+                RecordKind::Replay { calls, .. } => calls,
+                other => panic!("a hit dispatched {other:?}"),
+            })
+            .collect();
+        assert_eq!(shared.len(), 2, "one record per hit");
+        assert!(Arc::ptr_eq(shared[0], shared[1]), "both hits share the entry's calls");
+        let emitted = miss
+            .iter()
+            .filter(|r| matches!(r.kind, RecordKind::Provenance { .. }))
+            .count();
+        assert!(emitted > 0);
+        assert_eq!(shared[0].len(), emitted);
+    }
+
+    #[test]
+    fn nested_memos_replay_the_uncached_provenance_multiset() {
+        // An outer memo whose evaluation asks an inner one: the outer
+        // miss sees the inner hits as replays and must store their
+        // calls, or the outer hit would replay less than a fresh run.
+        let inner = memo(4, ignore);
+        let outer: Locked<Memo<u64, Dollars>> = memo(4, ignore);
+        let outer_cost = || -> (Dollars, bool) {
+            let computed: Result<_, ()> = outer.get_or_compute(|m| m, 1, || {
+                let (a, _) = mask_cost(&inner, 0.18);
+                let (b, _) = mask_cost(&inner, 0.13);
+                Ok(a + b)
+            });
+            computed.unwrap()
+        };
+        let multiset = |records: &[Record]| {
+            let mut lines = provenance_lines(records);
+            lines.sort();
+            lines
+        };
+        let (uncached, _) = with_collector(|| {
+            let masks = MaskCostModel::default();
+            for um in [0.18, 0.13] {
+                let _ = masks.mask_set_cost(FeatureSize::from_microns(um).unwrap());
+            }
+        });
+        let uncached = multiset(&uncached);
+        assert!(!uncached.is_empty());
+        let _ = with_collector(|| (mask_cost(&inner, 0.18), mask_cost(&inner, 0.13)));
+        let (miss, (_, hit)) = with_collector(outer_cost);
+        assert!(!hit);
+        assert_eq!(multiset(&miss), uncached, "outer miss over inner hits");
+        let (again, (_, hit)) = with_collector(outer_cost);
+        assert!(hit);
+        assert_eq!(multiset(&again), uncached, "outer hit");
+        let stats = stats(&inner);
+        assert_eq!((stats.hits, stats.misses), (2, 2), "the outer miss hit the inner memo");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   `GET /v1/health` verdict and loadgen's soak pass/fail criteria.
 //! - [`stats::mann_whitney`] — rank-based two-sample test used by the
 //!   `bench_diff` bin to separate real latency shifts from noise.
-//! - [`bench`] — parsing and statistical diffing of
+//! - [`bench`](mod@bench) — parsing and statistical diffing of
 //!   `NANOCOST_BENCH_JSON` capture files: the parent commit's pooled
 //!   suite runs against the change's, in `scripts/ci.sh`'s paired
 //!   perf gate.

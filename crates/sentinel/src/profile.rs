@@ -323,7 +323,7 @@ pub struct ProfileReport {
     pub endpoints: BTreeMap<String, u64>,
     /// Distinct request ids observed.
     pub distinct_requests: u64,
-    /// The [`TOP_REQUESTS`] most-sampled request ids (count desc, id
+    /// The ten (`TOP_REQUESTS`) most-sampled request ids (count desc, id
     /// asc): the requests that burned the most CPU in the window.
     pub top_requests: Vec<(String, u64)>,
 }

@@ -29,15 +29,15 @@
 //!                           chiplet request, require Eq.C provenance in
 //!                           it, and save it
 //!   --concurrency C         client threads (default 4)
-//!   --provenance-out PATH   fetch one /v1/trace/<req-id> and save it
+//!   --provenance-out PATH   fetch one `/v1/trace/<req-id>` and save it
 //!
 //! Soak criteria (the SLO-aware pass/fail checks the CI soak gate uses):
 //!   --allow-shed            a 503 counts as shed load, not a failure
 //!   --max-shed-rate F       fail if shed/total exceeds F (requires --allow-shed)
 //!   --slo-p99-us N          fail if the client-observed overall p99 exceeds N us
 //!   --exemplar-traces PREFIX  fetch /v1/metrics, follow every endpoint's
-//!                           p99 exemplar to /v1/trace/<req-id>, and save
-//!                           each capture to PREFIX.<endpoint>.jsonl; fail
+//!                           p99 exemplar to `/v1/trace/<req-id>`, and save
+//!                           each capture to `PREFIX.<endpoint>.jsonl`; fail
 //!                           if no endpoint produced an exemplar
 //!   --max-evicted-exemplars N  tolerate up to N exemplars answering
 //!                           410 (evicted from the trace ring under

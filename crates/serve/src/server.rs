@@ -152,16 +152,21 @@ impl Server {
                 match accepted {
                     Ok((stream, _peer)) => {
                         self.state.note_conn_open();
+                        // Counted before the send: a worker may dequeue
+                        // the connection before `try_send` returns.
+                        self.state.note_queue_push();
                         match tx.try_send((stream, Instant::now())) {
-                            Ok(()) => self.state.note_queue_push(),
+                            Ok(()) => {}
                             // Queue saturated (slowloris burst or plain
                             // overload): shed instead of queueing,
                             // keeping backlog and open-fd count bounded.
                             Err(mpsc::TrySendError::Full((stream, _))) => {
+                                self.state.note_queue_unpush();
                                 reject_busy(&self.state, stream);
                             }
                             // Workers only exit on shutdown.
                             Err(mpsc::TrySendError::Disconnected((stream, _))) => {
+                                self.state.note_queue_unpush();
                                 drop(stream);
                                 self.state.note_conn_close();
                                 break;

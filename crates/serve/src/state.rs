@@ -265,7 +265,10 @@ struct TraceRing {
 
 /// Deterministic size estimate of one capture: each record's inline
 /// size plus its fields, string payloads and stack frames, plus the id.
-/// The records' shared `req_id`/`replica` labels are not counted.
+/// A replay counts as the provenance records it stands for, although
+/// it shares its calls with a memo entry, so the estimate does not
+/// depend on which captures happen to share. The records' shared
+/// `req_id`/`replica` labels are not counted.
 fn capture_bytes(req_id: &str, records: &[Record]) -> usize {
     let fields = |fields: &[Field]| -> usize {
         fields
@@ -279,15 +282,20 @@ fn capture_bytes(req_id: &str, records: &[Record]) -> usize {
             })
             .sum()
     };
-    let heap = |r: &Record| match &r.kind {
+    let record = std::mem::size_of::<Record>();
+    let bytes = |r: &Record| match &r.kind {
         RecordKind::SpanEnter { fields: f, .. }
         | RecordKind::Event { fields: f, .. }
-        | RecordKind::Metric { fields: f, .. } => fields(f),
-        RecordKind::Provenance { inputs, outputs, .. } => fields(inputs) + fields(outputs),
-        RecordKind::StackSample { frames, .. } => frames.len() * std::mem::size_of::<&str>(),
-        RecordKind::SpanExit { .. } | RecordKind::Sample { .. } => 0,
+        | RecordKind::Metric { fields: f, .. } => record + fields(f),
+        RecordKind::Provenance { inputs, outputs, .. } => record + fields(inputs) + fields(outputs),
+        RecordKind::Replay { calls, .. } => calls
+            .iter()
+            .map(|c| record + fields(&c.inputs) + fields(&c.outputs))
+            .sum(),
+        RecordKind::StackSample { frames, .. } => record + frames.len() * std::mem::size_of::<&str>(),
+        RecordKind::SpanExit { .. } | RecordKind::Sample { .. } => record,
     };
-    req_id.len() + records.iter().map(|r| std::mem::size_of::<Record>() + heap(r)).sum::<usize>()
+    req_id.len() + records.iter().map(bytes).sum::<usize>()
 }
 
 /// The number of a request id `r<N>`; 0 for anything else.
@@ -483,20 +491,29 @@ impl ServerState {
         stats
     }
 
-    /// One connection entered the worker queue.
+    /// One connection is about to enter the worker queue. It is counted
+    /// before the send, so a worker that dequeues it at once never
+    /// finds the depth at zero; [`Self::note_queue_unpush`] takes it
+    /// back if the send fails.
     pub fn note_queue_push(&self) {
         let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
         gauge!("serve.queue.depth", depth as f64);
     }
 
-    /// One connection left the worker queue for a worker after
-    /// `waited` since it was accepted.
-    pub fn note_queue_pop(&self, waited: Duration) {
+    /// A connection counted by [`Self::note_queue_push`] never entered
+    /// the queue (it was full or closed).
+    pub fn note_queue_unpush(&self) {
         let prev = self
             .queue_depth
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v.saturating_sub(1)))
             .unwrap_or(0);
         gauge!("serve.queue.depth", prev.saturating_sub(1) as f64);
+    }
+
+    /// One connection left the worker queue for a worker after
+    /// `waited` since it was accepted.
+    pub fn note_queue_pop(&self, waited: Duration) {
+        self.note_queue_unpush();
         lock(&self.queue_wait).record(waited.as_secs_f64() * 1e6);
     }
 
@@ -957,6 +974,19 @@ mod tests {
         let per_record = std::mem::size_of::<Record>() + 2 * std::mem::size_of::<Field>();
         assert_eq!(capture_bytes("", &one), per_record);
         assert_eq!(capture_bytes("r12", &capture(10, 100)), 3 + 10 * (per_record + 100));
+    }
+
+    #[test]
+    fn a_replay_is_estimated_as_the_records_it_stands_for() {
+        let call = nanocost_trace::ProvenanceCall {
+            equation: nanocost_trace::Equation::Eq4,
+            function: "test::eq4",
+            inputs: vec![Field::new("note", Value::Str("x".repeat(100)))],
+            outputs: vec![Field::new("cost", Value::F64(1.0))],
+        };
+        let calls = vec![call; 10].into();
+        let replay = Record::unscoped(0, 1, RecordKind::Replay { span: None, calls });
+        assert_eq!(capture_bytes("r12", &[replay]), capture_bytes("r12", &capture(10, 100)));
     }
 
     #[test]

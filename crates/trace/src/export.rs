@@ -67,8 +67,9 @@ pub trait Exporter {
 // ---------------------------------------------------------------------
 
 /// Indented span tree for terminals: `>` opens a span, `<` closes it,
-/// `.` is an event, `=` a provenance record, `#` a metric snapshot,
-/// `~` a timeline sample, `@` a profiler stack sample.
+/// `.` is an event, `=` a provenance record (one per replayed call),
+/// `#` a metric snapshot, `~` a timeline sample, `@` a profiler stack
+/// sample.
 #[derive(Debug, Default)]
 pub struct TextTreeExporter {
     depth: HashMap<u64, usize>,
@@ -123,6 +124,7 @@ impl Exporter for TextTreeExporter {
                 fields_text(inputs).trim_start(),
                 fields_text(outputs).trim_start()
             ),
+            RecordKind::Replay { .. } => rec.expand().iter().map(|r| self.render(r)).collect(),
             RecordKind::Metric { name, metric_kind, fields } => format!(
                 "[t{t} {:>8}us] # {metric_kind} {name}{}\n",
                 rec.ts_micros,
@@ -164,9 +166,11 @@ fn fmt_nanos(nanos: u64) -> String {
 // JSONL
 // ---------------------------------------------------------------------
 
-/// One JSON object per record, one record per line. The stable schema
-/// (`type` tag plus per-kind keys) is the machine-readable trail the CI
-/// smoke gate and the provenance replay read.
+/// One JSON object per line: one line per record, and one line per
+/// provenance call, so a [`RecordKind::Replay`] renders as the
+/// `"type":"provenance"` lines it stands for. The stable schema (`type`
+/// tag plus per-kind keys) is the machine-readable trail the CI smoke
+/// gate and the provenance replay read.
 #[derive(Debug, Default)]
 pub struct JsonlExporter;
 
@@ -233,6 +237,9 @@ impl Exporter for JsonlExporter {
                 fields_json(inputs),
                 fields_json(outputs)
             ),
+            RecordKind::Replay { .. } => {
+                return rec.expand().iter().map(|r| self.render(r)).collect();
+            }
             RecordKind::Metric { name, metric_kind, fields } => format!(
                 ",\"name\":{},\"metric_kind\":{},\"fields\":{}",
                 json_string(name),
@@ -267,9 +274,9 @@ impl Exporter for JsonlExporter {
 // ---------------------------------------------------------------------
 
 /// Chrome trace-event JSON: a single array of event objects. Spans map
-/// to `B`/`E` duration events, events and provenance to `i` instants,
-/// metrics to `C` counter events. Load the file in `chrome://tracing`
-/// or <https://ui.perfetto.dev>.
+/// to `B`/`E` duration events, events and provenance to `i` instants
+/// (one per replayed call), metrics to `C` counter events. Load the
+/// file in `chrome://tracing` or <https://ui.perfetto.dev>.
 #[derive(Debug, Default)]
 pub struct ChromeExporter {
     any: bool,
@@ -307,7 +314,6 @@ impl Exporter for ChromeExporter {
     }
 
     fn render(&mut self, rec: &Record) -> String {
-        let sep = self.sep();
         let t = rec.thread;
         let ts = rec.ts_micros;
         let ev = match &rec.kind {
@@ -326,6 +332,9 @@ impl Exporter for ChromeExporter {
                     fields_json(outputs)
                 );
                 chrome_event("i", function, ts, t, ",\"s\":\"t\"", &args)
+            }
+            RecordKind::Replay { .. } => {
+                return rec.expand().iter().map(|r| self.render(r)).collect();
             }
             // Counter events plot numeric args as stacked series.
             RecordKind::Metric { name, fields, .. } => {
@@ -358,7 +367,7 @@ impl Exporter for ChromeExporter {
                 chrome_event("i", leaf, t_ns / 1_000, t, ",\"s\":\"t\"", &args)
             }
         };
-        format!("{sep}{ev}")
+        format!("{}{ev}", self.sep())
     }
 
     fn finish(&mut self) -> String {

@@ -13,7 +13,9 @@
 //! * **Provenance** ([`provenance!`]) — each instrumented model function
 //!   reports the paper equation it implements ([`Equation`]) plus its
 //!   inputs and outputs, so a full Figure-4 sweep can be replayed as an
-//!   audit trail.
+//!   audit trail. A memo hit hands its stored calls back as one shared
+//!   [`RecordKind::Replay`] ([`provenance::replay`]), which every
+//!   exporter renders as the provenance records it stands for.
 //! * **Metrics** ([`counter!`], [`gauge!`], [`metric_histogram!`],
 //!   [`Timer`](metrics::Timer)) — a process-global registry flushed as
 //!   records when the trace guard drops; histogram samples stream into
@@ -70,7 +72,7 @@ pub mod value;
 
 pub use export::{ChromeExporter, Exporter, Format, JsonlExporter, TextTreeExporter};
 pub use provenance::Equation;
-pub use record::{Record, RecordKind};
+pub use record::{ProvenanceCall, Record, RecordKind};
 pub use span::Span;
 pub use subscriber::{Collector, Subscriber, WriterSubscriber};
 pub use value::{Field, Value};

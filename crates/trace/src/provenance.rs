@@ -6,8 +6,9 @@
 //! regeneration can be replayed as an audit trail.
 
 use std::fmt;
+use std::sync::Arc;
 
-use crate::record::RecordKind;
+use crate::record::{ProvenanceCall, RecordKind};
 use crate::span::current_span;
 use crate::value::Field;
 use crate::dispatch;
@@ -121,6 +122,18 @@ pub fn emit(
     });
 }
 
+/// Replays stored provenance as one [`RecordKind::Replay`] record
+/// attached to the innermost open span. The record shares `calls`, so
+/// replaying an optimum search's ~850 calls costs one refcount bump,
+/// not a copy of each call. Nothing is emitted for an empty replay or
+/// while tracing is disabled.
+pub fn replay(calls: &Arc<[ProvenanceCall]>) {
+    if calls.is_empty() || !crate::is_enabled() {
+        return;
+    }
+    dispatch(RecordKind::Replay { span: current_span(), calls: Arc::clone(calls) });
+}
+
 /// Reports one model-function invocation: the paper equation it
 /// implements, its input quantities, and its outputs. Free when
 /// disabled — no field expression is evaluated.
@@ -209,5 +222,23 @@ mod tests {
         assert_eq!(function, "test::fn");
         assert_eq!(inputs.len(), 2);
         assert_eq!(outputs.len(), 1);
+    }
+
+    #[test]
+    fn a_replay_is_one_record_sharing_the_calls() {
+        let calls: Arc<[ProvenanceCall]> = Arc::from([
+            ProvenanceCall { equation: Equation::Eq5, function: "a", inputs: vec![], outputs: vec![] },
+            ProvenanceCall { equation: Equation::Eq6, function: "b", inputs: vec![], outputs: vec![] },
+        ]);
+        let (captured, ()) = crate::with_capture(|| {
+            replay(&calls);
+            replay(&Arc::from([]));
+        });
+        assert_eq!(captured.len(), 1, "one record per replay, none for an empty one");
+        let RecordKind::Replay { calls: ref shared, .. } = captured[0].kind else {
+            panic!("not a replay: {:?}", captured[0]);
+        };
+        assert!(Arc::ptr_eq(shared, &calls));
+        assert_eq!(Arc::strong_count(&calls), 2, "the capture shares, not copies");
     }
 }

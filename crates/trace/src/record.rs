@@ -1,7 +1,26 @@
 //! The record types delivered to subscribers.
 
+use std::borrow::Cow;
+use std::sync::Arc;
+
 use crate::provenance::Equation;
 use crate::value::Field;
+
+/// One model-function invocation as provenance stores it: the paper
+/// equation, the function, and its inputs and outputs. A memo entry
+/// keeps the calls its evaluation emitted and hands them back, shared,
+/// in one [`RecordKind::Replay`] on every hit.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProvenanceCall {
+    /// The paper equation the function implements.
+    pub equation: Equation,
+    /// Fully qualified function name.
+    pub function: &'static str,
+    /// Input quantities.
+    pub inputs: Vec<Field>,
+    /// Output quantities.
+    pub outputs: Vec<Field>,
+}
 
 /// What happened.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,6 +67,17 @@ pub enum RecordKind {
         inputs: Vec<Field>,
         /// Output quantities.
         outputs: Vec<Field>,
+    },
+    /// Stored provenance replayed by a memo hit: it stands for one
+    /// [`RecordKind::Provenance`] per call, all under this record's
+    /// envelope, and shares the calls with the memo instead of copying
+    /// them. Exporters and the test [`Collector`](crate::Collector)
+    /// expand it with [`Record::expand`].
+    Replay {
+        /// Innermost open span on this thread, if any.
+        span: Option<u64>,
+        /// The replayed calls, in the order they were first emitted.
+        calls: Arc<[ProvenanceCall]>,
     },
     /// A metric snapshot, emitted when the metrics registry flushes.
     Metric {
@@ -106,7 +136,7 @@ impl RecordKind {
             RecordKind::SpanEnter { .. } => "span_enter",
             RecordKind::SpanExit { .. } => "span_exit",
             RecordKind::Event { .. } => "event",
-            RecordKind::Provenance { .. } => "provenance",
+            RecordKind::Provenance { .. } | RecordKind::Replay { .. } => "provenance",
             RecordKind::Metric { .. } => "metric",
             RecordKind::Sample { .. } => "sample",
             RecordKind::StackSample { .. } => "stack_sample",
@@ -145,6 +175,34 @@ impl Record {
     pub fn unscoped(ts_micros: u64, thread: u64, kind: RecordKind) -> Self {
         Record { ts_micros, thread, req_id: None, replica: crate::current_replica(), kind }
     }
+
+    /// The records this one stands for: a [`RecordKind::Replay`] is one
+    /// [`RecordKind::Provenance`] per call under its envelope (`ts`,
+    /// thread, `req_id`, replica, span), so a hit's replayed calls share
+    /// one timestamp; any other record is itself.
+    #[must_use]
+    pub fn expand(&self) -> Cow<'_, [Record]> {
+        let RecordKind::Replay { span, calls } = &self.kind else {
+            return Cow::Borrowed(std::slice::from_ref(self));
+        };
+        let expanded = calls
+            .iter()
+            .map(|call| Record {
+                ts_micros: self.ts_micros,
+                thread: self.thread,
+                req_id: self.req_id.clone(),
+                replica: self.replica.clone(),
+                kind: RecordKind::Provenance {
+                    span: *span,
+                    equation: call.equation,
+                    function: call.function,
+                    inputs: call.inputs.clone(),
+                    outputs: call.outputs.clone(),
+                },
+            })
+            .collect();
+        Cow::Owned(expanded)
+    }
 }
 
 #[cfg(test)]
@@ -157,5 +215,7 @@ mod tests {
         assert_eq!(e.tag(), "event");
         let m = RecordKind::Metric { name: "n", metric_kind: "counter", fields: vec![] };
         assert_eq!(m.tag(), "metric");
+        let r = RecordKind::Replay { span: None, calls: Arc::from([]) };
+        assert_eq!(r.tag(), "provenance");
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! * Each thread that enters a span while profiling is on publishes its
 //!   current stack of `&'static str` span names into a per-thread
-//!   [`ThreadSlot`] guarded by a **seqlock** (a versioned snapshot —
+//!   `ThreadSlot` guarded by a **seqlock** (a versioned snapshot —
 //!   the writer bumps an epoch counter to an odd value before mutating
 //!   and back to even after; a reader retries until it observes the
 //!   same even epoch on both sides of its copy).

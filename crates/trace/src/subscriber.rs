@@ -18,8 +18,9 @@ pub trait Subscriber {
     fn flush(&self) {}
 }
 
-/// An in-memory subscriber that keeps every record; the test harness'
-/// sink (see [`crate::with_collector`]).
+/// An in-memory subscriber that keeps every record, a replay as the
+/// provenance records it stands for ([`Record::expand`]); the test
+/// harness' sink (see [`crate::with_collector`]).
 #[derive(Debug, Default)]
 pub struct Collector {
     records: Mutex<Vec<Record>>,
@@ -57,7 +58,7 @@ impl Collector {
 
 impl Subscriber for Collector {
     fn record(&self, rec: &Record) {
-        lock(&self.records).push(rec.clone());
+        lock(&self.records).extend(rec.expand().iter().cloned());
     }
 }
 

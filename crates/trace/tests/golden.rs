@@ -17,13 +17,15 @@
 )]
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use nanocost_trace::export::{Exporter, Format};
 use nanocost_trace::provenance::Equation;
 use nanocost_trace::value::{Field, Value};
-use nanocost_trace::{Record, RecordKind};
+use nanocost_trace::{ProvenanceCall, Record, RecordKind};
 
-/// A deterministic two-thread record stream covering every record kind.
+/// A deterministic two-thread record stream covering every record kind
+/// but the replay (see [`replay_records`]).
 fn fixture_records() -> Vec<Record> {
     fn f(name: &'static str, value: Value) -> Field {
         Field::new(name, value)
@@ -236,14 +238,71 @@ fn fixture_records() -> Vec<Record> {
     ]
 }
 
-fn render(format: Format) -> String {
+/// A memo hit's two-call replay inside a request span, as the server
+/// captures it (`replayed`), and the same stream with the replay
+/// written out as the two provenance records it stands for, each under
+/// the replay's envelope (`expanded`).
+fn replay_records() -> (Vec<Record>, Vec<Record>) {
+    let envelope = |ts_micros, kind| Record {
+        ts_micros,
+        thread: 3,
+        req_id: Some("r12".into()),
+        replica: Some("b".into()),
+        kind,
+    };
+    let calls = [
+        ProvenanceCall {
+            equation: Equation::Eq5,
+            function: "nanocost_fab::mask::mask_set_cost",
+            inputs: vec![Field::new("lambda_um", Value::F64(0.18))],
+            outputs: vec![Field::new("c_ma", Value::F64(550_000.0))],
+        },
+        ProvenanceCall {
+            equation: Equation::Eq4,
+            function: "nanocost_core::total::transistor_cost",
+            inputs: vec![Field::new("sd", Value::F64(412.5))],
+            outputs: vec![Field::new("c_tr", Value::F64(1.5e-6))],
+        },
+    ];
+    let enter = envelope(
+        40,
+        RecordKind::SpanEnter { span: 5, parent: None, name: "serve.request", fields: vec![] },
+    );
+    let exit = envelope(44, RecordKind::SpanExit { span: 5, name: "serve.request", elapsed_nanos: 4_000 });
+    let expanded = calls
+        .iter()
+        .map(|c| {
+            envelope(
+                42,
+                RecordKind::Provenance {
+                    span: Some(5),
+                    equation: c.equation,
+                    function: c.function,
+                    inputs: c.inputs.clone(),
+                    outputs: c.outputs.clone(),
+                },
+            )
+        })
+        .collect::<Vec<_>>();
+    let replay = envelope(42, RecordKind::Replay { span: Some(5), calls: Arc::from(calls) });
+    (
+        vec![enter.clone(), replay, exit.clone()],
+        [vec![enter], expanded, vec![exit]].concat(),
+    )
+}
+
+fn render_records(format: Format, records: &[Record]) -> String {
     let mut exporter: Box<dyn Exporter + Send> = format.exporter();
     let mut out = exporter.begin();
-    for rec in fixture_records() {
-        out.push_str(&exporter.render(&rec));
+    for rec in records {
+        out.push_str(&exporter.render(rec));
     }
     out.push_str(&exporter.finish());
     out
+}
+
+fn render(format: Format) -> String {
+    render_records(format, &fixture_records())
 }
 
 fn fixture_path(name: &str) -> PathBuf {
@@ -301,4 +360,18 @@ fn chrome_matches_golden_and_is_one_json_document() {
         "samples must render as Chrome counter tracks"
     );
     compare("trace.expected.chrome.json", &out);
+}
+
+#[test]
+fn a_replay_renders_as_its_expanded_provenance_records_in_every_format() {
+    let (replayed, expanded) = replay_records();
+    for (format, fixture) in [
+        (Format::Text, "replay.expected.txt"),
+        (Format::Jsonl, "replay.expected.jsonl"),
+        (Format::Chrome, "replay.expected.chrome.json"),
+    ] {
+        let out = render_records(format, &replayed);
+        assert_eq!(out, render_records(format, &expanded), "{format:?}");
+        compare(fixture, &out);
+    }
 }

@@ -1,7 +1,7 @@
 //! Redundancy-aware yield: repairable memory and the optimal spare count.
 //!
 //! The paper's lineage includes Khare, Feltham & Maly's work on
-//! defect-related yield loss in *reconfigurable* circuits (its ref. [32]):
+//! defect-related yield loss in *reconfigurable* circuits (its ref. \[32\]):
 //! memory arrays ship with spare rows, and a die with `k` faults in the
 //! repairable region still sells if `k` does not exceed the repair
 //! capacity. This module prices that design lever:
@@ -35,7 +35,7 @@ pub struct RedundantDie {
 
 impl RedundantDie {
     /// Creates a redundant-die description — the repairable-circuit
-    /// geometry of the paper's ref. [32].
+    /// geometry of the paper's ref. \[32\].
     ///
     /// # Errors
     ///
@@ -69,14 +69,14 @@ impl RedundantDie {
     }
 
     /// Total die critical area including the spares' own silicon — the
-    /// area price of the paper's ref.-[32] repair lever.
+    /// area price of the paper's ref.-\[32\] repair lever.
     #[must_use]
     pub fn total_area(&self) -> Area {
         self.repairable_area * (1.0 + self.spare_overhead * f64::from(self.spares))
             + self.logic_area
     }
 
-    /// Yield with repair under Poisson statistics (the paper's ref.-[32]
+    /// Yield with repair under Poisson statistics (the paper's ref.-\[32\]
     /// repairable-circuit model): the logic region must be fault-free,
     /// while the (spare-inflated) repairable region tolerates up to
     /// `spares` faults:
@@ -107,7 +107,7 @@ impl RedundantDie {
     }
 
     /// Yield of the same die with zero spares (and no spare overhead) —
-    /// the unrepaired baseline of the paper's ref.-[32] comparison.
+    /// the unrepaired baseline of the paper's ref.-\[32\] comparison.
     #[must_use]
     pub fn yield_without_repair(&self, d0: DefectDensity) -> Yield {
         let d = d0.value();
@@ -125,7 +125,7 @@ pub fn good_dice_per_cm2(die: &RedundantDie, d0: DefectDensity) -> f64 {
 
 /// Finds the spare count in `[0, max_spares]` maximizing
 /// [`good_dice_per_cm2`] — pricing the redundancy design lever from the
-/// paper's ref. [32].
+/// paper's ref. \[32\].
 #[must_use]
 pub fn optimal_spares(
     repairable_area: Area,

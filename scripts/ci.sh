@@ -95,6 +95,11 @@ for lint in expect_used print_stdout float_cmp; do
     fi
 done
 
+echo "==> rustdoc: cargo doc --no-deps --workspace, warnings denied"
+# Broken intra-doc links, links to private items and stray HTML tags
+# are rustdoc warnings; this keeps the API docs free of them.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
+
 echo "==> nanocost-audit --deny --strict-pragmas (budget: 90s)"
 # The analyzer is on the merge path, so its wall clock is a gate too:
 # a workspace-wide audit (lex, parse, symbol table, dataflow fixpoint)
