@@ -16,7 +16,13 @@
 //!   sparse `index -> count` pairs, exact min/max/sum, exemplars tagged
 //!   with a replica id), cumulative *and* windowed SLO good/bad
 //!   counters (windowed deltas are what make burn rates summable),
-//!   per-worker busy/idle counters, and cache counters.
+//!   per-worker busy/idle counters, both caches' counters, gauges and
+//!   profile-ring counts. A server takes one snapshot per document,
+//!   reading the SLO monitors, then the endpoint histograms, then the
+//!   request counter, so `completed_total ≤ Σ endpoint counts ≤
+//!   requests_total` holds in each; its `/v1/metrics`
+//!   ([`RawSnapshot::to_metrics_json`], the fleet of one) and
+//!   `/v1/health` ([`RawSnapshot::health_json`]) render that snapshot.
 //! * [`FleetView`] — parses N scrapes, merges per-endpoint histograms
 //!   via [`LogHistogram::merge`] (lossless; grid mismatches are
 //!   rejected exactly as in-process merges are), derives fleet
@@ -35,9 +41,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::histogram::{LogHistogram, RawHistogram};
 use crate::json::{self, JsonValue};
 use crate::profile::ProfileReport;
-use crate::slo::{
-    burn_rate, fmt_f64, BurnReport, SloMonitor, FAST_WINDOW_NS, MAX_BURN, SLOW_WINDOW_NS,
-};
+pub use crate::slo::RawSlo;
+use crate::slo::{fmt_f64, BurnReport};
 use crate::{escape_json, SentinelError};
 
 /// Raw-snapshot wire schema version.
@@ -58,91 +63,21 @@ const Q_P999: f64 = 0.999;
 /// envelope holds only up to twice the histogram's relative error.
 const SKEW_BOUND_SLACK: f64 = 2.0;
 
-/// One objective's summable SLO state as of a scrape: identity and
-/// configuration, lifetime totals, and the good/bad deltas inside each
-/// burn window. The windowed deltas are the federation enabler — burn
-/// rates themselves cannot be averaged, but their numerators and
-/// denominators add.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RawSlo {
-    /// Objective name (`latency_p99`, `shed_rate`, …).
-    pub name: String,
-    /// Target good fraction in `(0, 1)`.
-    pub target: f64,
-    /// Firing threshold both windows must exceed.
-    pub max_burn: f64,
-    /// Fast window length in nanoseconds.
-    pub fast_ns: u64,
-    /// Slow window length in nanoseconds.
-    pub slow_ns: u64,
-    /// Lifetime good events.
-    pub good: u64,
-    /// Lifetime bad events.
-    pub bad: u64,
-    /// Good events inside the fast window.
-    pub fast_good: u64,
-    /// Bad events inside the fast window.
-    pub fast_bad: u64,
-    /// Good events inside the slow window.
-    pub slow_good: u64,
-    /// Bad events inside the slow window.
-    pub slow_bad: u64,
-}
-
 impl RawSlo {
-    /// Snapshots a live monitor's summable state as of `now_ns`.
-    #[must_use]
-    pub fn from_monitor(monitor: &SloMonitor, now_ns: u64) -> RawSlo {
-        let report = monitor.report(now_ns);
-        let (fast_good, fast_bad) = monitor.window_counts(now_ns, FAST_WINDOW_NS);
-        let (slow_good, slow_bad) = monitor.window_counts(now_ns, SLOW_WINDOW_NS);
-        RawSlo {
-            name: report.name,
-            target: report.target,
-            max_burn: MAX_BURN,
-            fast_ns: FAST_WINDOW_NS,
-            slow_ns: SLOW_WINDOW_NS,
-            good: report.good,
-            bad: report.bad,
-            fast_good,
-            fast_bad,
-            slow_good,
-            slow_bad,
-        }
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"name\":{},\"target\":{},\"max_burn\":{},\"fast_ns\":{},\"slow_ns\":{},\
-             \"good\":{},\"bad\":{},\"fast_good\":{},\"fast_bad\":{},\
-             \"slow_good\":{},\"slow_bad\":{}}}",
-            escape_json(&self.name),
-            fmt_f64(self.target),
-            fmt_f64(self.max_burn),
-            self.fast_ns,
-            self.slow_ns,
-            self.good,
-            self.bad,
-            self.fast_good,
-            self.fast_bad,
-            self.slow_good,
-            self.slow_bad
-        )
-    }
-
     fn parse(v: &JsonValue) -> Result<RawSlo, SentinelError> {
+        let n = |key| req_u64(v, key, "slo entry");
         Ok(RawSlo {
             name: req_str(v, "name", "slo entry")?.to_string(),
             target: req_f64(v, "target", "slo entry")?,
             max_burn: req_f64(v, "max_burn", "slo entry")?,
-            fast_ns: req_u64(v, "fast_ns", "slo entry")?,
-            slow_ns: req_u64(v, "slow_ns", "slo entry")?,
-            good: req_u64(v, "good", "slo entry")?,
-            bad: req_u64(v, "bad", "slo entry")?,
-            fast_good: req_u64(v, "fast_good", "slo entry")?,
-            fast_bad: req_u64(v, "fast_bad", "slo entry")?,
-            slow_good: req_u64(v, "slow_good", "slo entry")?,
-            slow_bad: req_u64(v, "slow_bad", "slo entry")?,
+            fast_ns: n("fast_ns")?,
+            slow_ns: n("slow_ns")?,
+            good: n("good")?,
+            bad: n("bad")?,
+            fast_good: n("fast_good")?,
+            fast_bad: n("fast_bad")?,
+            slow_good: n("slow_good")?,
+            slow_bad: n("slow_bad")?,
         })
     }
 }
@@ -158,7 +93,14 @@ pub struct RawWorker {
     pub served: u64,
 }
 
-/// Scenario-cache counters.
+impl RawWorker {
+    fn parse(v: &JsonValue) -> Result<RawWorker, SentinelError> {
+        let n = |key| req_u64(v, key, "worker entry");
+        Ok(RawWorker { busy_ns: n("busy_ns")?, idle_ns: n("idle_ns")?, served: n("served")? })
+    }
+}
+
+/// One cache's counters (the scenario cache or the chiplet cache).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RawCache {
     /// Cache hits.
@@ -171,8 +113,101 @@ pub struct RawCache {
     pub capacity: u64,
 }
 
-/// The full mergeable state of one replica as of one scrape — the
-/// `GET /v1/metrics/raw` payload. Rendering is byte-deterministic:
+impl RawCache {
+    /// Hit fraction in `[0, 1]`, 0 before the first lookup.
+    #[must_use]
+    pub fn hit_rate(&self) -> f64 {
+        let lookups = self.hits + self.misses;
+        if lookups == 0 {
+            return 0.0;
+        }
+        self.hits as f64 / lookups as f64
+    }
+
+    /// The raw document's members: hits, misses, entries, capacity.
+    fn fields(self) -> String {
+        let Self { hits, misses, entries, capacity } = self;
+        format!(
+            "\"hits\":{hits},\"misses\":{misses},\"entries\":{entries},\"capacity\":{capacity}"
+        )
+    }
+
+    /// The cache row every view renders: the counters plus `hit_rate`.
+    fn to_json(self) -> String {
+        format!("{{{},\"hit_rate\":{}}}", self.fields(), fmt_f64(self.hit_rate()))
+    }
+
+    fn parse(v: &JsonValue, ctx: &str) -> Result<RawCache, SentinelError> {
+        let n = |key| req_u64(v, key, ctx);
+        let (hits, misses) = (n("hits")?, n("misses")?);
+        Ok(RawCache { hits, misses, entries: n("entries")?, capacity: n("capacity")? })
+    }
+
+    fn add(&mut self, other: &RawCache) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.entries += other.entries;
+        self.capacity += other.capacity;
+    }
+}
+
+/// Instantaneous queue-pressure gauges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RawGauges {
+    /// Connections queued for a worker.
+    pub queue_depth: u64,
+    /// Connections accepted but not yet fully handled.
+    pub accept_backlog: u64,
+}
+
+impl RawGauges {
+    fn to_json(self) -> String {
+        let Self { queue_depth, accept_backlog } = self;
+        format!("{{\"queue.depth\":{queue_depth},\"accept.backlog\":{accept_backlog}}}")
+    }
+
+    fn parse(v: &JsonValue) -> Result<RawGauges, SentinelError> {
+        let n = |key| req_u64(v, key, "gauges");
+        Ok(RawGauges { queue_depth: n("queue.depth")?, accept_backlog: n("accept.backlog")? })
+    }
+}
+
+/// The stack profiler's rate and sample-ring counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RawProfile {
+    /// Sample rate in Hz (0 = sampler off).
+    pub hz: u64,
+    /// Sample-ring capacity.
+    pub ring_capacity: u64,
+    /// Samples currently retained.
+    pub samples: u64,
+    /// Samples evicted so far.
+    pub dropped: u64,
+}
+
+impl RawProfile {
+    fn to_json(self) -> String {
+        let Self { hz, ring_capacity, samples, dropped } = self;
+        format!(
+            "{{\"hz\":{hz},\"ring_capacity\":{ring_capacity},\"samples\":{samples},\
+             \"dropped\":{dropped}}}"
+        )
+    }
+
+    fn parse(v: &JsonValue) -> Result<RawProfile, SentinelError> {
+        let n = |key| req_u64(v, key, "profile");
+        let (hz, ring_capacity) = (n("hz")?, n("ring_capacity")?);
+        Ok(RawProfile { hz, ring_capacity, samples: n("samples")?, dropped: n("dropped")? })
+    }
+}
+
+/// The counters `/v1/metrics` renders, in its order.
+const METRICS_COUNTERS: [&str; 5] =
+    ["requests_total", "completed_total", "shed_total", "latency_bad_total", "trace_ring_evicted"];
+
+/// The full mergeable state of one replica as of one scrape: the
+/// `GET /v1/metrics/raw` payload, and the one snapshot `/v1/metrics`
+/// and `/v1/health` render too. Rendering is byte-deterministic:
 /// identical state renders identical bytes.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RawSnapshot {
@@ -193,58 +228,42 @@ pub struct RawSnapshot {
     /// Per-endpoint latency histograms, full mergeable state.
     pub endpoints: BTreeMap<String, LogHistogram>,
     /// Accept-to-dequeue wait of the replica's connections, in
-    /// microseconds (empty from a replica that does not report it).
+    /// microseconds.
     pub queue_wait: LogHistogram,
+    /// Chiplet-cache counters.
+    pub chiplet_cache: RawCache,
+    /// Queue-pressure gauges.
+    pub gauges: RawGauges,
+    /// Stack-profiler ring counts.
+    pub profile: RawProfile,
 }
 
 impl RawSnapshot {
     /// Renders the snapshot as the schema-1 wire document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"schema\":{RAW_SCHEMA},\"replica\":{},\"t_ns\":{},\"counters\":{{",
+        format!(
+            "{{\"schema\":{RAW_SCHEMA},\"replica\":{},\"t_ns\":{},\"counters\":{{{}}},\
+             \"slo\":[{}],\"workers\":{},\"cache\":{{{}}},\"endpoints\":{{{}}},\"queue_wait\":{},\
+             \"chiplet_cache\":{{{}}},\"gauges\":{},\"profile\":{}}}",
             escape_json(&self.replica),
-            self.t_ns
-        );
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{value}", escape_json(name)));
-        }
-        out.push_str("},\"slo\":[");
-        for (i, slo) in self.slo.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&slo.to_json());
-        }
-        out.push_str("],\"workers\":[");
-        for (i, w) in self.workers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"busy_ns\":{},\"idle_ns\":{},\"served\":{}}}",
-                w.busy_ns, w.idle_ns, w.served
-            ));
-        }
-        out.push_str(&format!(
-            "],\"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},\"capacity\":{}}},\
-             \"endpoints\":{{",
-            self.cache.hits, self.cache.misses, self.cache.entries, self.cache.capacity
-        ));
-        for (i, (name, hist)) in self.endpoints.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", escape_json(name), histogram_raw_json(hist)));
-        }
-        out.push_str(&format!("}},\"queue_wait\":{}}}", histogram_raw_json(&self.queue_wait)));
-        out
+            self.t_ns,
+            counters_json(&self.counters),
+            join(&self.slo, RawSlo::to_json),
+            workers_json(&self.workers),
+            self.cache.fields(),
+            join(&self.endpoints, |(name, h)| {
+                format!("{}:{}", escape_json(name), histogram_raw_json(h))
+            }),
+            histogram_raw_json(&self.queue_wait),
+            self.chiplet_cache.fields(),
+            self.gauges.to_json(),
+            self.profile.to_json()
+        )
     }
 
     /// Parses a wire document rendered by [`RawSnapshot::to_json`].
+    /// Every key is required.
     ///
     /// # Errors
     ///
@@ -259,60 +278,81 @@ impl RawSnapshot {
                 "unsupported raw metrics schema {schema_v} (want {RAW_SCHEMA})"
             )));
         }
-        let mut snap = RawSnapshot {
+        let member = |key: &str| {
+            v.get(key).ok_or_else(|| schema_err(format!("raw snapshot missing `{key}`")))
+        };
+        let object = |key: &str| match member(key)? {
+            JsonValue::Obj(members) => Ok(members),
+            _ => Err(schema_err(format!("raw snapshot `{key}` is not an object"))),
+        };
+        let array = |key: &str| {
+            member(key)?
+                .as_arr()
+                .ok_or_else(|| schema_err(format!("raw snapshot `{key}` is not an array")))
+        };
+        Ok(RawSnapshot {
             replica: req_str(&v, "replica", "raw snapshot")?.to_string(),
             t_ns: req_u64(&v, "t_ns", "raw snapshot")?,
-            counters: BTreeMap::new(),
-            slo: Vec::new(),
-            workers: Vec::new(),
-            cache: RawCache::default(),
-            endpoints: BTreeMap::new(),
-            queue_wait: match v.get("queue_wait") {
-                Some(hist) => histogram_from_raw(hist)?,
-                None => LogHistogram::new(),
-            },
-        };
-        let Some(JsonValue::Obj(counters)) = v.get("counters") else {
-            return Err(schema_err("raw snapshot missing `counters` object".to_string()));
-        };
-        for (name, value) in counters {
-            let value = value
-                .as_u64()
-                .ok_or_else(|| schema_err(format!("counter `{name}` is not a count")))?;
-            snap.counters.insert(name.clone(), value);
-        }
-        let Some(JsonValue::Arr(slo)) = v.get("slo") else {
-            return Err(schema_err("raw snapshot missing `slo` array".to_string()));
-        };
-        for entry in slo {
-            snap.slo.push(RawSlo::parse(entry)?);
-        }
-        let Some(JsonValue::Arr(workers)) = v.get("workers") else {
-            return Err(schema_err("raw snapshot missing `workers` array".to_string()));
-        };
-        for w in workers {
-            snap.workers.push(RawWorker {
-                busy_ns: req_u64(w, "busy_ns", "worker entry")?,
-                idle_ns: req_u64(w, "idle_ns", "worker entry")?,
-                served: req_u64(w, "served", "worker entry")?,
-            });
-        }
-        let cache = v
-            .get("cache")
-            .ok_or_else(|| schema_err("raw snapshot missing `cache` object".to_string()))?;
-        snap.cache = RawCache {
-            hits: req_u64(cache, "hits", "cache")?,
-            misses: req_u64(cache, "misses", "cache")?,
-            entries: req_u64(cache, "entries", "cache")?,
-            capacity: req_u64(cache, "capacity", "cache")?,
-        };
-        let Some(JsonValue::Obj(endpoints)) = v.get("endpoints") else {
-            return Err(schema_err("raw snapshot missing `endpoints` object".to_string()));
-        };
-        for (name, hist) in endpoints {
-            snap.endpoints.insert(name.clone(), histogram_from_raw(hist)?);
-        }
-        Ok(snap)
+            counters: object("counters")?
+                .iter()
+                .map(|(name, n)| {
+                    let not_a_count = || schema_err(format!("counter `{name}` is not a count"));
+                    Ok((name.clone(), n.as_u64().ok_or_else(not_a_count)?))
+                })
+                .collect::<Result<_, SentinelError>>()?,
+            slo: array("slo")?.iter().map(RawSlo::parse).collect::<Result<_, _>>()?,
+            workers: array("workers")?.iter().map(RawWorker::parse).collect::<Result<_, _>>()?,
+            cache: RawCache::parse(member("cache")?, "cache")?,
+            endpoints: object("endpoints")?
+                .iter()
+                .map(|(name, h)| Ok((name.clone(), histogram_from_raw(h)?)))
+                .collect::<Result<_, SentinelError>>()?,
+            queue_wait: histogram_from_raw(member("queue_wait")?)?,
+            chiplet_cache: RawCache::parse(member("chiplet_cache")?, "chiplet_cache")?,
+            gauges: RawGauges::parse(member("gauges")?)?,
+            profile: RawProfile::parse(member("profile")?)?,
+        })
+    }
+
+    /// Renders the schema-2 `/v1/metrics` document: this snapshot as a
+    /// fleet of one, with quantiles instead of buckets. `uptime_s` is
+    /// the process's age, which the snapshot does not carry.
+    #[must_use]
+    pub fn to_metrics_json(&self, uptime_s: f64) -> String {
+        let counter = |name: &str| self.counters.get(name).copied().unwrap_or(0);
+        format!(
+            "{{\"schema\":2,\"uptime_s\":{},\"t_ns\":{},\"requests\":{},\"counters\":{{{}}},\
+             \"gauges\":{},\"workers\":{},\"profile\":{},\"endpoints\":{{{}}},\"cache\":{},\
+             \"chiplet_cache\":{}}}",
+            fmt_f64(uptime_s),
+            self.t_ns,
+            counter("requests_total"),
+            join(METRICS_COUNTERS, |name| format!("\"{name}\":{}", counter(name))),
+            self.gauges.to_json(),
+            workers_json(&self.workers),
+            self.profile.to_json(),
+            join(&self.endpoints, |(name, h)| {
+                format!("{}:{{{}}}", escape_json(name), endpoint_fields(h, false))
+            }),
+            self.cache.to_json(),
+            self.chiplet_cache.to_json()
+        )
+    }
+
+    /// Renders the `/v1/health` document: every objective's burn
+    /// verdict as of the snapshot's `t_ns`. Returns `(200, …)` when no
+    /// objective is firing and `(503, …)` when at least one is.
+    #[must_use]
+    pub fn health_json(&self) -> (u16, String) {
+        let reports: Vec<BurnReport> = self.slo.iter().map(BurnReport::from_counts).collect();
+        let firing = reports.iter().any(|r| r.firing);
+        let body = format!(
+            "{{\"status\":{},\"t_ns\":{},\"objectives\":[{}]}}",
+            if firing { "\"failing\"" } else { "\"ok\"" },
+            self.t_ns,
+            join(&reports, BurnReport::to_json)
+        );
+        (if firing { 503 } else { 200 }, body)
     }
 }
 
@@ -478,6 +518,10 @@ pub struct FleetView {
     pub queue_wait: LogHistogram,
     /// Cache counters summed across replicas.
     pub cache: RawCache,
+    /// Chiplet-cache counters summed across replicas.
+    pub chiplet_cache: RawCache,
+    /// Queue-pressure gauges summed across replicas.
+    pub gauges: RawGauges,
     /// Merged profile report, when profiles were scraped too.
     pub profile: Option<ProfileReport>,
 }
@@ -518,17 +562,19 @@ impl FleetView {
             utilization: Vec::new(),
             queue_wait: LogHistogram::new(),
             cache: RawCache::default(),
+            chiplet_cache: RawCache::default(),
+            gauges: RawGauges::default(),
             profile: None,
         };
-        // Counters, cache, utilization: plain sums.
+        // Counters, caches, gauges, utilization: plain sums.
         for snap in snapshots {
             for (name, value) in &snap.counters {
                 *view.counters.entry(name.clone()).or_insert(0) += value;
             }
-            view.cache.hits += snap.cache.hits;
-            view.cache.misses += snap.cache.misses;
-            view.cache.entries += snap.cache.entries;
-            view.cache.capacity += snap.cache.capacity;
+            view.cache.add(&snap.cache);
+            view.chiplet_cache.add(&snap.chiplet_cache);
+            view.gauges.queue_depth += snap.gauges.queue_depth;
+            view.gauges.accept_backlog += snap.gauges.accept_backlog;
             let busy: u64 = snap.workers.iter().map(|w| w.busy_ns).sum();
             let idle: u64 = snap.workers.iter().map(|w| w.idle_ns).sum();
             let wall = busy + idle;
@@ -614,21 +660,8 @@ impl FleetView {
                 }
             }
         }
-        for name in order {
-            let Some(total) = by_name.get(name) else { continue };
-            let fast_burn = burn_rate(total.fast_good, total.fast_bad, total.target);
-            let slow_burn = burn_rate(total.slow_good, total.slow_bad, total.target);
-            view.slo.push(BurnReport {
-                name: total.name.clone(),
-                target: total.target,
-                fast_burn,
-                slow_burn,
-                max_burn: total.max_burn,
-                firing: fast_burn > total.max_burn && slow_burn > total.max_burn,
-                good: total.good,
-                bad: total.bad,
-            });
-        }
+        let totals = order.iter().filter_map(|name| by_name.get(name));
+        view.slo = totals.map(BurnReport::from_counts).collect();
         Ok(view)
     }
 
@@ -706,65 +739,25 @@ impl FleetView {
     /// Renders the fleet artifact as one deterministic JSON document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = format!("{{\"schema\":{RAW_SCHEMA},\"replicas\":[");
-        for (i, replica) in self.replicas.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&escape_json(replica));
-        }
-        out.push_str(&format!("],\"healthy\":{},\"counters\":{{", self.healthy()));
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{value}", escape_json(name)));
-        }
-        out.push_str("},\"slo\":[");
-        for (i, report) in self.slo.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&report.to_json());
-        }
-        out.push_str("],\"endpoints\":{");
-        for (i, (name, hist)) in self.endpoints.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{{{}", escape_json(name), quantile_fields(hist)));
-            match hist.quantile_exemplar(Q_P99) {
-                Some(e) => out.push_str(&format!(
-                    ",\"p99_exemplar\":{{\"replica\":{},\"req_id\":{},\"value_us\":{},\
-                     \"t_ns\":{}}}",
-                    escape_json(&e.replica),
-                    escape_json(&e.req_id),
-                    fmt_f64(e.value),
-                    e.t_ns
-                )),
-                None => out.push_str(",\"p99_exemplar\":null"),
-            }
-            match self.skew.get(name) {
-                Some(skew) => out.push_str(&format!(
-                    ",\"skew\":{{\"min_replica\":{},\"min_p99_us\":{},\"max_replica\":{},\
-                     \"max_p99_us\":{},\"ratio\":{}}}",
-                    escape_json(&skew.min_replica),
-                    fmt_f64(skew.min_p99),
-                    escape_json(&skew.max_replica),
-                    fmt_f64(skew.max_p99),
-                    fmt_f64(skew.ratio)
-                )),
-                None => out.push_str(",\"skew\":null"),
-            }
-            out.push('}');
-        }
-        out.push_str(&format!("}},\"queue_wait\":{{{}}}", quantile_fields(&self.queue_wait)));
-        out.push_str(",\"utilization\":[");
-        for (i, u) in self.utilization.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
+        let endpoint = |(name, hist): (&String, &LogHistogram)| {
+            let skew = self.skew.get(name).map_or_else(
+                || "null".to_string(),
+                |skew| {
+                    format!(
+                        "{{\"min_replica\":{},\"min_p99_us\":{},\"max_replica\":{},\
+                         \"max_p99_us\":{},\"ratio\":{}}}",
+                        escape_json(&skew.min_replica),
+                        fmt_f64(skew.min_p99),
+                        escape_json(&skew.max_replica),
+                        fmt_f64(skew.max_p99),
+                        fmt_f64(skew.ratio)
+                    )
+                },
+            );
+            format!("{}:{{{},\"skew\":{skew}}}", escape_json(name), endpoint_fields(hist, true))
+        };
+        let utilization = |u: &ReplicaUtilization| {
+            format!(
                 "{{\"replica\":{},\"workers\":{},\"busy_fraction\":{},\"served\":{},\
                  \"requests\":{}}}",
                 escape_json(&u.replica),
@@ -772,30 +765,64 @@ impl FleetView {
                 fmt_f64(u.busy_fraction),
                 u.served,
                 u.requests
-            ));
-        }
-        let lookups = self.cache.hits + self.cache.misses;
-        let hit_rate = if lookups == 0 {
-            0.0
-        } else {
-            self.cache.hits as f64 / lookups as f64
+            )
         };
-        out.push_str(&format!(
-            "],\"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},\"capacity\":{},\
-             \"hit_rate\":{}}}",
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.entries,
-            self.cache.capacity,
-            fmt_f64(hit_rate)
-        ));
-        match &self.profile {
-            Some(report) => out.push_str(&format!(",\"profile\":{}", report.to_json())),
-            None => out.push_str(",\"profile\":null"),
-        }
-        out.push('}');
-        out
+        format!(
+            "{{\"schema\":{RAW_SCHEMA},\"replicas\":[{}],\"healthy\":{},\"counters\":{{{}}},\
+             \"slo\":[{}],\"endpoints\":{{{}}},\"queue_wait\":{{{}}},\"utilization\":[{}],\
+             \"cache\":{},\"chiplet_cache\":{},\"gauges\":{},\"profile\":{}}}",
+            join(&self.replicas, |r| escape_json(r)),
+            self.healthy(),
+            counters_json(&self.counters),
+            join(&self.slo, BurnReport::to_json),
+            join(&self.endpoints, endpoint),
+            quantile_fields(&self.queue_wait),
+            join(&self.utilization, utilization),
+            self.cache.to_json(),
+            self.chiplet_cache.to_json(),
+            self.gauges.to_json(),
+            self.profile.as_ref().map_or_else(|| "null".to_string(), ProfileReport::to_json)
+        )
     }
+}
+
+/// Named counters as JSON object members, in key order.
+fn counters_json(counters: &BTreeMap<String, u64>) -> String {
+    join(counters, |(name, n)| format!("{}:{n}", escape_json(name)))
+}
+
+/// Worker rows as a JSON array.
+fn workers_json(workers: &[RawWorker]) -> String {
+    let row = |w: &RawWorker| {
+        format!("{{\"busy_ns\":{},\"idle_ns\":{},\"served\":{}}}", w.busy_ns, w.idle_ns, w.served)
+    };
+    format!("[{}]", join(workers, row))
+}
+
+/// Renders each item and joins the renders with commas.
+fn join<I: IntoIterator>(items: I, render: impl FnMut(I::Item) -> String) -> String {
+    items.into_iter().map(render).collect::<Vec<_>>().join(",")
+}
+
+/// An endpoint row's members: its quantiles, then its p99 exemplar
+/// (`null` when none), which names its replica when `tagged`, as a
+/// fleet row must.
+fn endpoint_fields(hist: &LogHistogram, tagged: bool) -> String {
+    let exemplar = match hist.quantile_exemplar(Q_P99) {
+        Some(e) => format!(
+            "{{{}\"req_id\":{},\"value_us\":{},\"t_ns\":{}}}",
+            if tagged {
+                format!("\"replica\":{},", escape_json(&e.replica))
+            } else {
+                String::new()
+            },
+            escape_json(&e.req_id),
+            fmt_f64(e.value),
+            e.t_ns
+        ),
+        None => "null".to_string(),
+    };
+    format!("{},\"p99_exemplar\":{exemplar}", quantile_fields(hist))
 }
 
 /// A histogram's count and quantiles as JSON object members
@@ -871,7 +898,7 @@ fn as_i64(v: &JsonValue) -> Option<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slo::Objective;
+    use crate::slo::{Objective, SloMonitor};
 
     fn sample_histogram(replica: &str, scale: f64) -> LogHistogram {
         let mut h = LogHistogram::new();
@@ -906,6 +933,7 @@ mod tests {
                 h.record(f64::from(i) * scale);
                 h
             }),
+            ..RawSnapshot::default()
         }
     }
 

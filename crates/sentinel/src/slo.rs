@@ -76,6 +76,79 @@ pub struct BurnReport {
     pub bad: u64,
 }
 
+/// One objective's summable SLO state as of one instant: identity and
+/// configuration, lifetime totals, and the good/bad deltas inside each
+/// burn window. The windowed deltas are what federation sums: burn
+/// rates cannot be averaged, but their numerators and denominators add.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RawSlo {
+    /// Objective name (`latency_p99`, `shed_rate`, …).
+    pub name: String,
+    /// Target good fraction in `(0, 1)`.
+    pub target: f64,
+    /// Firing threshold both windows must exceed.
+    pub max_burn: f64,
+    /// Fast window length in nanoseconds.
+    pub fast_ns: u64,
+    /// Slow window length in nanoseconds.
+    pub slow_ns: u64,
+    /// Lifetime good events.
+    pub good: u64,
+    /// Lifetime bad events.
+    pub bad: u64,
+    /// Good events inside the fast window.
+    pub fast_good: u64,
+    /// Bad events inside the fast window.
+    pub fast_bad: u64,
+    /// Good events inside the slow window.
+    pub slow_good: u64,
+    /// Bad events inside the slow window.
+    pub slow_bad: u64,
+}
+
+impl RawSlo {
+    /// Snapshots a live monitor's summable state as of `now_ns`.
+    #[must_use]
+    pub fn from_monitor(monitor: &SloMonitor, now_ns: u64) -> RawSlo {
+        let last = monitor.points.back().copied().unwrap_or_default();
+        let (fast_good, fast_bad) = monitor.window_counts(now_ns, FAST_WINDOW_NS);
+        let (slow_good, slow_bad) = monitor.window_counts(now_ns, SLOW_WINDOW_NS);
+        RawSlo {
+            name: monitor.objective.name.clone(),
+            target: monitor.objective.target,
+            max_burn: MAX_BURN,
+            fast_ns: FAST_WINDOW_NS,
+            slow_ns: SLOW_WINDOW_NS,
+            good: last.good,
+            bad: last.bad,
+            fast_good,
+            fast_bad,
+            slow_good,
+            slow_bad,
+        }
+    }
+
+    /// Renders the counts as a JSON object with a stable key order.
+    pub(crate) fn to_json(&self) -> String {
+        format!(
+            "{{\"name\":{},\"target\":{},\"max_burn\":{},\"fast_ns\":{},\"slow_ns\":{},\
+             \"good\":{},\"bad\":{},\"fast_good\":{},\"fast_bad\":{},\
+             \"slow_good\":{},\"slow_bad\":{}}}",
+            escape_json(&self.name),
+            fmt_f64(self.target),
+            fmt_f64(self.max_burn),
+            self.fast_ns,
+            self.slow_ns,
+            self.good,
+            self.bad,
+            self.fast_good,
+            self.fast_bad,
+            self.slow_good,
+            self.slow_bad
+        )
+    }
+}
+
 /// Rolling burn-rate state for one objective (see the module docs).
 #[derive(Debug, Clone)]
 pub struct SloMonitor {
@@ -90,12 +163,6 @@ impl SloMonitor {
     #[must_use]
     pub fn new(objective: Objective) -> Self {
         SloMonitor { objective, points: VecDeque::new() }
-    }
-
-    /// The objective this monitor evaluates.
-    #[must_use]
-    pub fn objective(&self) -> &Objective {
-        &self.objective
     }
 
     /// Feeds one cumulative snapshot: `good`/`bad` are lifetime totals
@@ -168,35 +235,34 @@ impl SloMonitor {
         )
     }
 
-    /// The burn rate over the window ending at `now_ns`: bad fraction
-    /// of the events inside the window divided by the error budget. A
-    /// window with no events burns 0 (an idle service is healthy, not
-    /// unknown).
-    fn window_burn(&self, now_ns: u64, window_ns: u64) -> f64 {
-        let (good, bad) = self.window_counts(now_ns, window_ns);
-        burn_rate(good, bad, self.objective.target)
-    }
-
     /// Evaluates both windows as of `now_ns`.
     #[must_use]
     pub fn report(&self, now_ns: u64) -> BurnReport {
-        let fast_burn = self.window_burn(now_ns, FAST_WINDOW_NS);
-        let slow_burn = self.window_burn(now_ns, SLOW_WINDOW_NS);
-        let last = self.points.back().copied().unwrap_or_default();
-        BurnReport {
-            name: self.objective.name.clone(),
-            target: self.objective.target,
-            fast_burn,
-            slow_burn,
-            max_burn: MAX_BURN,
-            firing: fast_burn > MAX_BURN && slow_burn > MAX_BURN,
-            good: last.good,
-            bad: last.bad,
-        }
+        BurnReport::from_counts(&RawSlo::from_monitor(self, now_ns))
     }
 }
 
 impl BurnReport {
+    /// The verdict implied by summable counts: each window's burn from
+    /// its good/bad deltas, firing when both exceed `max_burn`. A live
+    /// monitor, `/v1/health` and a fleet's summed counts all judge
+    /// through this one constructor.
+    #[must_use]
+    pub fn from_counts(counts: &RawSlo) -> BurnReport {
+        let fast_burn = burn_rate(counts.fast_good, counts.fast_bad, counts.target);
+        let slow_burn = burn_rate(counts.slow_good, counts.slow_bad, counts.target);
+        BurnReport {
+            name: counts.name.clone(),
+            target: counts.target,
+            fast_burn,
+            slow_burn,
+            max_burn: counts.max_burn,
+            firing: fast_burn > counts.max_burn && slow_burn > counts.max_burn,
+            good: counts.good,
+            bad: counts.bad,
+        }
+    }
+
     /// Renders the report as a JSON object with a stable key order.
     #[must_use]
     pub fn to_json(&self) -> String {

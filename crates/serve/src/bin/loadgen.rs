@@ -23,7 +23,7 @@
 //!                           chiplet cache has hits to report, and the
 //!                           scenario keys route through the same
 //!                           consistent-hash ring as everything else
-//!   --require-chiplet-hits  fail unless /v1/metrics reports chiplet
+//!   --require-chiplet-hits  fail unless /v1/metrics/raw reports chiplet
 //!                           cache hits afterwards
 //!   --chiplet-provenance-out PATH  fetch the /v1/trace capture of one
 //!                           chiplet request, require Eq.C provenance in
@@ -35,8 +35,9 @@
 //!   --allow-shed            a 503 counts as shed load, not a failure
 //!   --max-shed-rate F       fail if shed/total exceeds F (requires --allow-shed)
 //!   --slo-p99-us N          fail if the client-observed overall p99 exceeds N us
-//!   --exemplar-traces PREFIX  fetch /v1/metrics, follow every endpoint's
-//!                           p99 exemplar to `/v1/trace/<req-id>`, and save
+//!   --exemplar-traces PREFIX  fetch /v1/metrics/raw, follow every
+//!                           endpoint's p99 exemplar (the one /v1/metrics
+//!                           renders) to `/v1/trace/<req-id>`, and save
 //!                           each capture to `PREFIX.<endpoint>.jsonl`; fail
 //!                           if no endpoint produced an exemplar
 //!   --max-evicted-exemplars N  tolerate up to N exemplars answering
@@ -69,8 +70,9 @@
 
 use std::time::Instant;
 
-use nanocost_sentinel::attach::{http_get, request};
-use nanocost_sentinel::json::{self, JsonValue};
+use nanocost_sentinel::attach::{http_get, http_get_ok, request};
+use nanocost_sentinel::json;
+use nanocost_sentinel::RawSnapshot;
 
 struct Options {
     addr: String,
@@ -549,17 +551,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return Err(format!("{} non-2xx responses", outcome.non_2xx).into());
     }
     if opts.require_chiplet_hits {
-        let (status, body) = http_get(&addrs[0], "/v1/metrics")?;
-        if status != 200 {
-            return Err(format!("/v1/metrics -> {status}").into());
-        }
-        let hits = json::parse(&body)
-            .ok()
-            .and_then(|doc| {
-                doc.get("chiplet_cache").and_then(|c| c.get("hits")).and_then(JsonValue::as_f64)
-            })
-            .unwrap_or(0.0);
-        if hits < 1.0 {
+        let hits = raw_snapshot(&addrs[0])?.chiplet_cache.hits;
+        if hits == 0 {
             return Err("chiplet cache reported zero hits".into());
         }
         println!("loadgen: chiplet cache hits {hits}");
@@ -582,9 +575,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Follows every endpoint's p99 exemplar from `/v1/metrics` to its
-/// stored `/v1/trace/<req-id>` capture, saving one JSONL file per
-/// endpoint as `<prefix>.<endpoint>.jsonl`. Returns how many exemplars
+/// The server's `/v1/metrics/raw` snapshot.
+fn raw_snapshot(addr: &str) -> Result<RawSnapshot, Box<dyn std::error::Error>> {
+    Ok(RawSnapshot::parse(&http_get_ok(addr, "/v1/metrics/raw")?)?)
+}
+
+/// Follows every endpoint's p99 exemplar (the one `/v1/metrics`
+/// renders) to its stored `/v1/trace/<req-id>` capture, saving one
+/// JSONL file per endpoint as `<prefix>.<endpoint>.jsonl`. Returns how many exemplars
 /// round-tripped; an advertised exemplar whose trace is missing is an
 /// error (the drill-down contract is exactly that link) — except a 410
 /// with the `serve.trace_ring.evicted` context, which means the ring
@@ -596,22 +594,10 @@ fn fetch_exemplar_traces(
     prefix: &str,
     max_evicted: usize,
 ) -> Result<usize, Box<dyn std::error::Error>> {
-    let (status, body) = http_get(addr, "/v1/metrics")?;
-    if status != 200 {
-        return Err(format!("/v1/metrics -> {status}").into());
-    }
-    let doc = json::parse(&body).map_err(|e| format!("metrics is not JSON: {e}"))?;
-    let Some(JsonValue::Obj(endpoints)) = doc.get("endpoints") else {
-        return Err("metrics has no endpoints object".into());
-    };
     let mut fetched = 0;
     let mut evicted = 0;
-    for (endpoint, stats) in endpoints {
-        let Some(req_id) = stats
-            .get("p99_exemplar")
-            .and_then(|e| e.get("req_id"))
-            .and_then(JsonValue::as_str)
-        else {
+    for (endpoint, hist) in &raw_snapshot(addr)?.endpoints {
+        let Some(req_id) = hist.quantile_exemplar(0.99).map(|e| e.req_id.as_str()) else {
             continue;
         };
         let (status, capture) = http_get(addr, &format!("/v1/trace/{req_id}"))?;

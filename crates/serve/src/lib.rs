@@ -18,6 +18,14 @@
 //! | `/v1/health` | GET | SLO burn-rate verdict (200 ok / 503 firing) |
 //! | `/v1/trace/<req-id>` | GET | the request's full trace capture (JSONL) |
 //!
+//! `/v1/metrics`, `/v1/metrics/raw` and `/v1/health` render one
+//! snapshot, [`ServerState::snapshot`]. It reads the SLO monitors (with
+//! the completed, shed and latency-bad counters), then the endpoint
+//! histograms, then the request-id counter, one lock at a time, so
+//! every document satisfies `completed_total ≤ Σ endpoint counts ≤
+//! requests_total` under concurrent traffic. A connection shed with a
+//! 503 never gets a request id.
+//!
 //! Every model request runs inside a `nanocost-trace` capture frame
 //! under an installed request scope, so every captured record carries
 //! the request's `req_id`; captures are stored as records in a ring

@@ -9,8 +9,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use nanocost_chiplet::ChipletCache;
-use nanocost_core::ScenarioCache;
-use nanocost_sentinel::federate::{RawCache, RawSlo, RawSnapshot, RawWorker};
+use nanocost_core::{CacheStats, ScenarioCache};
+use nanocost_sentinel::federate::{
+    RawCache, RawGauges, RawProfile, RawSlo, RawSnapshot, RawWorker,
+};
 use nanocost_sentinel::profile::{ProfileReport, StackSample};
 use nanocost_sentinel::slo::Objective;
 use nanocost_sentinel::{LogHistogram, SloMonitor};
@@ -603,28 +605,12 @@ impl ServerState {
         shed_rate.observe(t_ns, completed, shed);
     }
 
-    /// Evaluates every SLO monitor as of `now_ns` and renders the
-    /// `/v1/health` document. Returns `(200, …)` when no objective is
-    /// firing and `(503, …)` when at least one is.
+    /// Renders the `/v1/health` document as of `now_ns`: 200 when no
+    /// objective is firing, 503 when at least one is (see
+    /// [`RawSnapshot::health_json`]).
     #[must_use]
     pub fn health_json(&self, now_ns: u64) -> (u16, String) {
-        let reports: Vec<_> = {
-            let monitors = lock(&self.slo);
-            monitors.iter().map(|m| m.report(now_ns)).collect()
-        };
-        let firing = reports.iter().any(|r| r.firing);
-        let mut out = format!(
-            "{{\"status\":{},\"t_ns\":{now_ns},\"objectives\":[",
-            if firing { "\"failing\"" } else { "\"ok\"" }
-        );
-        for (i, r) in reports.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&r.to_json());
-        }
-        out.push_str("]}");
-        (if firing { 503 } else { 200 }, out)
+        self.snapshot(now_ns).health_json()
     }
 
     /// Stores a copy of a request's captured trace records under its
@@ -731,145 +717,57 @@ impl ServerState {
         let _ = w.flush();
     }
 
-    /// Renders the `/v1/metrics` document (schema 2): uptime, the
-    /// scrape instant `t_ns`, cumulative counters, per-endpoint latency
-    /// quantiles (p50/p90/p99/p999 in microseconds) with the p99
-    /// exemplar, and cache traffic.
+    /// Renders the `/v1/metrics` document (schema 2): the snapshot as a
+    /// fleet of one (see [`RawSnapshot::to_metrics_json`]).
     #[must_use]
     pub fn metrics_json(&self) -> String {
-        let uptime = self.started.elapsed().as_secs_f64();
-        let requests = self.next_id.load(Ordering::Relaxed);
-        let t_ns = nanocost_trace::epoch_nanos();
-        let mut out = String::from("{\"schema\":2,");
-        out.push_str(&format!(
-            "\"uptime_s\":{uptime:e},\"t_ns\":{t_ns},\"requests\":{requests},"
-        ));
-        out.push_str(&format!(
-            "\"counters\":{{\"requests_total\":{},\"completed_total\":{},\"shed_total\":{},\"latency_bad_total\":{},\"trace_ring_evicted\":{}}},",
-            requests,
-            self.completed.load(Ordering::Relaxed),
-            self.shed.load(Ordering::Relaxed),
-            self.latency_bad.load(Ordering::Relaxed),
-            self.ring_evicted.load(Ordering::Relaxed),
-        ));
-        // Instantaneous gauges: present regardless of whether profiling
-        // is on — queue pressure is load telemetry, not profiler output.
-        out.push_str(&format!(
-            "\"gauges\":{{\"queue.depth\":{},\"accept.backlog\":{}}},",
-            self.queue_depth.load(Ordering::Relaxed),
-            self.accept_backlog.load(Ordering::Relaxed),
-        ));
-        out.push_str("\"workers\":[");
-        {
-            let workers = lock(&self.workers);
-            for (i, w) in workers.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"busy_ns\":{},\"idle_ns\":{},\"served\":{}}}",
-                    w.busy_ns.load(Ordering::Relaxed),
-                    w.idle_ns.load(Ordering::Relaxed),
-                    w.served.load(Ordering::Relaxed),
-                ));
-            }
-        }
-        out.push_str("],");
-        out.push_str(&format!(
-            "\"profile\":{{\"hz\":{},\"ring_capacity\":{},\"samples\":{},\"dropped\":{}}},",
-            self.profile_hz,
-            self.profile.capacity(),
-            self.profile.len(),
-            self.profile.dropped(),
-        ));
-        out.push_str("\"endpoints\":{");
-        {
-            let endpoints = lock(&self.endpoints);
-            let mut first = true;
-            for (name, hist) in endpoints.iter() {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let exemplar = hist
-                    .quantile_exemplar(0.99)
-                    .map(|e| {
-                        format!(
-                            "{{\"req_id\":{},\"value_us\":{:e},\"t_ns\":{}}}",
-                            json_string(&e.req_id),
-                            e.value,
-                            e.t_ns
-                        )
-                    })
-                    .unwrap_or_else(|| "null".to_string());
-                out.push_str(&format!(
-                    "{}:{{\"count\":{},\"min_us\":{:e},\"max_us\":{:e},\"mean_us\":{:e},\"p50_us\":{:e},\"p90_us\":{:e},\"p99_us\":{:e},\"p999_us\":{:e},\"p99_exemplar\":{}}}",
-                    json_string(name),
-                    hist.count(),
-                    hist.min().unwrap_or(0.0),
-                    hist.max().unwrap_or(0.0),
-                    hist.mean().unwrap_or(0.0),
-                    hist.p50().unwrap_or(0.0),
-                    hist.p90().unwrap_or(0.0),
-                    hist.p99().unwrap_or(0.0),
-                    hist.p999().unwrap_or(0.0),
-                    exemplar,
-                ));
-            }
-        }
-        out.push_str("},\"cache\":");
-        let stats = self.cache.stats();
-        out.push_str(&format!(
-            "{{\"hits\":{},\"misses\":{},\"entries\":{},\"capacity\":{},\"hit_rate\":{:e}}}",
-            stats.hits,
-            stats.misses,
-            stats.entries,
-            stats.capacity,
-            stats.hit_rate()
-        ));
-        out.push_str(",\"chiplet_cache\":");
-        let chiplet = self.chiplet.stats();
-        out.push_str(&format!(
-            "{{\"hits\":{},\"misses\":{},\"entries\":{},\"capacity\":{},\"hit_rate\":{:e}}}",
-            chiplet.hits,
-            chiplet.misses,
-            chiplet.entries,
-            chiplet.capacity,
-            chiplet.hit_rate()
-        ));
-        out.push('}');
-        out
+        let uptime_s = self.started.elapsed().as_secs_f64();
+        self.snapshot(nanocost_trace::epoch_nanos()).to_metrics_json(uptime_s)
     }
 
-    /// This replica's configured fleet label (empty when unlabeled).
-    #[must_use]
-    pub fn replica(&self) -> &str {
-        &self.replica
-    }
-
-    /// Renders the `/v1/metrics/raw` document: the full *mergeable*
-    /// state behind [`ServerState::metrics_json`], as the
+    /// Renders the `/v1/metrics/raw` document: the snapshot in the
     /// byte-deterministic schema-1 wire format owned by
-    /// [`nanocost_sentinel::federate`]. Where `/v1/metrics` publishes
-    /// pre-computed quantiles (which cannot be combined across
-    /// replicas), this publishes raw histogram buckets, cumulative and
-    /// windowed SLO counters, and worker/cache counters — everything a
-    /// federator needs to reconstruct fleet-level truth losslessly.
+    /// [`nanocost_sentinel::federate`], with raw histogram buckets and
+    /// windowed SLO counters, which merge across replicas where
+    /// `/v1/metrics`'s quantiles cannot.
     #[must_use]
     pub fn metrics_raw_json(&self) -> String {
-        let t_ns = nanocost_trace::epoch_nanos();
-        let mut counters = BTreeMap::new();
-        counters.insert("requests_total".to_string(), self.next_id.load(Ordering::Relaxed));
-        counters.insert("completed_total".to_string(), self.completed.load(Ordering::Relaxed));
-        counters.insert("shed_total".to_string(), self.shed.load(Ordering::Relaxed));
-        counters.insert("latency_bad_total".to_string(), self.latency_bad.load(Ordering::Relaxed));
-        counters
-            .insert("trace_ring_evicted".to_string(), self.ring_evicted.load(Ordering::Relaxed));
-        let slo: Vec<RawSlo> = {
+        self.snapshot(nanocost_trace::epoch_nanos()).to_json()
+    }
+
+    /// Reads every metric source once, holding one lock at a time, in
+    /// a fixed order: the SLO monitors with the `completed`, `shed` and
+    /// `latency_bad` counters that move only under their lock, then
+    /// the endpoint histograms, then the request-id counter. A request
+    /// takes its id before it is observed, and [`Self::observe`]
+    /// records its histogram before it counts it completed, so every
+    /// snapshot satisfies `completed_total ≤ Σ endpoint counts ≤
+    /// requests_total`. The remaining sources (workers, queue wait,
+    /// gauges, caches, profile ring) follow, each read once. The SLO
+    /// window counts are taken as of `t_ns`, the snapshot's stamp.
+    #[must_use]
+    pub fn snapshot(&self, t_ns: u64) -> RawSnapshot {
+        let (slo, completed, shed, latency_bad) = {
             let monitors = lock(&self.slo);
-            monitors.iter().map(|m| RawSlo::from_monitor(m, t_ns)).collect()
+            (
+                monitors.iter().map(|m| RawSlo::from_monitor(m, t_ns)).collect(),
+                self.completed.load(Ordering::Relaxed),
+                self.shed.load(Ordering::Relaxed),
+                self.latency_bad.load(Ordering::Relaxed),
+            )
         };
-        let workers: Vec<RawWorker> = {
+        let endpoints = {
+            let endpoints = lock(&self.endpoints);
+            endpoints.iter().map(|(name, hist)| ((*name).to_string(), hist.clone())).collect()
+        };
+        let counters = [
+            ("requests_total", self.next_id.load(Ordering::Relaxed)),
+            ("completed_total", completed),
+            ("shed_total", shed),
+            ("latency_bad_total", latency_bad),
+            ("trace_ring_evicted", self.ring_evicted.load(Ordering::Relaxed)),
+        ];
+        let workers = {
             let workers = lock(&self.workers);
             workers
                 .iter()
@@ -880,27 +778,38 @@ impl ServerState {
                 })
                 .collect()
         };
-        let endpoints: BTreeMap<String, LogHistogram> = {
-            let endpoints = lock(&self.endpoints);
-            endpoints.iter().map(|(name, hist)| ((*name).to_string(), hist.clone())).collect()
-        };
-        let stats = self.cache.stats();
+        let queue_wait = lock(&self.queue_wait).clone();
         RawSnapshot {
             replica: self.replica.clone(),
             t_ns,
-            counters,
+            counters: counters.into_iter().map(|(name, n)| (name.to_string(), n)).collect(),
             slo,
             workers,
-            cache: RawCache {
-                hits: stats.hits,
-                misses: stats.misses,
-                entries: stats.entries as u64,
-                capacity: stats.capacity as u64,
-            },
+            cache: raw_cache(self.cache.stats()),
             endpoints,
-            queue_wait: lock(&self.queue_wait).clone(),
+            queue_wait,
+            chiplet_cache: raw_cache(self.chiplet.stats()),
+            gauges: RawGauges {
+                queue_depth: self.queue_depth.load(Ordering::Relaxed),
+                accept_backlog: self.accept_backlog.load(Ordering::Relaxed),
+            },
+            profile: RawProfile {
+                hz: self.profile_hz.into(),
+                ring_capacity: self.profile.capacity() as u64,
+                samples: self.profile.len() as u64,
+                dropped: self.profile.dropped(),
+            },
         }
-        .to_json()
+    }
+}
+
+/// A cache's counters in the snapshot's form.
+fn raw_cache(stats: CacheStats) -> RawCache {
+    RawCache {
+        hits: stats.hits,
+        misses: stats.misses,
+        entries: stats.entries as u64,
+        capacity: stats.capacity as u64,
     }
 }
 

@@ -383,7 +383,7 @@ done
 [[ -n "$FLEET_A_ADDR" && -n "$FLEET_B_ADDR" ]] \
     || fleet_fail "a fleet replica never reported its address"
 ./target/release/loadgen --replica "$FLEET_A_ADDR" --replica "$FLEET_B_ADDR" \
-    --requests 200 --mix cost,optimum,batch --concurrency 4 \
+    --requests 200 --mix cost,optimum,batch,chiplet --concurrency 4 \
     || fleet_fail "fleet loadgen failed"
 # Per-replica ground truth first (single-target fleet_report), then the
 # federated artifact over both.
@@ -420,6 +420,13 @@ grep -q '"skew":{' target/ci-fleet.json \
     || fleet_fail "fleet artifact has no per-endpoint p99 skew"
 grep -q '"queue_wait":{"count":[1-9]' target/ci-fleet.json \
     || fleet_fail "fleet artifact has no merged accept-to-dequeue queue wait"
+# The chiplet lane's cache traffic reaches the fleet view through the
+# raw snapshot: hits + misses summed over both replicas must be non-zero.
+FLEET_CHIPLET="$(sed -n \
+    's/.*"chiplet_cache":{"hits":\([0-9]*\),"misses":\([0-9]*\).*/\1+\2/p' \
+    target/ci-fleet.json)"
+[[ -n "$FLEET_CHIPLET" ]] && (( FLEET_CHIPLET > 0 )) \
+    || fleet_fail "fleet artifact has no chiplet_cache traffic"
 kill -TERM "$FLEET_A_PID" "$FLEET_B_PID"
 wait_bounded "$FLEET_A_PID" || fleet_fail "replica a did not exit cleanly on SIGTERM"
 wait_bounded "$FLEET_B_PID" || fleet_fail "replica b did not exit cleanly on SIGTERM"
