@@ -6,17 +6,15 @@ pub fn bad_case() {
     span!("MonteCarlo.Run");
 }
 
-/// Table A1 row counter fed from a runtime variable; violates R7.
-pub fn dynamic_name(metric: &str) {
-    counter!(metric, 1u64);
+/// Table A1 row event named from a runtime variable; violates R7.
+pub fn dynamic_name(name: &str) {
+    event!(name, row = 1u64);
 }
 
 /// Hot loop from Eq. (7) with compliant lowercase dotted names; clean.
 pub fn good_names(wafers: u64) {
     span!("figure4.run");
     event!("mc.batch_done", wafers = wafers);
-    gauge!("mc.batch_size", 2.0);
-    metric_histogram!("wafer_cost_usd", 1.0);
 }
 
 /// ITRS bridge that must mirror an external dashboard key; a reasoned

@@ -25,7 +25,7 @@ pub enum RuleId {
     /// Every public model-crate function documents the paper
     /// equation/figure/table it implements.
     R5,
-    /// `span!`/`event!`/metric-macro names in library code must be
+    /// `span!`/`event!` names in library code must be
     /// static lowercase `snake_case` (dot-separated) string literals, so
     /// flamegraph and fingerprint keys stay stable across runs.
     R7,
@@ -105,7 +105,7 @@ pub const EXPLANATIONS: &[Explanation] = &[
     },
     Explanation {
         rule: RuleId::R7,
-        summary: "span!/event!/metric names in library code must be static lowercase snake_case string literals",
+        summary: "span!/event! names in library code must be static lowercase snake_case string literals",
         rationale: "Computed or mixed-case trace names make flamegraph stacks and fingerprint \
                     keys unstable run-to-run, silently breaking bench_diff and the fingerprint \
                     gate.",

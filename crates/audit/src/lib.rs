@@ -12,7 +12,7 @@
 //! | R3   | warning  | no bare numeric literals in model functions outside `const`/calibration code |
 //! | R4   | warning  | public model functions take `nanocost-units` newtypes, not raw `f64` |
 //! | R5   | warning  | every public model function cites the paper equation/figure/table it implements |
-//! | R7   | warning  | `span!`/`event!`/metric-macro names in library code are static lowercase `snake_case` string literals |
+//! | R7   | warning  | `span!`/`event!` names in library code are static lowercase `snake_case` string literals |
 //! | R8   | error    | untrusted values (JSON accessors, `std::env`, file reads) are validated before reaching unit constructors, model arithmetic, indexing, or allocation sizing |
 //! | R9   | error    | lock discipline: no poison panics, consistent global acquisition order, no I/O under a guard |
 //! | R10  | warning  | `core` fns whose docs lead with an equation citation reach matching `provenance!` emits, and emitting fns cite what they emit |

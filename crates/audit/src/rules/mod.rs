@@ -51,10 +51,10 @@ const R4_SYMBOLS: &[(&str, &str)] = &[
     ("density", "DesignDensity"),
 ];
 
-/// Trace macros whose first argument names a span/event/metric (R7).
+/// Trace macros whose first argument names a span or event (R7).
 /// Stable, literal names keep flamegraph stacks and provenance
 /// fingerprint keys comparable across runs and releases.
-const R7_MACROS: &[&str] = &["span", "event", "counter", "gauge", "metric_histogram"];
+const R7_MACROS: &[&str] = &["span", "event"];
 
 /// Keywords whose presence in a doc comment counts as a paper citation (R5).
 /// Matched on word boundaries after lowercasing.
@@ -304,10 +304,10 @@ fn valid_trace_name(s: &str) -> bool {
             .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_' || c == '.')
 }
 
-/// R7: `span!`/`event!`/`counter!`/`gauge!`/`metric_histogram!` names in
-/// library code must be static lowercase `snake_case` string literals.
+/// R7: `span!`/`event!` names in library code must be static lowercase
+/// `snake_case` string literals.
 ///
-/// A computed or mixed-case name makes flamegraph stacks and metric keys
+/// A computed or mixed-case name makes flamegraph stacks and event keys
 /// unstable run-to-run, which silently breaks `bench_diff` and the
 /// fingerprint gate. Binaries and test regions are exempt; macro
 /// definitions that forward `$name` are skipped (the call site is the
@@ -479,7 +479,7 @@ mod tests {
 
     #[test]
     fn r7_flags_bad_and_dynamic_trace_names() {
-        let src = "fn f() { span!(\"MonteCarlo.Run\"); event!(name); counter!(\"mc.wafers\", 1u64); }\n";
+        let src = "fn f() { span!(\"MonteCarlo.Run\"); event!(name); event!(\"mc.wafers\", n = 1u64); }\n";
         let diags = audit("crates/core/src/a.rs", "core", src);
         let r7: Vec<_> = diags.iter().filter(|d| d.rule == RuleId::R7).collect();
         assert_eq!(r7.len(), 2, "{r7:?}");
@@ -489,8 +489,8 @@ mod tests {
 
     #[test]
     fn r7_accepts_snake_case_and_dotted_names() {
-        let src = "fn f() { span!(\"figure4.run\"); gauge!(\"mc.batch_size\", 4.0); \
-                   metric_histogram!(\"wafer_cost_usd\", 1.0); }\n";
+        let src = "fn f() { span!(\"figure4.run\"); event!(\"mc.batch_size\", v = 4.0); \
+                   span!(\"wafer_cost_usd\"); }\n";
         assert!(audit("crates/core/src/a.rs", "core", src).iter().all(|d| d.rule != RuleId::R7));
     }
 
@@ -500,9 +500,9 @@ mod tests {
         assert!(audit("crates/core/src/bin/tool.rs", "core", src).is_empty());
         let src = "#[cfg(test)]\nmod t { fn g() { event!(\"X\"); } }\n";
         assert!(audit("crates/core/src/a.rs", "core", src).iter().all(|d| d.rule != RuleId::R7));
-        // `$crate::counter!($name, 1u64)` inside trace's own macro_rules.
-        let src = "macro_rules! hit { ($name:expr) => { $crate::counter!($name, 1u64) }; }\n";
-        assert!(audit("crates/trace/src/metrics.rs", "trace", src)
+        // `$crate::event!($name)` inside trace's own macro_rules.
+        let src = "macro_rules! hit { ($name:expr) => { $crate::event!($name) }; }\n";
+        assert!(audit("crates/trace/src/span.rs", "trace", src)
             .iter()
             .all(|d| d.rule != RuleId::R7));
     }
@@ -510,6 +510,9 @@ mod tests {
     #[test]
     fn r7_ignores_plain_idents_named_like_macros() {
         let src = "fn f() { let span = 1; event(span); gauge.set(2.0); }\n";
+        assert!(audit("crates/core/src/a.rs", "core", src).iter().all(|d| d.rule != RuleId::R7));
+        // Macros outside the trace crate's span/event pair are not R7's.
+        let src = "fn f() { tally!(\"Mixed.Case\", 1u64); }\n";
         assert!(audit("crates/core/src/a.rs", "core", src).iter().all(|d| d.rule != RuleId::R7));
     }
 

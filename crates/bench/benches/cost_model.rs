@@ -1,5 +1,6 @@
 //! Criterion bench: raw cost-model evaluation throughput (eqs. 3, 4, 7),
-//! and the §3.1 optimum answered from the memo under a trace capture.
+//! and the §3.1 optimum under a trace capture, answered from the memo
+//! and searched afresh.
 
 #![allow(
     clippy::unwrap_used,
@@ -95,6 +96,26 @@ fn bench_cost_models(c: &mut Criterion) {
     let _ = with_capture(optimum);
     c.bench_function("cost_model/optimum_hit_captured", |b| {
         b.iter(|| black_box(with_capture(optimum)))
+    });
+
+    // The same optimum searched afresh under a capture: every probe's
+    // Eq.-4 provenance lands in the frame.
+    c.bench_function("cost_model/optimum_search_captured", |b| {
+        b.iter(|| {
+            black_box(with_capture(|| {
+                nanocost_core::optimal_sd_total(
+                    &eq4,
+                    lambda,
+                    transistors,
+                    volume,
+                    y,
+                    Dollars::new(200_000.0),
+                    110.0,
+                    1_500.0,
+                )
+                .expect("valid bracket")
+            }))
+        })
     });
 }
 

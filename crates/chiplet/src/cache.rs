@@ -12,7 +12,6 @@
 
 use nanocost_core::memo::{Locked, Memo};
 use nanocost_core::{CacheStats, DEFAULT_CAPACITY};
-use nanocost_trace::counter;
 use nanocost_units::UnitError;
 
 use crate::assembly::AssemblyKind;
@@ -21,15 +20,6 @@ use crate::scenario::{ChipletModels, ChipletReport, ChipletScenario};
 /// Exact identity of one SiP query: the bits of `λ`, `s_d`, `N_tr`,
 /// the unit volume, then the split and its assembly.
 type SipKey = ([u64; 4], u32, u32, AssemblyKind);
-
-/// Bumps the `chiplet.cache.{hit,miss}` trace counters.
-fn count(hit: bool) {
-    if hit {
-        counter!("chiplet.cache.hit", 1);
-    } else {
-        counter!("chiplet.cache.miss", 1);
-    }
-}
 
 /// A thread-safe memo of SiP evaluations keyed on exact scenario
 /// inputs, with shared Eq.-C* provenance replay on hits.
@@ -44,7 +34,7 @@ impl ChipletCache {
     /// capacity (clamped to at least one entry).
     #[must_use]
     pub fn new(models: ChipletModels, capacity: usize) -> Self {
-        ChipletCache { models, reports: Locked::new(Memo::new(capacity, count)) }
+        ChipletCache { models, reports: Locked::new(Memo::new(capacity)) }
     }
 
     /// The cache over [`ChipletModels::defaults`] at the core cache's

@@ -17,7 +17,6 @@
 //! call the model for every query.
 
 use nanocost_fab::MaskCostModel;
-use nanocost_trace::counter;
 use nanocost_units::{
     DecompressionIndex, Dollars, FeatureSize, TransistorCount, UnitError, WaferCount, Yield,
 };
@@ -45,15 +44,6 @@ pub const YIELD_QUANTUM: f64 = 1e-9;
 
 /// Default per-table entry capacity of [`ScenarioCache::paper_figure4`].
 pub const DEFAULT_CAPACITY: usize = 4096;
-
-/// Bumps the `core.cache.{hit,miss}` trace counters.
-fn count(hit: bool) {
-    if hit {
-        counter!("core.cache.hit", 1);
-    } else {
-        counter!("core.cache.miss", 1);
-    }
-}
 
 /// One eq.-4 query: everything [`TotalCostModel::transistor_cost`]
 /// needs to price a transistor at a design point.
@@ -150,9 +140,9 @@ impl ScenarioCache {
             mask_model,
             generalized,
             tables: Locked::new(Tables {
-                masks: Memo::new(capacity, count),
-                reports: Memo::new(capacity, count),
-                optima: Memo::new(capacity, count),
+                masks: Memo::new(capacity),
+                reports: Memo::new(capacity),
+                optima: Memo::new(capacity),
             }),
         }
     }

@@ -125,7 +125,6 @@ pub struct Memo<K, V> {
     clock: u64,
     hits: u64,
     misses: u64,
-    on_lookup: fn(bool),
 }
 
 impl<K, V> std::fmt::Debug for Memo<K, V> {
@@ -142,18 +141,15 @@ impl<K, V> std::fmt::Debug for Memo<K, V> {
 
 impl<K, V> Memo<K, V> {
     /// An empty memo for one family of §3.1's repeated queries, holding
-    /// at most `capacity` entries (clamped to at least one). `on_lookup`
-    /// is told each lookup's outcome (`true` on a hit) outside the lock;
-    /// owners use it to bump their trace counters.
+    /// at most `capacity` entries (clamped to at least one).
     #[must_use]
-    pub fn new(capacity: usize, on_lookup: fn(bool)) -> Self {
+    pub fn new(capacity: usize) -> Self {
         Memo {
             map: HashMap::new(),
             capacity: capacity.max(1),
             clock: 0,
             hits: 0,
             misses: 0,
-            on_lookup,
         }
     }
 
@@ -265,17 +261,12 @@ impl<T> Locked<T> {
         V: Clone,
     {
         let enabled = nanocost_trace::is_enabled();
-        let (found, on_lookup) = {
-            let mut tables = self.lock();
-            let memo = table(&mut tables);
-            (memo.lookup(&key, enabled), memo.on_lookup)
-        };
+        let found = table(&mut self.lock()).lookup(&key, enabled);
         let hit = found.is_some();
         TALLY.with(|t| {
             let (hits, misses) = t.get();
             t.set((hits + u64::from(hit), misses + u64::from(!hit)));
         });
-        on_lookup(hit);
         if let Some((value, stored)) = found {
             if let Some(calls) = &stored {
                 provenance::replay(calls);
@@ -302,10 +293,8 @@ mod tests {
     use nanocost_trace::with_collector;
     use nanocost_units::{Dollars, FeatureSize};
 
-    fn ignore(_hit: bool) {}
-
-    fn memo<V>(capacity: usize, on_lookup: fn(bool)) -> Locked<Memo<u64, V>> {
-        Locked::new(Memo::new(capacity, on_lookup))
+    fn memo<V>(capacity: usize) -> Locked<Memo<u64, V>> {
+        Locked::new(Memo::new(capacity))
     }
 
     fn stats<V>(memo: &Locked<Memo<u64, V>>) -> CacheStats {
@@ -344,7 +333,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used_first() {
-        let memo = memo(2, ignore);
+        let memo = memo(2);
         let hits: Vec<bool> = [200, 300, 200, 400, 200, 300]
             .into_iter()
             .map(|k| lookup(&memo, k))
@@ -361,7 +350,7 @@ mod tests {
 
     #[test]
     fn errors_are_not_cached() {
-        let memo: Locked<Memo<u64, u64>> = memo(4, ignore);
+        let memo: Locked<Memo<u64, u64>> = memo(4);
         for _ in 0..2 {
             assert!(memo.get_or_compute(|m| m, 7, || Err("domain")).is_err());
         }
@@ -374,14 +363,14 @@ mod tests {
         // A traced computation that legitimately emits zero provenance
         // is stored as "captured but empty", not "never captured" —
         // conflating the two would recompute it on every traced lookup.
-        let memo = memo(4, ignore);
+        let memo = memo(4);
         let (_, hits) = with_collector(|| (0..3).map(|_| lookup(&memo, 7)).collect::<Vec<_>>());
         assert_eq!(hits, [false, true, true]);
     }
 
     #[test]
     fn entries_warmed_without_tracing_recapture_on_first_traced_hit() {
-        let memo = memo(4, ignore);
+        let memo = memo(4);
         // No subscriber here: stored replay-less, no capture overhead.
         let (cold, _) = mask_cost(&memo, 0.18);
         // The first traced lookup must recompute under capture (a miss)
@@ -403,7 +392,7 @@ mod tests {
 
     #[test]
     fn hits_replay_identical_provenance() {
-        let memo = memo(4, ignore);
+        let memo = memo(4);
         let (miss, (_, hit)) = with_collector(|| mask_cost(&memo, 0.13));
         assert!(!hit);
         let (again, (_, hit)) = with_collector(|| mask_cost(&memo, 0.13));
@@ -419,7 +408,7 @@ mod tests {
 
     #[test]
     fn a_hit_replays_one_record_that_shares_the_stored_calls() {
-        let memo = memo(4, ignore);
+        let memo = memo(4);
         let (miss, _) = with_capture(|| mask_cost(&memo, 0.13));
         let (hits, _) = with_capture(|| (mask_cost(&memo, 0.13), mask_cost(&memo, 0.13)));
         let shared: Vec<&Arc<[ProvenanceCall]>> = hits
@@ -444,8 +433,8 @@ mod tests {
         // An outer memo whose evaluation asks an inner one: the outer
         // miss sees the inner hits as replays and must store their
         // calls, or the outer hit would replay less than a fresh run.
-        let inner = memo(4, ignore);
-        let outer: Locked<Memo<u64, Dollars>> = memo(4, ignore);
+        let inner = memo(4);
+        let outer: Locked<Memo<u64, Dollars>> = memo(4);
         let outer_cost = || -> (Dollars, bool) {
             let computed: Result<_, ()> = outer.get_or_compute(|m| m, 1, || {
                 let (a, _) = mask_cost(&inner, 0.18);
@@ -480,13 +469,7 @@ mod tests {
 
     #[test]
     fn lookups_are_tallied_per_thread_and_reported() {
-        fn flag(hit: bool) {
-            SEEN.with(|s| s.set(s.get() + if hit { 10 } else { 1 }));
-        }
-        thread_local! {
-            static SEEN: Cell<u64> = const { Cell::new(0) };
-        }
-        let memo = memo(4, flag);
+        let memo = memo(4);
         let before = thread_tally();
         lookup(&memo, 1);
         lookup(&memo, 1);
@@ -496,7 +479,6 @@ mod tests {
         });
         let after = thread_tally();
         assert_eq!((after.0 - before.0, after.1 - before.1), (1, 1));
-        assert_eq!(SEEN.with(Cell::get), 11);
         assert_eq!(stats(&memo).misses, 2);
     }
 }

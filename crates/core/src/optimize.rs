@@ -6,7 +6,7 @@
 //! map how it moves with volume and yield.
 
 use nanocost_numeric::{refine_min, NumericError};
-use nanocost_trace::{counter, event, gauge, span};
+use nanocost_trace::{event, span};
 use nanocost_units::{
     DecompressionIndex, Dollars, FeatureSize, TransistorCount, UnitError, WaferCount, Yield,
 };
@@ -85,7 +85,6 @@ pub fn optimal_sd_total(
         volume = volume.as_f64(),
         fab_yield = fab_yield.value(),
     );
-    let _timer = nanocost_trace::metrics::Timer::start("core.optimize.sd_total_s");
     // Probe the lower edge first so domain violations surface as model
     // errors, not NaNs inside the minimizer.
     model.transistor_cost(
@@ -97,8 +96,6 @@ pub fn optimal_sd_total(
         mask_cost,
     )?;
     let objective = |s: f64| {
-        counter!("core.optimize.probes", 1);
-        gauge!("core.optimize.sd_probe", s);
         DecompressionIndex::new(s).map_or(f64::INFINITY, |sd| {
             model
                 .transistor_cost(lambda, sd, transistors, volume, fab_yield, mask_cost)
@@ -140,8 +137,6 @@ pub fn optimal_sd_generalized(
         volume,
     })?;
     let objective = |s: f64| {
-        counter!("core.optimize.probes", 1);
-        gauge!("core.optimize.sd_probe", s);
         DecompressionIndex::new(s).map_or(f64::INFINITY, |sd| {
             model
                 .evaluate(DesignPoint {
@@ -354,5 +349,43 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, OptimizeError::Model(_)));
+    }
+
+    #[test]
+    fn the_eq4_provenance_counts_every_probe_of_the_search() {
+        use nanocost_trace::{with_collector, Equation, RecordKind};
+        // The search's probe count lives in its Eq.4 provenance: one
+        // record per objective probe (283 here) plus the lower-edge
+        // check, each under the search's own span.
+        let (m, n, mask) = setup();
+        let (records, found) = with_collector(|| {
+            optimal_sd_total(
+                &m,
+                um(0.18),
+                n,
+                WaferCount::new(5_000).unwrap(),
+                Yield::new(0.4).unwrap(),
+                mask,
+                105.0,
+                2_000.0,
+            )
+        });
+        found.unwrap();
+        let search = records
+            .iter()
+            .find_map(|r| match r.kind {
+                RecordKind::SpanEnter { span, name: "core.optimize.sd_total", .. } => Some(span),
+                _ => None,
+            })
+            .expect("search span");
+        let eq4: Vec<Option<u64>> = records
+            .iter()
+            .filter_map(|r| match r.kind {
+                RecordKind::Provenance { span, equation: Equation::Eq4, .. } => Some(span),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(eq4.len(), 283 + 1);
+        assert!(eq4.iter().all(|&span| span == Some(search)), "{eq4:?}");
     }
 }

@@ -20,7 +20,7 @@
 
 use nanocost_fab::ProximityModel;
 use nanocost_numeric::{summarize, Sampler, Summary};
-use nanocost_trace::{metric_histogram, provenance, span};
+use nanocost_trace::{provenance, span};
 use nanocost_units::{FeatureSize, UnitError};
 
 /// A signal net: one source, one or more sinks, coordinates in λ.
@@ -157,7 +157,6 @@ impl DelayStudy {
             reason = "documented invariant: non-empty by construction"
         )]
         let summary = summarize(&errors).expect("non-empty by construction");
-        metric_histogram!("flow.interconnect.error_sigma", summary.std_dev);
         // The measured spread is the physical origin of the eq. 6
         // prediction-error model that drives failed design iterations.
         provenance!(

@@ -13,7 +13,7 @@
 //! 3. the project closes when an iteration lands inside the tolerance.
 
 use nanocost_numeric::{McConfig, Sampler};
-use nanocost_trace::{counter, provenance, span};
+use nanocost_trace::{provenance, span};
 use nanocost_units::{DecompressionIndex, FeatureSize, UnitError};
 
 use crate::predictor::PredictionModel;
@@ -163,7 +163,6 @@ impl ClosureSimulator {
         let trials = config.trials.max(1);
         for _ in 0..trials {
             total += self.simulate_project(&mut sampler, lambda, sd, reuse_factor)?;
-            counter!("flow.iteration.projects", 1);
         }
         let mean = total as f64 / trials as f64;
         provenance!(

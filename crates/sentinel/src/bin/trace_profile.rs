@@ -1,5 +1,5 @@
 //! Folds a `NANOCOST_TRACE` JSONL capture into a span profile, with
-//! optional time-windowing and a metric-timeline mode.
+//! optional time-windowing.
 //!
 //! ```text
 //! trace_profile <capture.jsonl>             # hotspot table + folded stacks
@@ -8,8 +8,6 @@
 //! trace_profile --hotspots <capture.jsonl>  # hotspot table only
 //! trace_profile --since 50% <capture.jsonl> # second half of the run only
 //! trace_profile --since 1000000 --until 90% <capture.jsonl>
-//! trace_profile --metrics <capture.jsonl>   # per-window metric summaries +
-//!                                           # counter flamegraph
 //! trace_profile --samples <capture.jsonl>   # aggregate the sampling
 //!                                           # profiler's stack_sample
 //!                                           # records into report JSON
@@ -18,8 +16,8 @@
 //! `--since`/`--until` take a nanosecond offset from the capture's
 //! first timestamp or a percentage of its duration, and bound a
 //! half-open window `[since, until)` applied to spans (elapsed time
-//! clipped to the overlap) and samples alike. The span and metric
-//! views share one parse of the capture.
+//! clipped to the overlap) and, under `--samples`, to the profiler's
+//! stack samples.
 //!
 //! `--samples` prints the sampling profiler's aggregation of the
 //! capture as deterministic [`ProfileReport`] JSON — the `profile_diff`
@@ -44,12 +42,10 @@
 use std::process::ExitCode;
 
 use nanocost_sentinel::profile::{stack_samples_from_jsonl, Profile, ProfileReport};
-use nanocost_sentinel::timeline::{
-    counter_folded, metric_summaries, resolve_window, TimelineCapture, WindowSpec,
-};
+use nanocost_sentinel::timeline::{resolve_window, TimelineCapture, WindowSpec};
 use nanocost_sentinel::SentinelError;
 
-const USAGE: &str = "usage: trace_profile [--folded | --hotspots | --metrics | --samples] \
+const USAGE: &str = "usage: trace_profile [--folded | --hotspots | --samples] \
                      [--since NS|P%] [--until NS|P%] <capture.jsonl>";
 
 fn parse_spec(flag: &str, value: Option<&String>) -> Result<WindowSpec, String> {
@@ -61,7 +57,6 @@ fn parse_spec(flag: &str, value: Option<&String>) -> Result<WindowSpec, String> 
 fn run(argv: &[String]) -> Result<String, String> {
     let mut folded_only = false;
     let mut hotspots_only = false;
-    let mut metrics_mode = false;
     let mut samples_mode = false;
     let mut since: Option<WindowSpec> = None;
     let mut until: Option<WindowSpec> = None;
@@ -71,7 +66,6 @@ fn run(argv: &[String]) -> Result<String, String> {
         match arg.as_str() {
             "--folded" => folded_only = true,
             "--hotspots" => hotspots_only = true,
-            "--metrics" => metrics_mode = true,
             "--samples" => samples_mode = true,
             "--since" => since = Some(parse_spec("--since", args.next())?),
             "--until" => until = Some(parse_spec("--until", args.next())?),
@@ -114,31 +108,6 @@ fn run(argv: &[String]) -> Result<String, String> {
     let mut out = String::new();
     if let Some((lo, hi)) = window {
         out.push_str(&format!("# window [{lo}, {hi}) ns of [{}, {}]\n", capture.t_min_ns, capture.t_max_ns));
-    }
-    if metrics_mode {
-        let w = window.unwrap_or((capture.t_min_ns, capture.t_max_ns.saturating_add(1)));
-        let summaries = metric_summaries(&capture.samples, w);
-        if summaries.is_empty() {
-            out.push_str("no samples in window (run with NANOCOST_TRACE_SAMPLE=1?)\n");
-        } else {
-            let name_w = summaries.iter().map(|s| s.name.len()).max().unwrap_or(4).max(4);
-            out.push_str(&format!(
-                "{:<name_w$}  {:>9}  {:>6}  {:>12}  {:>12}  {:>12}  {:>12}\n",
-                "name", "kind", "count", "min", "mean", "max", "last"
-            ));
-            for s in &summaries {
-                out.push_str(&format!(
-                    "{:<name_w$}  {:>9}  {:>6}  {:>12.5e}  {:>12.5e}  {:>12.5e}  {:>12.5e}\n",
-                    s.name, s.metric_kind, s.count, s.min, s.mean, s.max, s.last
-                ));
-            }
-        }
-        let folded = counter_folded(&capture, w);
-        if !folded.is_empty() {
-            out.push_str("\n# counter flamegraph (stack;metric delta)\n");
-            out.push_str(&folded);
-        }
-        return Ok(out);
     }
     let profile = Profile::from_capture(&capture, window);
     if !folded_only {
@@ -187,9 +156,6 @@ mod tests {
         vec![
             "{\"ts_us\":1,\"thread\":1,\"type\":\"span_enter\",\"span\":1,\"parent\":null,\
              \"name\":\"run\",\"fields\":{}}"
-                .to_string(),
-            "{\"ts_us\":10,\"thread\":1,\"type\":\"sample\",\"name\":\"c\",\
-             \"metric_kind\":\"counter\",\"t_ns\":10000,\"value\":7}"
                 .to_string(),
             "{\"ts_us\":101,\"thread\":1,\"type\":\"span_exit\",\"span\":1,\"name\":\"run\",\
              \"elapsed_ns\":100000}"
@@ -252,15 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_mode_prints_summaries_and_counter_flamegraph() {
-        let path = write_capture("metrics.jsonl", &capture_lines());
-        let out = run(&args(&["--metrics", &path])).expect("runs");
-        assert!(out.contains("counter"), "{out}");
-        assert!(out.contains("# counter flamegraph"), "{out}");
-        assert!(out.contains("run;c 7"), "{out}");
-    }
-
-    #[test]
     fn bad_window_specs_are_usage_errors() {
         assert!(run(&args(&["--since"])).is_err());
         assert!(run(&args(&["--since", "150%", "x.jsonl"])).is_err());
@@ -289,8 +246,8 @@ mod tests {
     }
 
     #[test]
-    fn live_server_flags_are_gone() {
-        for flag in ["--attach", "--window-s"] {
+    fn live_server_and_metric_flags_are_gone() {
+        for flag in ["--attach", "--window-s", "--metrics"] {
             let err = run(&args(&[flag, "h:1"])).expect_err("rejected");
             assert!(err.starts_with(&format!("unknown flag `{flag}`")), "{err}");
         }

@@ -11,8 +11,7 @@
 //!   bounded relative error, lossless merging, and per-bucket
 //!   [`histogram::Exemplar`]s (the most recent `(req_id, value, t_ns)`
 //!   per bucket) that pivot an anonymous p99 to a fetchable request
-//!   trace; backs the `nanocost-trace` metric summaries
-//!   (p50/p90/p99/p99.9) and the serve endpoint latency tables.
+//!   trace; backs the serve endpoint latency and queue-wait tables.
 //! - [`slo`] — dual-window (fast/slow) SLO burn-rate evaluation over
 //!   cumulative good/bad snapshots; backs the query server's
 //!   `GET /v1/health` verdict and loadgen's soak pass/fail criteria.
@@ -28,10 +27,9 @@
 //!   aggregates the sampling profiler's `stack_sample` records into a
 //!   deterministic [`profile::ProfileReport`] that `/v1/profile` serves
 //!   and the `profile_diff` bin gates on.
-//! - [`timeline`] — the one parse of a JSONL capture (samples and
-//!   id-keyed span intervals) that every `trace_profile` view reads,
-//!   plus the `--since`/`--until` window algebra, per-window metric
-//!   summaries and counter flamegraphs behind `trace_profile --metrics`.
+//! - [`timeline`] — the one parse of a JSONL capture (id-keyed span
+//!   intervals and the time range) that every `trace_profile` span view
+//!   reads, plus the `--since`/`--until` window algebra.
 //! - [`fingerprint`] — canonical digests of the Eq.1–7 provenance
 //!   stream, checked into `FINGERPRINTS.json` so numeric drift in the
 //!   cost model fails CI with a per-equation diff (the `fingerprint`

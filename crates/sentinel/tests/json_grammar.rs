@@ -61,16 +61,10 @@ fn rendered_corpus(rng: &mut Rng64) -> Vec<String> {
                 inputs: fields.clone(),
                 outputs: vec![Field::new("c_tr", Value::F64(rng.next_f64()))],
             },
-            RecordKind::Metric {
-                name: "core.cache.hit",
-                metric_kind: "counter",
-                fields: vec![Field::new("value", Value::U64(1))],
-            },
-            RecordKind::Sample {
-                name: "serve.latency",
-                metric_kind: "gauge",
+            RecordKind::StackSample {
+                frames: vec!["serve.request", "serve.endpoint.cost"],
+                depth: 2,
                 t_ns: rng.next_u64() % u64::from(u32::MAX),
-                value: rng.random_range(0.0..1e6),
             },
         ];
         for kind in kinds {

@@ -19,7 +19,7 @@ use nanocost_sentinel::{LogHistogram, SloMonitor};
 use nanocost_trace::export::{Exporter, JsonlExporter};
 use nanocost_trace::stack_registry::{ProfileHz, StackSnapshot, DEFAULT_PROFILE_HZ};
 use nanocost_trace::value::json_string;
-use nanocost_trace::{counter, gauge, Field, Record, RecordKind, Value};
+use nanocost_trace::{Field, Record, RecordKind, Value};
 
 /// Default per-request trace-capture ring capacity (see
 /// [`ServerStateConfig::trace_ring`]).
@@ -286,16 +286,16 @@ fn capture_bytes(req_id: &str, records: &[Record]) -> usize {
     };
     let record = std::mem::size_of::<Record>();
     let bytes = |r: &Record| match &r.kind {
-        RecordKind::SpanEnter { fields: f, .. }
-        | RecordKind::Event { fields: f, .. }
-        | RecordKind::Metric { fields: f, .. } => record + fields(f),
+        RecordKind::SpanEnter { fields: f, .. } | RecordKind::Event { fields: f, .. } => {
+            record + fields(f)
+        }
         RecordKind::Provenance { inputs, outputs, .. } => record + fields(inputs) + fields(outputs),
         RecordKind::Replay { calls, .. } => calls
             .iter()
             .map(|c| record + fields(&c.inputs) + fields(&c.outputs))
             .sum(),
         RecordKind::StackSample { frames, .. } => record + frames.len() * std::mem::size_of::<&str>(),
-        RecordKind::SpanExit { .. } | RecordKind::Sample { .. } => record,
+        RecordKind::SpanExit { .. } => record,
     };
     req_id.len() + records.iter().map(bytes).sum::<usize>()
 }
@@ -498,18 +498,15 @@ impl ServerState {
     /// finds the depth at zero; [`Self::note_queue_unpush`] takes it
     /// back if the send fails.
     pub fn note_queue_push(&self) {
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        gauge!("serve.queue.depth", depth as f64);
+        self.queue_depth.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A connection counted by [`Self::note_queue_push`] never entered
     /// the queue (it was full or closed).
     pub fn note_queue_unpush(&self) {
-        let prev = self
+        let _ = self
             .queue_depth
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v.saturating_sub(1)))
-            .unwrap_or(0);
-        gauge!("serve.queue.depth", prev.saturating_sub(1) as f64);
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v.saturating_sub(1)));
     }
 
     /// One connection left the worker queue for a worker after
@@ -522,17 +519,14 @@ impl ServerState {
     /// One connection was accepted (queued, in flight, or about to be
     /// shed).
     pub fn note_conn_open(&self) {
-        let backlog = self.accept_backlog.fetch_add(1, Ordering::Relaxed) + 1;
-        gauge!("serve.accept.backlog", backlog as f64);
+        self.accept_backlog.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One accepted connection finished (handled or shed).
     pub fn note_conn_close(&self) {
-        let prev = self
+        let _ = self
             .accept_backlog
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v.saturating_sub(1)))
-            .unwrap_or(0);
-        gauge!("serve.accept.backlog", prev.saturating_sub(1) as f64);
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v.saturating_sub(1)));
     }
 
     /// Whether `req_id` was plausibly evicted from the trace ring: ids
@@ -584,7 +578,6 @@ impl ServerState {
 
     /// Counts one connection shed with a 503 by the accept loop.
     pub fn note_shed(&self, t_ns: u64) {
-        counter!("serve.shed", 1);
         self.feed_slo(t_ns, || {
             self.shed.fetch_add(1, Ordering::Relaxed);
         });
@@ -656,7 +649,6 @@ impl ServerState {
         if evicted > 0 {
             self.evicted_watermark.fetch_max(watermark, Ordering::Relaxed);
             self.ring_evicted.fetch_add(evicted, Ordering::Relaxed);
-            counter!("serve.trace_ring.evicted", evicted);
         }
         stored
     }

@@ -4,25 +4,20 @@
 //! `NANOCOST_TRACE=jsonl` and pipes the capture here. The check fails
 //! if the file is empty, any line is not well-formed JSON, any record
 //! lacks its `ts_us`/`thread` envelope, timestamps run backwards
-//! within a thread, a span exits before it enters, a `sample` record
-//! is malformed, or the stream carries no provenance record naming a
-//! known equation id (the paper's `Eq.1`–`Eq.7` or the chiplet
-//! extension's `Eq.C1`–`Eq.C5`; anything else is rejected).
+//! within a thread, a span exits before it enters, or the stream
+//! carries no provenance record naming a known equation id (the
+//! paper's `Eq.1`–`Eq.7` or the chiplet extension's `Eq.C1`–`Eq.C5`;
+//! anything else is rejected).
 //!
-//! Timestamp monotonicity is checked per thread and per stream:
-//! ordinary records must have non-decreasing `ts_us` in file order,
-//! and `sample` records — which are buffered during the run and
-//! flushed at the end with their *original* capture times — must have
-//! non-decreasing `t_ns` within each thread.
+//! Timestamp monotonicity is checked per thread: records must have
+//! non-decreasing `ts_us` in file order.
 //!
 //! Schema 2 adds request attribution: a record may carry a `req_id`
 //! envelope key (a non-empty string). A `span_enter` carrying `req_id`
-//! opens a request scope on its thread; every other non-`sample`
-//! record is only allowed to carry `req_id` while such a scope is
-//! open, must match the innermost scope's id, and — conversely — must
-//! carry it while one is open. `sample` records are exempt from the
-//! scope rule because the timeline flush replays them under the
-//! flusher's scope with the capturing thread's id.
+//! opens a request scope on its thread; every other record is only
+//! allowed to carry `req_id` while such a scope is open, must match the
+//! innermost scope's id, and — conversely — must carry it while one is
+//! open.
 //!
 //! Fleet captures may also tag records with a `replica` envelope key —
 //! the emitting process's fleet label (`NANOCOST_REPLICA`). When
@@ -42,8 +37,8 @@
 //! Usage: `trace-check [--summary] <file.jsonl>`
 //!
 //! With `--summary`, also prints a per-record-type breakdown, the
-//! provenance count per equation id, sample counts per metric kind,
-//! and — for fleet captures — the distinct replica count.
+//! provenance count per equation id, and — for fleet captures — the
+//! distinct replica count.
 
 #![allow(
     clippy::unwrap_used,
@@ -110,7 +105,6 @@ struct Stats {
     lines: usize,
     by_type: BTreeMap<String, usize>,
     provenance_by_equation: BTreeMap<String, usize>,
-    samples_by_kind: BTreeMap<String, usize>,
     /// Spans still open at end of capture (truncation, not an error).
     unclosed_spans: usize,
     /// Records carrying a `req_id` envelope key.
@@ -139,21 +133,16 @@ impl Stats {
             .sum()
     }
 
-    fn samples(&self) -> usize {
-        self.samples_by_kind.values().sum()
-    }
-
     fn one_line(&self) -> String {
         format!(
-            "{} records, {} provenance records, {} samples, all valid, timestamps monotone",
+            "{} records, {} provenance records, all valid, timestamps monotone",
             self.lines,
-            self.provenance(),
-            self.samples()
+            self.provenance()
         )
     }
 
     /// The `--summary` breakdown: records per type, provenance per
-    /// equation id, samples per metric kind.
+    /// equation id.
     fn summary(&self) -> String {
         let mut out = String::from("record types:\n");
         for (ty, n) in &self.by_type {
@@ -174,12 +163,6 @@ impl Stats {
                 "  paper: {} records, chiplet: {chiplet} records\n",
                 self.provenance() - chiplet
             ));
-        }
-        if !self.samples_by_kind.is_empty() {
-            out.push_str("samples by metric kind:\n");
-            for (kind, n) in &self.samples_by_kind {
-                out.push_str(&format!("  {kind:<12} {n}\n"));
-            }
         }
         if self.unclosed_spans > 0 {
             out.push_str(&format!("unclosed spans: {}\n", self.unclosed_spans));
@@ -205,9 +188,6 @@ impl Stats {
     }
 }
 
-/// The metric kinds a `sample` record may carry.
-const SAMPLE_KINDS: [&str; 3] = ["counter", "gauge", "histogram"];
-
 /// The paper's numbered equation ids a provenance record may carry.
 const PAPER_EQUATIONS: [&str; 7] = ["Eq.1", "Eq.2", "Eq.3", "Eq.4", "Eq.5", "Eq.6", "Eq.7"];
 
@@ -216,24 +196,22 @@ const PAPER_EQUATIONS: [&str; 7] = ["Eq.1", "Eq.2", "Eq.3", "Eq.4", "Eq.5", "Eq.
 /// subtotaled as their own family in the `--summary` output.
 const CHIPLET_EQUATIONS: [&str; 5] = ["Eq.C1", "Eq.C2", "Eq.C3", "Eq.C4", "Eq.C5"];
 
-/// Record types emitted by another thread on this thread's behalf (the
-/// timeline flush replays buffered samples; the profiler thread emits
-/// stack samples for the sampled thread). They interleave with the live
-/// stream at arbitrary file positions, so they are exempt from the
-/// request-scope rule and keep their own per-thread `t_ns` watermark
-/// instead of joining the `ts_us` one.
-fn is_replayed(ty: &str) -> bool {
-    ty == "sample" || ty == "stack_sample"
+/// `stack_sample` records are emitted by the profiler thread on the
+/// sampled thread's behalf. They interleave with the live stream at
+/// arbitrary file positions, so they are exempt from the request-scope
+/// rule and keep their own per-thread `t_ns` watermark instead of
+/// joining the `ts_us` one.
+fn is_sampled(ty: &str) -> bool {
+    ty == "stack_sample"
 }
 
-/// Validates the capture and gathers per-type/per-equation/per-kind
-/// counts. Ordering errors carry the 1-based line number.
+/// Validates the capture and gathers per-type/per-equation counts.
+/// Ordering errors carry the 1-based line number.
 fn check(text: &str) -> Result<Stats, String> {
     let mut stats = Stats::default();
     // Per-thread high-water marks: one for the live record stream
-    // (ts_us in file order), one for the replayed sample stream (t_ns).
+    // (ts_us in file order), one for the profiler's stack samples (t_ns).
     let mut ts_watermark: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut sample_watermark: BTreeMap<u64, u64> = BTreeMap::new();
     let mut stack_watermark: BTreeMap<u64, u64> = BTreeMap::new();
     let mut open_spans: BTreeSet<u64> = BTreeSet::new();
     // Per-thread stack of open request scopes: (opening span, req_id).
@@ -310,9 +288,9 @@ fn check(text: &str) -> Result<Stats, String> {
         if let Some(id) = &req_id {
             stats.request_records += 1;
             // Scope rule: outside a `span_enter` (which may open a new
-            // scope) and the exempt replay streams, a tagged record
+            // scope) and the exempt stack samples, a tagged record
             // must sit inside an open scope with the same id.
-            if ty != "span_enter" && !is_replayed(&ty) {
+            if ty != "span_enter" && !is_sampled(&ty) {
                 match req_scopes.get(&thread).and_then(|s| s.last()) {
                     Some((_, top)) if top == id => {}
                     Some((_, top)) => {
@@ -329,7 +307,7 @@ fn check(text: &str) -> Result<Stats, String> {
                     }
                 }
             }
-        } else if !is_replayed(&ty) {
+        } else if !is_sampled(&ty) {
             // The converse: inside an open scope, the capture tee tags
             // every record — an untagged one means the stream was
             // stitched together from different requests.
@@ -341,21 +319,6 @@ fn check(text: &str) -> Result<Stats, String> {
             }
         }
         match ty.as_str() {
-            "sample" => {
-                check_sample(&v, lineno, &mut stats)?;
-                // Samples replay buffered capture times; they are
-                // monotone per thread on their own clock.
-                let t_ns = v.get("t_ns").and_then(JsonValue::as_u64).unwrap_or(0);
-                let mark = sample_watermark.entry(thread).or_insert(0);
-                if t_ns < *mark {
-                    return Err(format!(
-                        "line {lineno}: sample timestamp runs backwards on thread \
-                         {thread} ({t_ns} ns after {} ns)",
-                        *mark
-                    ));
-                }
-                *mark = t_ns;
-            }
             "stack_sample" => {
                 check_stack_sample(&v, lineno, thread, &mut stats)?;
                 // The sampler ticks monotonically, so each thread's
@@ -451,33 +414,6 @@ fn check(text: &str) -> Result<Stats, String> {
     Ok(stats)
 }
 
-/// Validates one `sample` record's payload keys.
-fn check_sample(v: &JsonValue, lineno: usize, stats: &mut Stats) -> Result<(), String> {
-    if v.get("name").and_then(JsonValue::as_str).is_none() {
-        return Err(format!("line {lineno}: sample missing `name`"));
-    }
-    let kind = v
-        .get("metric_kind")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("line {lineno}: sample missing `metric_kind`"))?;
-    if !SAMPLE_KINDS.contains(&kind) {
-        return Err(format!(
-            "line {lineno}: sample has unknown metric_kind `{kind}`"
-        ));
-    }
-    if v.get("t_ns").and_then(JsonValue::as_u64).is_none() {
-        return Err(format!("line {lineno}: sample missing `t_ns`"));
-    }
-    // `value` must be present: a number, or null for a non-finite float.
-    match v.get("value") {
-        Some(JsonValue::Num(_) | JsonValue::Null) => {}
-        Some(_) => return Err(format!("line {lineno}: sample `value` is not a number")),
-        None => return Err(format!("line {lineno}: sample missing `value`")),
-    }
-    *stats.samples_by_kind.entry(kind.to_string()).or_insert(0) += 1;
-    Ok(())
-}
-
 /// Validates one `stack_sample` record's payload keys.
 fn check_stack_sample(
     v: &JsonValue,
@@ -527,13 +463,6 @@ mod tests {
         format!(
             "{{\"ts_us\":{ts_us},\"thread\":{thread},\"type\":\"provenance\",\"span\":null,\
              \"equation\":\"{eq}\",\"function\":\"f\",\"inputs\":{{}},\"outputs\":{{}}}}"
-        )
-    }
-
-    fn sample(ts_us: u64, thread: u64, t_ns: u64, kind: &str) -> String {
-        format!(
-            "{{\"ts_us\":{ts_us},\"thread\":{thread},\"type\":\"sample\",\"name\":\"m\",\
-             \"metric_kind\":\"{kind}\",\"t_ns\":{t_ns},\"value\":1.5}}"
         )
     }
 
@@ -635,41 +564,6 @@ mod tests {
         assert_eq!(stats.unclosed_spans, 1);
     }
 
-    #[test]
-    fn validates_and_counts_sample_records() {
-        // Samples flush after live records with earlier capture times:
-        // legal, because the two streams have separate watermarks.
-        let text = format!(
-            "{}\n{}\n{}\n{}\n",
-            prov(50, 1, "Eq.2"),
-            sample(60, 1, 1_000, "counter"),
-            sample(60, 1, 2_000, "gauge"),
-            sample(61, 1, 2_000, "counter"),
-        );
-        let stats = check(&text).expect("valid");
-        assert_eq!(stats.samples(), 3);
-        assert_eq!(stats.samples_by_kind["counter"], 2);
-        assert!(stats.summary().contains("samples by metric kind"), "{}", stats.summary());
-        // Backwards t_ns within a thread is flagged.
-        let bad = format!("{}\n{}\n{}\n", prov(50, 1, "Eq.2"), sample(60, 1, 5_000, "counter"), sample(60, 1, 4_000, "counter"));
-        let err = check(&bad).expect_err("must flag");
-        assert!(err.contains("sample timestamp runs backwards"), "{err}");
-        // Unknown metric_kind and missing keys are schema errors.
-        let bad_kind = format!("{}\n{}\n", prov(1, 1, "Eq.2"), sample(2, 1, 100, "stopwatch"));
-        assert!(check(&bad_kind).expect_err("kind").contains("unknown metric_kind"));
-        let no_value = concat!(
-            "{\"ts_us\":1,\"thread\":1,\"type\":\"provenance\",\"span\":null,\"equation\":\"Eq.1\",\"function\":\"f\",\"inputs\":{},\"outputs\":{}}\n",
-            "{\"ts_us\":2,\"thread\":1,\"type\":\"sample\",\"name\":\"m\",\"metric_kind\":\"gauge\",\"t_ns\":10}\n",
-        );
-        assert!(check(no_value).expect_err("value").contains("missing `value`"));
-        // A null value (non-finite float at capture) is legal.
-        let null_value = concat!(
-            "{\"ts_us\":1,\"thread\":1,\"type\":\"provenance\",\"span\":null,\"equation\":\"Eq.1\",\"function\":\"f\",\"inputs\":{},\"outputs\":{}}\n",
-            "{\"ts_us\":2,\"thread\":1,\"type\":\"sample\",\"name\":\"m\",\"metric_kind\":\"gauge\",\"t_ns\":10,\"value\":null}\n",
-        );
-        assert!(check(null_value).is_ok());
-    }
-
     /// One request-scoped span wrapping a provenance record, as the
     /// query server's `/v1/trace/<id>` capture renders it.
     fn request_capture(id: &str) -> String {
@@ -722,18 +616,6 @@ mod tests {
         let missing = request_capture("r7").replacen("\"req_id\":\"r7\",\"type\":\"provenance\"", "\"type\":\"provenance\"", 1);
         let err = check(&missing).expect_err("must flag");
         assert!(err.contains("missing `req_id` inside open request scope"), "{err}");
-    }
-
-    #[test]
-    fn samples_are_exempt_from_the_scope_rule() {
-        // A replayed sample carrying the flusher's req_id against a
-        // thread with no open scope must not be flagged.
-        let text = format!(
-            "{}{}\n",
-            request_capture("r7"),
-            sample(9, 2, 100, "counter").replace("\"thread\":2,", "\"thread\":2,\"req_id\":\"r7\",")
-        );
-        assert!(check(&text).is_ok());
     }
 
     /// `request_capture` with every record tagged by a fleet replica.

@@ -68,8 +68,7 @@ pub trait Exporter {
 
 /// Indented span tree for terminals: `>` opens a span, `<` closes it,
 /// `.` is an event, `=` a provenance record (one per replayed call),
-/// `#` a metric snapshot, `~` a timeline sample, `@` a profiler stack
-/// sample.
+/// `@` a profiler stack sample.
 #[derive(Debug, Default)]
 pub struct TextTreeExporter {
     depth: HashMap<u64, usize>,
@@ -125,16 +124,6 @@ impl Exporter for TextTreeExporter {
                 fields_text(outputs).trim_start()
             ),
             RecordKind::Replay { .. } => rec.expand().iter().map(|r| self.render(r)).collect(),
-            RecordKind::Metric { name, metric_kind, fields } => format!(
-                "[t{t} {:>8}us] # {metric_kind} {name}{}\n",
-                rec.ts_micros,
-                fields_text(fields)
-            ),
-            RecordKind::Sample { name, metric_kind, t_ns, value } => format!(
-                "[t{t} {:>8}us] ~ {metric_kind} {name}={} @{t_ns}ns\n",
-                rec.ts_micros,
-                crate::value::Value::F64(*value)
-            ),
             // Stack samples render flat (semicolon-folded, as a
             // flamegraph line would), not at the thread's span indent:
             // they come from the sampler thread, whose view of the
@@ -240,19 +229,6 @@ impl Exporter for JsonlExporter {
             RecordKind::Replay { .. } => {
                 return rec.expand().iter().map(|r| self.render(r)).collect();
             }
-            RecordKind::Metric { name, metric_kind, fields } => format!(
-                ",\"name\":{},\"metric_kind\":{},\"fields\":{}",
-                json_string(name),
-                json_string(metric_kind),
-                fields_json(fields)
-            ),
-            RecordKind::Sample { name, metric_kind, t_ns, value } => format!(
-                ",\"name\":{},\"metric_kind\":{},\"t_ns\":{},\"value\":{}",
-                json_string(name),
-                json_string(metric_kind),
-                t_ns,
-                crate::value::Value::F64(*value).render_json()
-            ),
             RecordKind::StackSample { frames, depth, t_ns } => {
                 let mut arr = String::from("[");
                 for (i, frame) in frames.iter().enumerate() {
@@ -274,9 +250,9 @@ impl Exporter for JsonlExporter {
 // ---------------------------------------------------------------------
 
 /// Chrome trace-event JSON: a single array of event objects. Spans map
-/// to `B`/`E` duration events, events and provenance to `i` instants
-/// (one per replayed call), metrics to `C` counter events. Load the
-/// file in `chrome://tracing` or <https://ui.perfetto.dev>.
+/// to `B`/`E` duration events, events, provenance (one per replayed
+/// call) and stack samples to `i` instants. Load the file in
+/// `chrome://tracing` or <https://ui.perfetto.dev>.
 #[derive(Debug, Default)]
 pub struct ChromeExporter {
     any: bool,
@@ -335,20 +311,6 @@ impl Exporter for ChromeExporter {
             }
             RecordKind::Replay { .. } => {
                 return rec.expand().iter().map(|r| self.render(r)).collect();
-            }
-            // Counter events plot numeric args as stacked series.
-            RecordKind::Metric { name, fields, .. } => {
-                chrome_event("C", name, ts, t, "", &fields_json(fields))
-            }
-            // Timeline points become a counter track per metric, one
-            // `C` event per sample, plotted at the sample's own
-            // capture time (ns floored to the format's us resolution).
-            RecordKind::Sample { name, t_ns, value, .. } => {
-                let args = format!(
-                    "{{\"value\":{}}}",
-                    crate::value::Value::F64(*value).render_json()
-                );
-                chrome_event("C", name, t_ns / 1_000, t, "", &args)
             }
             // Stack samples become instants named after the leaf frame,
             // plotted on the sampled thread's own track at sample time,

@@ -1,4 +1,4 @@
-//! `nanocost-trace` — a dependency-free tracing, metrics, and
+//! `nanocost-trace` — a dependency-free tracing and
 //! evaluation-provenance layer for the nanocost model pipeline.
 //!
 //! The paper's argument stands or falls on *which* equation (eqs. 1–7)
@@ -8,6 +8,8 @@
 //!
 //! * **Spans** ([`span!`]) — a thread-local span stack with
 //!   guard-on-drop semantics; nesting survives early returns and panics.
+//!   A span's exit record carries its elapsed time, so a timed region
+//!   is a span.
 //! * **Events** ([`event!`]) — point-in-time records with typed
 //!   key-value fields.
 //! * **Provenance** ([`provenance!`]) — each instrumented model function
@@ -16,16 +18,6 @@
 //!   audit trail. A memo hit hands its stored calls back as one shared
 //!   [`RecordKind::Replay`] ([`provenance::replay`]), which every
 //!   exporter renders as the provenance records it stands for.
-//! * **Metrics** ([`counter!`], [`gauge!`], [`metric_histogram!`],
-//!   [`Timer`](metrics::Timer)) — a process-global registry flushed as
-//!   records when the trace guard drops; histogram samples stream into
-//!   a [`nanocost_sentinel::LogHistogram`] and flush as percentile
-//!   summaries (p50/p90/p99/p99.9) with bounded relative error.
-//! * **Timelines** ([`timeline`]) — with `NANOCOST_TRACE_SAMPLE` on,
-//!   every metric update also lands a timestamped point in a bounded
-//!   per-thread ring buffer (deterministic 2:1 decimation on overflow,
-//!   exact `dropped` accounting), flushed at exit as `"type":"sample"`
-//!   records and Chrome `"ph":"C"` counter tracks.
 //! * **Stack profiler** ([`stack_registry`]) — span guards publish the
 //!   live stack into per-thread seqlock slots; a background sampler
 //!   walks them at `NANOCOST_PROFILE_HZ` and emits
@@ -34,10 +26,15 @@
 //!   trace-event format (loadable in `chrome://tracing` / Perfetto),
 //!   selected via environment variables (see [`init_from_env`]).
 //!
-//! When no subscriber is installed, every macro compiles down to one or
-//! two relaxed atomic loads: no allocation, no branches taken, no
-//! timestamps read. The disabled path is covered by a guard test that
-//! asserts it allocates nothing.
+//! Every macro first asks [`is_enabled`], which reads four relaxed
+//! atomics: the global subscriber flag, the profiler flag, and the
+//! thread-local collector and capture-frame counts (each count only
+//! sends the check on to this thread's own slot when it is non-zero).
+//! With none of them set, a macro allocates nothing, takes no branch
+//! and reads no clock; a guard test asserts it allocates nothing. An
+//! armed profiler keeps the check true on every thread, so under
+//! `NANOCOST_PROFILE_HZ` every span builds its records even when no
+//! subscriber takes them.
 //!
 //! # Environment variables
 //!
@@ -45,7 +42,6 @@
 //! |----------|---------|
 //! | `NANOCOST_TRACE` | enables tracing; value selects the format (`text`, `jsonl`, `chrome`; `1`/`on`/`true` mean `text`; `0`/`off`/`false`/empty leave it off; anything else is reported and leaves it off) |
 //! | `NANOCOST_TRACE_FILE` | writes the trace to this path instead of the default (stderr for `text`/`jsonl`, `nanocost_trace.chrome.json` for `chrome`) |
-//! | `NANOCOST_TRACE_SAMPLE` | on/off switch for metric timeline sampling (`1`/`on`/`true` or `0`/`off`/`false`; anything else is reported and leaves it off); samples are written when the trace flushes at exit |
 //! | `NANOCOST_PROFILE_HZ` | starts the stack-sampling profiler (see [`stack_registry`]) at this rate; `0`/`off` disables, `1`/`on` use the 99 Hz default |
 //!
 //! # Example
@@ -61,13 +57,11 @@
 //! ```
 
 pub mod export;
-pub mod metrics;
 pub mod provenance;
 pub mod record;
 pub mod span;
 pub mod stack_registry;
 pub mod subscriber;
-pub mod timeline;
 pub mod value;
 
 pub use export::{ChromeExporter, Exporter, Format, JsonlExporter, TextTreeExporter};
@@ -102,7 +96,8 @@ thread_local! {
 
 /// Number of capture frames currently open across all threads (see
 /// [`with_capture`]). Zero in production unless a request or a cache
-/// miss is being recorded, so the disabled fast path stays two loads.
+/// miss is being recorded, so the disabled fast path never touches
+/// thread-local storage.
 static CAPTURE_COUNT: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
@@ -175,7 +170,7 @@ pub fn epoch_micros() -> u64 {
 }
 
 /// Nanoseconds since the process trace epoch — the finer clock the
-/// timeline sampler stamps its points with.
+/// stack sampler stamps its samples with.
 #[must_use]
 pub fn epoch_nanos() -> u64 {
     let e = EPOCH.get_or_init(Instant::now);
@@ -219,7 +214,7 @@ impl Drop for RequestScope {
 /// sub-request recorded inside a batch keeps its own attribution. The
 /// query server opens one scope per `serve.request` span; everything
 /// emitted while handling the request — span enter/exit, events,
-/// provenance, metric snapshots — is thereby tagged, which is what lets
+/// provenance — is thereby tagged, which is what lets
 /// a histogram exemplar's `req_id` resolve to a full trace later.
 #[must_use]
 pub fn request_scope(id: &str) -> RequestScope {
@@ -270,16 +265,9 @@ pub fn current_replica() -> Option<std::sync::Arc<str>> {
 /// Delivers a record to the active subscriber (thread-local collector
 /// first, then the global sink). A no-op when nothing is listening.
 pub fn dispatch(kind: RecordKind) {
-    dispatch_origin(epoch_micros(), current_thread_id(), kind);
-}
-
-/// [`dispatch`] with an explicit origin: the timeline flush replays
-/// buffered samples with the timestamp and thread they were *captured*
-/// on, not the thread doing the flushing.
-pub fn dispatch_origin(ts_micros: u64, thread: u64, kind: RecordKind) {
     let rec = Record {
-        ts_micros,
-        thread,
+        ts_micros: epoch_micros(),
+        thread: current_thread_id(),
         req_id: current_request_id(),
         replica: current_replica(),
         kind,
@@ -287,9 +275,9 @@ pub fn dispatch_origin(ts_micros: u64, thread: u64, kind: RecordKind) {
     deliver(&rec);
 }
 
-/// [`dispatch_origin`] with explicit request attribution as well: the
-/// stack sampler emits another thread's stack under *that* thread's
-/// request scope, not the sampler thread's own (which has none).
+/// [`dispatch`] with an explicit origin and request attribution: the
+/// stack sampler emits another thread's stack with *that* thread's id
+/// and request scope, not the sampler thread's own (which has none).
 pub fn dispatch_stamped(ts_micros: u64, thread: u64, req_id: Option<&str>, kind: RecordKind) {
     let rec = Record {
         ts_micros,
@@ -419,21 +407,16 @@ pub fn with_capture<R>(f: impl FnOnce() -> R) -> (Vec<Record>, R) {
     (records, result)
 }
 
-/// Flushes pending state: buffered timeline samples first (oldest
-/// context first), then metric snapshots, then the global subscriber's
-/// sink is finalized. Idempotent.
+/// Finalizes the global subscriber's sink (exporter footer, output
+/// buffers). Idempotent.
 pub fn flush() {
-    if GLOBAL_ENABLED.load(Ordering::Relaxed) || LOCAL_COUNT.load(Ordering::Relaxed) > 0 {
-        timeline::flush_samples();
-        metrics::flush_metrics();
-    }
     if let Some(s) = GLOBAL.get() {
         s.flush();
     }
 }
 
-/// RAII guard returned by [`init_from_env`]; flushes the trace (metric
-/// snapshots, exporter footer, output buffers) when dropped.
+/// RAII guard returned by [`init_from_env`]; flushes the trace
+/// (exporter footer, output buffers) when dropped.
 #[derive(Debug)]
 pub struct TraceGuard {
     active: bool,
@@ -471,7 +454,7 @@ impl Drop for TraceGuard {
 /// ```no_run
 /// let _trace = nanocost_trace::init_from_env();
 /// // ... workload ...
-/// // the guard drops at the end of `main`: metrics flushed, exporter finalized
+/// // the guard drops at the end of `main`: exporter finalized
 /// ```
 #[must_use]
 pub fn init_from_env() -> TraceGuard {
@@ -514,19 +497,6 @@ pub fn init_from_env() -> TraceGuard {
     };
     let installed = set_subscriber(Box::new(WriterSubscriber::new(exporter, out)));
     if installed {
-        let sampling = std::env::var("NANOCOST_TRACE_SAMPLE")
-            .map_or(Ok(false), |raw| parse_trace_sample(&raw));
-        match sampling {
-            Ok(true) => timeline::enable_sampling(),
-            Ok(false) => {}
-            #[expect(
-                clippy::print_stderr,
-                reason = "env misconfiguration diagnostic during init; library has no other channel and must not abort the host's run"
-            )]
-            Err(msg) => {
-                eprintln!("nanocost-trace: {msg}; sampling stays off");
-            }
-        }
         match stack_registry::profile_hz_from_env() {
             Ok(stack_registry::ProfileHz::Hz(hz)) => {
                 let _ = stack_registry::start_sampler(hz);
@@ -554,18 +524,6 @@ fn parse_trace_format(raw: &str) -> Result<Option<Format>, String> {
         spec => Format::parse(spec)
             .map(Some)
             .ok_or_else(|| format!("NANOCOST_TRACE: not a format or on/off switch: {raw:?}")),
-    }
-}
-
-/// Parses the `NANOCOST_TRACE_SAMPLE` on/off switch: `1`/`on`/`true`
-/// arm timeline sampling, `0`/`off`/`false`/empty leave it off, and
-/// anything else is an error, so a typo fails loudly instead of
-/// silently capturing no samples.
-fn parse_trace_sample(raw: &str) -> Result<bool, String> {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "1" | "on" | "true" => Ok(true),
-        "" | "0" | "off" | "false" => Ok(false),
-        _ => Err(format!("NANOCOST_TRACE_SAMPLE: not an on/off switch: {raw:?}")),
     }
 }
 
@@ -684,20 +642,6 @@ mod tests {
         let a = epoch_micros();
         let b = epoch_micros();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn trace_sample_switch_parses_strictly() {
-        for on in ["1", "on", "TRUE", " true "] {
-            assert_eq!(parse_trace_sample(on), Ok(true), "{on:?}");
-        }
-        for off in ["", "  ", "0", "off", "False"] {
-            assert_eq!(parse_trace_sample(off), Ok(false), "{off:?}");
-        }
-        for typo in ["yes", "8k", "4096", "2"] {
-            let err = parse_trace_sample(typo).expect_err(typo);
-            assert_eq!(err, format!("NANOCOST_TRACE_SAMPLE: not an on/off switch: {typo:?}"));
-        }
     }
 
     #[test]

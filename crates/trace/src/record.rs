@@ -79,36 +79,6 @@ pub enum RecordKind {
         /// The replayed calls, in the order they were first emitted.
         calls: Arc<[ProvenanceCall]>,
     },
-    /// A metric snapshot, emitted when the metrics registry flushes.
-    Metric {
-        /// Metric name.
-        name: &'static str,
-        /// `"counter"`, `"gauge"`, or `"histogram"`.
-        metric_kind: &'static str,
-        /// Snapshot fields (`value` for counters/gauges; `count`,
-        /// `min`, `max`, `mean`, `p50`, `p90`, `p99`, `p999` for
-        /// histograms).
-        fields: Vec<Field>,
-    },
-    /// One timestamped point on a metric timeline, captured by the
-    /// sampling layer (see [`crate::timeline`]) and flushed after the
-    /// run. Unlike [`RecordKind::Metric`] — an end-of-run aggregate —
-    /// a sample says *when* the metric held a value: counters carry
-    /// their running total, gauges the value written, histograms the
-    /// observation itself.
-    Sample {
-        /// Metric name.
-        name: &'static str,
-        /// `"counter"`, `"gauge"`, or `"histogram"`.
-        metric_kind: &'static str,
-        /// Nanoseconds since the process trace epoch at capture time
-        /// (finer than the record's own microsecond timestamp, and
-        /// monotone per thread).
-        t_ns: u64,
-        /// The sampled value (counter totals are widened to `f64`;
-        /// exact below 2^53).
-        value: f64,
-    },
     /// One stack sample from the in-process profiler: a consistent copy
     /// of the sampled thread's span-name stack, taken by the
     /// [`crate::stack_registry`] sampler thread. The record's envelope
@@ -137,8 +107,6 @@ impl RecordKind {
             RecordKind::SpanExit { .. } => "span_exit",
             RecordKind::Event { .. } => "event",
             RecordKind::Provenance { .. } | RecordKind::Replay { .. } => "provenance",
-            RecordKind::Metric { .. } => "metric",
-            RecordKind::Sample { .. } => "sample",
             RecordKind::StackSample { .. } => "stack_sample",
         }
     }
@@ -154,8 +122,8 @@ pub struct Record {
     /// The request this record was emitted on behalf of, when the
     /// emitting thread had a [`crate::request_scope`] open (the query
     /// server opens one per `serve.request` span). `None` for every
-    /// record emitted outside a request scope — batch pipelines,
-    /// benches, metric flushes at shutdown.
+    /// record emitted outside a request scope — batch pipelines and
+    /// benches.
     pub req_id: Option<std::sync::Arc<str>>,
     /// The fleet replica this record was emitted by, when the process
     /// was labeled (`NANOCOST_REPLICA` or [`crate::set_replica`]).
@@ -213,8 +181,8 @@ mod tests {
     fn tags_are_stable() {
         let e = RecordKind::Event { span: None, name: "x", fields: vec![] };
         assert_eq!(e.tag(), "event");
-        let m = RecordKind::Metric { name: "n", metric_kind: "counter", fields: vec![] };
-        assert_eq!(m.tag(), "metric");
+        let s = RecordKind::StackSample { frames: vec![], depth: 0, t_ns: 0 };
+        assert_eq!(s.tag(), "stack_sample");
         let r = RecordKind::Replay { span: None, calls: Arc::from([]) };
         assert_eq!(r.tag(), "provenance");
     }

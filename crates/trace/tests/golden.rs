@@ -133,57 +133,6 @@ fn fixture_records() -> Vec<Record> {
                 elapsed_nanos: 15_000,
             },
         },
-        Record {
-            ts_micros: 26,
-            thread: 1,
-            req_id: None,
-            replica: None,
-            kind: RecordKind::Metric {
-                name: "mc.wafers",
-                metric_kind: "counter",
-                fields: vec![f("value", Value::U64(25))],
-            },
-        },
-        Record {
-            ts_micros: 26,
-            thread: 1,
-            req_id: None,
-            replica: None,
-            kind: RecordKind::Metric {
-                name: "bench.sample_s",
-                metric_kind: "histogram",
-                fields: vec![
-                    f("count", Value::U64(30)),
-                    f("min", Value::F64(0.001)),
-                    f("max", Value::F64(0.004)),
-                    f("mean", Value::F64(0.002)),
-                ],
-            },
-        },
-        Record {
-            ts_micros: 27,
-            thread: 1,
-            req_id: None,
-            replica: None,
-            kind: RecordKind::Sample {
-                name: "mc.wafers",
-                metric_kind: "counter",
-                t_ns: 18_500,
-                value: 12.0,
-            },
-        },
-        Record {
-            ts_micros: 27,
-            thread: 2,
-            req_id: None,
-            replica: None,
-            kind: RecordKind::Sample {
-                name: "optimize.sd_probe",
-                metric_kind: "gauge",
-                t_ns: 21_250,
-                value: 412.5,
-            },
-        },
         // A request-scoped pair from a labeled fleet replica (schema
         // 2): the JSONL envelope gains req_id and replica keys; the
         // text and chrome renderings are unchanged.
@@ -356,8 +305,8 @@ fn chrome_matches_golden_and_is_one_json_document() {
     let out = render(Format::Chrome);
     nanocost_sentinel::json::parse(&out).expect("chrome trace is one valid JSON document");
     assert!(
-        out.contains("\"ph\":\"C\""),
-        "samples must render as Chrome counter tracks"
+        out.contains("\"ph\":\"B\"") && out.contains("\"equation\":\"Eq.4\""),
+        "spans must render as B events and provenance as instants"
     );
     compare("trace.expected.chrome.json", &out);
 }

@@ -21,7 +21,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use nanocost_trace::{counter, event, gauge, metric_histogram, provenance, span};
+use nanocost_trace::{event, provenance, span};
 
 struct CountingAllocator;
 
@@ -46,11 +46,10 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 #[test]
 fn disabled_instrumentation_allocates_nothing() {
     // No subscriber is installed anywhere in this test binary, so every
-    // macro below must take its disabled fast path — and timeline
-    // sampling and stack profiling, which are only armed by
-    // init_from_env / start_sampler, must be off too.
+    // macro below must take its disabled fast path — and stack
+    // profiling, which is only armed by init_from_env / start_sampler,
+    // must be off too.
     assert!(!nanocost_trace::is_enabled());
-    assert!(!nanocost_trace::timeline::sampling_enabled());
     assert!(!nanocost_trace::stack_registry::profiling_enabled());
 
     // The counter is global, so a stray allocation on the libtest
@@ -72,11 +71,6 @@ fn disabled_instrumentation_allocates_nothing() {
                 inputs: [sd = 300.0, volume = i],
                 outputs: [c_tr = acc],
             );
-            counter!("hot.counter", 1);
-            gauge!("hot.gauge", acc);
-            metric_histogram!("hot.histogram", acc);
-            nanocost_trace::timeline::record_sample("hot.sample", "gauge", acc);
-            let _timer = nanocost_trace::metrics::Timer::start("hot.timer");
             // The profiler's publication hooks (called from every span
             // guard) must be a single relaxed load when disabled: no
             // slot registration, no TLS touch, no allocation.

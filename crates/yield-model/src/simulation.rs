@@ -18,7 +18,7 @@
 
 use nanocost_fab::{DieSite, WaferSpec};
 use nanocost_numeric::Sampler;
-use nanocost_trace::{counter, metric_histogram, provenance, span};
+use nanocost_trace::{provenance, span};
 use nanocost_units::{Area, UnitError, Yield};
 
 use crate::defect::DefectDensity;
@@ -178,14 +178,10 @@ impl WaferMapSimulator {
             dice_per_wafer = sites.len(),
             d0 = process.density().value(),
         );
-        let _timer = nanocost_trace::metrics::Timer::start("yield.mc.simulate_s");
         let mut kill_counts: Vec<u64> = Vec::with_capacity(sites.len() * wafers.max(1));
         for _ in 0..wafers.max(1) {
             let mut per_die = vec![0u64; sites.len()];
             let defects = self.throw_defects(sampler, process, wafer_area_cm2, radius);
-            counter!("yield.mc.wafers", 1);
-            counter!("yield.mc.defects", defects.len() as u64);
-            metric_histogram!("yield.mc.defects_per_wafer", defects.len() as f64);
             for (x, y) in defects {
                 // Spatial index: sites form a regular grid, but a linear
                 // scan is fine at these scales and keeps the code simple.

@@ -132,30 +132,35 @@ for rule in R8 R9 R10; do
     fi
 done
 
-echo "==> timeline smoke: figure4 under NANOCOST_TRACE=jsonl + sampling"
+echo "==> timeline smoke: figure4 under NANOCOST_TRACE=jsonl"
 TRACE_OUT=target/ci-trace.jsonl
 rm -f "$TRACE_OUT"
-NANOCOST_TRACE=jsonl NANOCOST_TRACE_FILE="$TRACE_OUT" NANOCOST_TRACE_SAMPLE=1 \
+NANOCOST_TRACE=jsonl NANOCOST_TRACE_FILE="$TRACE_OUT" \
     cargo run -q --release -p nanocost-bench --bin figure4 >/dev/null
 if [[ ! -s "$TRACE_OUT" ]]; then
     echo "ci: FAIL: $TRACE_OUT is missing or empty" >&2
     exit 1
 fi
 # trace_check enforces schema, span balance, AND per-thread timestamp
-# monotonicity (both record order and sample capture times).
+# monotonicity.
 cargo run -q --release -p nanocost-trace --bin trace_check -- --summary "$TRACE_OUT"
 cargo run -q --release -p nanocost-sentinel --bin trace_profile -- "$TRACE_OUT" >/dev/null
-# Windowed metrics view over the back half of the capture must succeed.
+# The windowed span profile over the back half of the capture must
+# succeed.
 cargo run -q --release -p nanocost-sentinel --bin trace_profile -- \
-    --since 50% --metrics "$TRACE_OUT" >/dev/null
+    --since 50% "$TRACE_OUT" >/dev/null
 
-echo "==> timeline smoke: chrome export carries counter tracks"
+echo "==> timeline smoke: chrome export carries spans and provenance instants"
 CHROME_OUT=target/ci-trace-chrome.json
 rm -f "$CHROME_OUT"
-NANOCOST_TRACE=chrome NANOCOST_TRACE_FILE="$CHROME_OUT" NANOCOST_TRACE_SAMPLE=1 \
+NANOCOST_TRACE=chrome NANOCOST_TRACE_FILE="$CHROME_OUT" \
     cargo run -q --release -p nanocost-bench --bin figure4 >/dev/null
-if ! grep -q '"ph":"C"' "$CHROME_OUT"; then
-    echo "ci: FAIL: $CHROME_OUT has no \"ph\":\"C\" counter-track events" >&2
+if ! grep -q '"ph":"B"' "$CHROME_OUT"; then
+    echo "ci: FAIL: $CHROME_OUT has no \"ph\":\"B\" span events" >&2
+    exit 1
+fi
+if ! grep -q '"ph":"i".*"args":{"equation":"Eq\.' "$CHROME_OUT"; then
+    echo "ci: FAIL: $CHROME_OUT has no \"ph\":\"i\" provenance instants" >&2
     exit 1
 fi
 
@@ -275,19 +280,17 @@ if ! wait_bounded "$SERVE_PID"; then
 fi
 
 echo "==> serve profiling gate: continuous sampler + /v1/profile + profile_diff"
-# A second server with the sampling profiler cranked up and metric
-# timeline sampling armed: the loadgen burst must leave a non-empty
-# /v1/profile report whose stacks attribute work to serve.request, a
-# self-diff must be clean, fleet_report's artifact must carry the same
-# live profile, and the JSONL capture must carry trace_check-valid
-# stack_sample records plus a counter flamegraph that conserves the
-# core.optimize.probes total.
+# A second server with the sampling profiler cranked up: the loadgen
+# burst must leave a non-empty /v1/profile report whose stacks
+# attribute work to serve.request, a self-diff must be clean,
+# fleet_report's artifact must carry the same live profile, and the
+# JSONL capture must carry trace_check-valid stack_sample records and
+# the optimum searches' Eq.4 provenance.
 PROF_LOG=target/ci-serve-prof.log
 PROF_TRACE=target/ci-serve-prof.jsonl
 rm -f "$PROF_LOG" "$PROF_TRACE" target/ci-serve-profile.json target/ci-serve-prof-exemplar.*.jsonl
 rm -f target/ci-serve-prof-fleet.json
 NANOCOST_PROFILE_HZ=500 NANOCOST_TRACE=jsonl NANOCOST_TRACE_FILE="$PROF_TRACE" \
-    NANOCOST_TRACE_SAMPLE=1 \
     ./target/release/serve --port 0 --workers 4 >"$PROF_LOG" 2>&1 &
 PROF_PID=$!
 PROF_ADDR=""
@@ -337,17 +340,10 @@ if ! grep -q 'stack samples: [1-9]' <<<"$PROF_SUMMARY"; then
     echo "ci: FAIL: profiled capture has no stack_sample records" >&2
     exit 1
 fi
-# Counter samples carry the process-global total, so the counter
-# flamegraph's core.optimize.probes deltas must add up to at most the
-# flush-time metric record (less only when a buffer decimated), and to
-# more than zero: the optimum requests did probe.
-PROBES_FOLDED="$(cargo run -q --release -p nanocost-sentinel --bin trace_profile -- \
-    --metrics "$PROF_TRACE" | awk '$1 ~ /;core\.optimize\.probes$/ {s += $2} END {print s + 0}')"
-PROBES_TOTAL="$(grep '"type":"metric","name":"core.optimize.probes"' "$PROF_TRACE" \
-    | grep -o '"value":[0-9]*' | cut -d: -f2)"
-if [[ -z "$PROBES_TOTAL" || "$PROBES_FOLDED" -le 0 || "$PROBES_FOLDED" -gt "$PROBES_TOTAL" ]]; then
-    echo "ci: FAIL: counter flamegraph sums core.optimize.probes to $PROBES_FOLDED," \
-        "the capture's metric record says ${PROBES_TOTAL:-nothing}" >&2
+# Each optimum probe is one Eq.4 provenance record, so the optimum
+# requests must have left some in the capture.
+if ! grep -qE '^  Eq\.4 +[1-9]' <<<"$PROF_SUMMARY"; then
+    echo "ci: FAIL: profiled capture has no Eq.4 provenance records" >&2
     exit 1
 fi
 
